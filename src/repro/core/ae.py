@@ -58,12 +58,12 @@ import math
 from typing import Callable, Mapping
 
 import numpy as np
-from scipy import optimize
 
 from repro.contracts import requires
 from repro.core.base import ConfidenceInterval, DistinctValueEstimator, RawOutcome
 from repro.core.bounds import gee_interval, gee_interval_batch
-from repro.errors import InvalidParameterError, SolverError
+from repro.core.roots import brentq
+from repro.errors import InvalidParameterError
 from repro.frequency.batch import (
     FrequencyProfileBatch,
     exact_exp,
@@ -288,7 +288,9 @@ def _bracket_and_solve(
     ``residual(lo) <= 0`` by construction (at ``m = rare_distinct`` the
     left side vanishes and the right side is non-negative); the residual
     grows roughly linearly for large ``m`` whenever a finite fixed point
-    exists.
+    exists.  A solver failure surfaces as the
+    :class:`~repro.errors.SolverError` :func:`~repro.core.roots.brentq`
+    raises.
     """
     value_lo = residual(lo)
     if value_lo >= 0.0:
@@ -303,13 +305,7 @@ def _bracket_and_solve(
     hi = max(2.0 * lo, lo + 1.0)
     while hi <= cap:
         if residual(hi) > 0.0:
-            try:
-                root = optimize.brentq(residual, lo, hi, xtol=1e-9, rtol=1e-12)
-            except ValueError as exc:  # pragma: no cover - defensive
-                raise SolverError(
-                    f"Brent solver failed on bracket [{lo}, {hi}]"
-                ) from exc
-            return float(root)
+            return brentq(residual, lo, hi, xtol=1e-9, rtol=1e-12)
         lo, hi = hi, hi * 2.0
     return float("inf")
 

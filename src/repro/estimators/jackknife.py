@@ -25,10 +25,10 @@ import math
 from typing import Mapping
 
 import numpy as np
-from scipy import optimize
 
 from repro.contracts import ensures, requires
 from repro.core.base import DistinctValueEstimator, RawOutcome, clamp_estimate
+from repro.core.roots import brentq
 from repro.errors import InvalidParameterError
 from repro.frequency.batch import FrequencyProfileBatch, gather_over_unique
 from repro.frequency.profile import FrequencyProfile
@@ -241,7 +241,7 @@ class MethodOfMoments(DistinctValueEstimator):
         lo, hi = float(d), float(n)
         if moment_gap(hi) <= 0.0:
             return float(n)
-        root = float(optimize.brentq(moment_gap, lo, hi, xtol=1e-9, rtol=1e-12))
+        root = brentq(moment_gap, lo, hi, xtol=1e-9, rtol=1e-12)
         # brentq guarantees the root lies inside the [d, n] bracket;
         # restating it through clamp_estimate (an exact no-op here) makes
         # the bound clauses above machine-checkable.

@@ -19,18 +19,30 @@ critical value.
 Because ``sum_j c_j^2 = sum_i i^2 f_i``, the statistic is computable from
 the frequency profile alone — exactly the information the paper's modified
 SQL Server returned.
+
+The chi-squared quantile and tail come straight from ``scipy.special``,
+through the same calls scipy's ``chi2`` distribution makes internally
+(``ppf`` is ``2 * gammaincinv(dof / 2, q)``, ``sf`` is
+``chdtrc(dof, x)``), so the values are bit-identical without loading
+scipy's statistics package and its import cost.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from scipy import stats
+from scipy import special
 
 from repro.errors import InvalidParameterError
 from repro.frequency.profile import FrequencyProfile
 
-__all__ = ["SkewTestResult", "chi_squared_skew_test", "is_high_skew"]
+__all__ = [
+    "SkewTestResult",
+    "chi_squared_critical_value",
+    "chi_squared_p_value",
+    "chi_squared_skew_test",
+    "is_high_skew",
+]
 
 
 @dataclass(frozen=True)
@@ -42,6 +54,27 @@ class SkewTestResult:
     critical_value: float
     p_value: float
     high_skew: bool
+
+
+def chi_squared_critical_value(dof: int, alpha: float) -> float:
+    """The upper-``alpha`` quantile of chi-squared with ``dof`` degrees of freedom.
+
+    Equals scipy's ``chi2.ppf(1 - alpha, dof)`` bit for bit.
+    """
+    return float(2 * special.gammaincinv(dof / 2, 1.0 - alpha))
+
+
+def chi_squared_p_value(statistic: float, dof: int) -> float:
+    """The chi-squared upper tail ``P(X > statistic)`` with ``dof`` degrees of freedom.
+
+    Equals scipy's ``chi2.sf(statistic, dof)`` bit for bit.
+    """
+    if statistic <= 0:
+        # Outside the open support ``sf`` is 1, while ``chdtrc`` is NaN
+        # for a negative argument (rounding can leave the statistic a
+        # hair below zero on near-uniform counts).
+        return 1.0
+    return float(special.chdtrc(dof, statistic))
 
 
 def chi_squared_skew_test(
@@ -81,8 +114,8 @@ def chi_squared_skew_test(
     sum_squares = sum(i * i * count for i, count in profile.counts.items())
     statistic = sum_squares / expected - r
     dof = d - 1
-    critical = float(stats.chi2.ppf(1.0 - alpha, dof))
-    p_value = float(stats.chi2.sf(statistic, dof))
+    critical = chi_squared_critical_value(dof, alpha)
+    p_value = chi_squared_p_value(statistic, dof)
     return SkewTestResult(
         statistic=statistic,
         degrees_of_freedom=dof,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from repro.data import uniform_column, zipf_column
 from repro.errors import InvalidParameterError
@@ -12,6 +13,7 @@ from repro.frequency import (
     chi_squared_skew_test,
     is_high_skew,
 )
+from repro.frequency.skew import chi_squared_critical_value, chi_squared_p_value
 from repro.sampling import UniformWithoutReplacement
 
 
@@ -45,6 +47,47 @@ class TestStatistic:
             chi_squared_skew_test(small_profile, alpha=0.0)
         with pytest.raises(InvalidParameterError):
             chi_squared_skew_test(small_profile, alpha=1.5)
+
+
+class TestChiSquaredMatchesScipyStats:
+    """The ``scipy.special`` route is bit-identical to ``scipy.stats.chi2``."""
+
+    DOF = np.arange(1, 5001)
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.01, 1e-6])
+    def test_critical_value(self, alpha):
+        want = stats.chi2.ppf(1.0 - alpha, self.DOF)
+        got = [chi_squared_critical_value(int(dof), alpha) for dof in self.DOF]
+        assert [v.hex() for v in got] == [float(v).hex() for v in want]
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.01, 1e-6])
+    def test_p_value(self, alpha):
+        # At the critical value itself, and on either side of it.
+        critical = stats.chi2.ppf(1.0 - alpha, self.DOF)
+        for statistic in (critical, 0.5 * critical, 1.5 * critical):
+            want = stats.chi2.sf(statistic, self.DOF)
+            got = [
+                chi_squared_p_value(float(x), int(dof))
+                for x, dof in zip(statistic, self.DOF)
+            ]
+            assert [v.hex() for v in got] == [float(v).hex() for v in want]
+
+    @pytest.mark.parametrize("statistic", [0.0, -0.0, -1e-12, -3.0])
+    def test_p_value_of_a_non_positive_statistic_is_one(self, statistic):
+        for dof in (1, 5, 500):
+            assert chi_squared_p_value(statistic, dof) == 1.0
+            assert float(stats.chi2.sf(statistic, dof)) == 1.0
+
+    def test_skew_test_result_fields(self, rng):
+        column = zipf_column(100_000, z=1.0, rng=rng)
+        for fraction in (0.001, 0.01, 0.05):
+            profile = UniformWithoutReplacement().profile(
+                column.values, rng, fraction=fraction
+            )
+            result = chi_squared_skew_test(profile, alpha=0.05)
+            dof = result.degrees_of_freedom
+            assert result.critical_value == float(stats.chi2.ppf(0.95, dof))
+            assert result.p_value == float(stats.chi2.sf(result.statistic, dof))
 
 
 class TestOnGeneratedData:
