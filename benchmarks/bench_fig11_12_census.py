@@ -2,33 +2,17 @@
 
 Paper findings: GEE, AE, and HYBGEE consistently outperform HYBSKEW on
 this dataset; every estimator's variance is small and decreases with
-the sampling fraction.
+the sampling fraction.  Both figures read one sweep: Figure 12 reuses
+the evaluation Figure 11 ran.
 """
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
 from conftest import paper_scale
 
-from repro.data import census
-from repro.experiments import config
-from repro.experiments.figures import real_dataset_metric
 
-
-@pytest.fixture(scope="module")
-def dataset():
-    return census(np.random.default_rng(0), scale=1.0 / config.scale_divisor())
-
-
-def test_fig11_census_error(benchmark, dataset):
-    table = benchmark.pedantic(
-        lambda: real_dataset_metric("Census", metric="error", dataset=dataset),
-        rounds=1,
-        iterations=1,
-    )
-    print()
-    print(table.render())
+def test_fig11_census_error(exhibit):
+    table = exhibit("fig11")
     if paper_scale():
         # The paper's trio beats HYBSKEW on aggregate over the rates;
         # shrunk surrogate columns can flip this ranking, so the check
@@ -40,14 +24,8 @@ def test_fig11_census_error(benchmark, dataset):
         assert table.series[name][-1] <= table.series[name][0], name
 
 
-def test_fig12_census_variance(benchmark, dataset):
-    table = benchmark.pedantic(
-        lambda: real_dataset_metric("Census", metric="stddev", dataset=dataset),
-        rounds=1,
-        iterations=1,
-    )
-    print()
-    print(table.render())
+def test_fig12_census_variance(exhibit):
+    table = exhibit("fig12")
     for name, values in table.series.items():
         assert values[-1] <= values[0] + 0.05, name
         assert values[-1] < 0.3, name

@@ -2,45 +2,22 @@
 
 Paper findings: the new estimators yield more accurate estimates than
 HYBSKEW; HYBGEE performs better than both GEE and HYBSKEW; variances
-are small and decrease with the sampling fraction.
+are small and decrease with the sampling fraction.  Both figures read
+one sweep: Figure 14 reuses the evaluation Figure 13 ran.
 """
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
 
-from repro.data import covertype
-from repro.experiments import config
-from repro.experiments.figures import real_dataset_metric
-
-
-@pytest.fixture(scope="module")
-def dataset():
-    return covertype(np.random.default_rng(1), scale=1.0 / config.scale_divisor())
-
-
-def test_fig13_covertype_error(benchmark, dataset):
-    table = benchmark.pedantic(
-        lambda: real_dataset_metric("CoverType", metric="error", dataset=dataset),
-        rounds=1,
-        iterations=1,
-    )
-    print()
-    print(table.render())
+def test_fig13_covertype_error(exhibit):
+    table = exhibit("fig13")
     for name in ("GEE", "AE", "HYBGEE"):
         assert sum(table.series[name]) <= sum(table.series["HYBSKEW"]), name
     # "HYBGEE performs better than both GEE and HYBSKEW."
     assert sum(table.series["HYBGEE"]) <= sum(table.series["GEE"])
 
 
-def test_fig14_covertype_variance(benchmark, dataset):
-    table = benchmark.pedantic(
-        lambda: real_dataset_metric("CoverType", metric="stddev", dataset=dataset),
-        rounds=1,
-        iterations=1,
-    )
-    print()
-    print(table.render())
+def test_fig14_covertype_variance(exhibit):
+    table = exhibit("fig14")
     for name, values in table.series.items():
         assert values[-1] <= values[0] + 0.05, name

@@ -3,32 +3,15 @@
 Paper findings: all estimators perform reasonably well on this dataset;
 variances are small apart from occasional spikes, and decrease with the
 sampling fraction.  (MSSales is the synthesized surrogate of the
-Microsoft-internal table; see DESIGN.md §3.)
+Microsoft-internal table; see DESIGN.md §3.)  Both figures read one
+sweep: Figure 16 reuses the evaluation Figure 15 ran.
 """
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
 
-from repro.data import mssales
-from repro.experiments import config
-from repro.experiments.figures import real_dataset_metric
-
-
-@pytest.fixture(scope="module")
-def dataset():
-    return mssales(np.random.default_rng(2), scale=1.0 / config.scale_divisor())
-
-
-def test_fig15_mssales_error(benchmark, dataset):
-    table = benchmark.pedantic(
-        lambda: real_dataset_metric("MSSales", metric="error", dataset=dataset),
-        rounds=1,
-        iterations=1,
-    )
-    print()
-    print(table.render())
+def test_fig15_mssales_error(exhibit):
+    table = exhibit("fig15")
     # "All estimators perform reasonably well": by the top rate nobody
     # is beyond 2x on average.
     for name, values in table.series.items():
@@ -38,13 +21,7 @@ def test_fig15_mssales_error(benchmark, dataset):
         assert table.series[name][-1] <= table.series[name][0], name
 
 
-def test_fig16_mssales_variance(benchmark, dataset):
-    table = benchmark.pedantic(
-        lambda: real_dataset_metric("MSSales", metric="stddev", dataset=dataset),
-        rounds=1,
-        iterations=1,
-    )
-    print()
-    print(table.render())
+def test_fig16_mssales_variance(exhibit):
+    table = exhibit("fig16")
     for name, values in table.series.items():
         assert values[-1] <= values[0] + 0.05, name

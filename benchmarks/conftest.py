@@ -44,8 +44,8 @@ from repro.sampling.kernels import kernel_info
 # Wall-time registries for the BENCH_perf.json report.  ``_EXHIBIT_TIMES``
 # holds the experiment compute alone (timed inside run_exhibit, excluding
 # rendering and assertions); ``_TEST_TIMES`` holds the pytest call phase
-# of every benchmark test, which also covers exhibits driven without
-# run_exhibit (the real-dataset figures share a module-scoped dataset).
+# of every benchmark test, which also covers benchmarks that time a
+# callable rather than an exhibit.
 _EXHIBIT_TIMES: dict[str, float] = {}
 _TEST_TIMES: dict[str, float] = {}
 

@@ -11,6 +11,15 @@ All runners honour ``REPRO_SCALE`` / ``REPRO_TRIALS`` (see
 :mod:`repro.experiments.config`) and take a ``seed`` so runs are
 reproducible.
 
+Several exhibits are views of one experiment.  Figure 1, Figure 3 and
+Table 1 read the same Z=0 sampling-rate sweep (mean ratio error,
+stddev / D and GEE's interval), Figures 2 and 4 and Table 2 the Z=2
+sweep, and each real-dataset pair (11/12, 13/14, 15/16) one sweep over
+the dataset's columns.  A sweep is evaluated once per process and kept
+in the executor memo (:func:`~repro.experiments.executor.clear_memo`
+drops it), so the second exhibit of a group costs no sampling or
+estimation and prints the bytes a run of its own would.
+
 Grid sweeps run under either of two seeding protocols (selected by
 ``REPRO_WORKERS`` / ``REPRO_SEED_MODE``, see
 :mod:`repro.experiments.executor` and ``docs/performance.md``):
@@ -28,13 +37,12 @@ Grid sweeps run under either of two seeding protocols (selected by
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any
 
 import numpy as np
 
-from repro.core.base import ratio_error
-from repro.core.gee import GEE
+from repro.core.base import DistinctValueEstimator, ratio_error
 from repro.core.registry import PAPER_ESTIMATORS, make_estimators
 from repro.core.theory import adversarial_pair, lower_bound_error
 from repro.data.column import Column
@@ -166,6 +174,71 @@ def _evaluate_point(task: _EvalTask, rng: np.random.Generator) -> EvaluationResu
     )
 
 
+#: How one grid point samples its column: ``(fraction, size)``, one of them set.
+_Sampling = tuple[float | None, int | None]
+
+
+def _column_sweep(
+    grid: Sequence[tuple[_ColumnSpec, Sequence[_Sampling]]],
+    estimators: Sequence[str],
+    runs: int,
+    seed: int,
+) -> Sequence[EvaluationResult]:
+    """Evaluate each column of ``grid`` at each of its samplings, in order.
+
+    Legacy seeding threads one generator through the grid: it builds a
+    column, draws that column's points, then builds the next.  Spawn
+    seeding makes every point a sweep task on its own stream.
+
+    The results are memoized per process under everything that
+    determines them: the grid, the trial count, the seed and the
+    protocol.  A sweep already evaluated for a superset of
+    ``estimators`` answers the request without sampling again:
+    estimators are pure functions of the shared trial profiles, so
+    leaving some out changes no byte of the others' summaries.
+    """
+    spawn = config.spawn_seeding()
+    frozen = tuple((spec, tuple(samplings)) for spec, samplings in grid)
+    evaluated: dict[tuple[str, ...], Sequence[EvaluationResult]] = executor.memoized(
+        ("column sweep", frozen, runs, seed, spawn), dict
+    )
+    names = [e.name for e in make_estimators(estimators)]
+    for cached in evaluated.values():
+        if cached and set(names) <= set(cached[0].summaries):
+            return [
+                replace(result, summaries={name: result[name] for name in names})
+                for result in cached
+            ]
+    results: Sequence[EvaluationResult]
+    if spawn:
+        results = executor.run_sweep(
+            _evaluate_point,
+            [
+                _EvalTask(
+                    spec, tuple(estimators), runs, seed, fraction=fraction, size=size
+                )
+                for spec, samplings in frozen
+                for fraction, size in samplings
+            ],
+            seed=seed,
+        )
+    else:
+        rng = np.random.default_rng(seed)
+        suite = make_estimators(estimators)
+        computed: list[EvaluationResult] = []
+        for spec, samplings in frozen:
+            column = spec.build(rng)
+            computed += [
+                evaluate_column(
+                    column, suite, rng, fraction=fraction, size=size, trials=runs
+                )
+                for fraction, size in samplings
+            ]
+        results = computed
+    evaluated[tuple(estimators)] = results
+    return results
+
+
 @dataclass(frozen=True)
 class _DatasetTask:
     """One grid point of a real-dataset exhibit: one sampling fraction."""
@@ -176,7 +249,6 @@ class _DatasetTask:
     trials: int
     seed: int
     fraction: float
-    metric: str
 
 
 def _build_dataset_traced(name: str, scale_ppm: int, seed: int) -> Dataset:
@@ -197,34 +269,85 @@ def _shared_dataset(name: str, scale_ppm: int, seed: int) -> Dataset:
 
 @dataclass(frozen=True)
 class _DatasetOutcome:
-    """Per-fraction result of a dataset sweep, plus title metadata."""
+    """Per-fraction result of a dataset sweep, plus title metadata.
 
-    means: dict[str, float]
+    ``means[metric][estimator]`` is the metric averaged over all columns,
+    for both metrics, so a dataset's error and stddev exhibits read one
+    evaluation.
+    """
+
+    means: dict[str, dict[str, float]]
     n_columns: int
     n_rows: int
     dataset_label: str
 
 
-def _evaluate_dataset_point(
-    task: _DatasetTask, rng: np.random.Generator
+def _dataset_outcome(
+    dataset: Dataset,
+    suite: Sequence[DistinctValueEstimator],
+    rng: np.random.Generator,
+    fraction: float,
+    runs: int,
 ) -> _DatasetOutcome:
-    """Mean metric over all dataset columns at one sampling fraction."""
-    dataset = _shared_dataset(task.dataset_name, task.scale_ppm, task.seed)
-    suite = make_estimators(task.estimators)
-    totals = {e.name: 0.0 for e in suite}
+    """Both metrics, averaged over all dataset columns, at one fraction."""
+    totals = {metric: {e.name: 0.0 for e in suite} for metric in _METRICS}
     for column in dataset:
-        result = evaluate_column(
-            column, suite, rng, fraction=task.fraction, trials=task.trials
-        )
-        for estimator in suite:
-            totals[estimator.name] += _metric_value(
-                result[estimator.name], task.metric
-            )
+        result = evaluate_column(column, suite, rng, fraction=fraction, trials=runs)
+        for metric, sums in totals.items():
+            for name in sums:
+                sums[name] += _metric_value(result[name], metric)
     return _DatasetOutcome(
-        means={name: total / len(dataset) for name, total in totals.items()},
+        means={
+            metric: {name: total / len(dataset) for name, total in sums.items()}
+            for metric, sums in totals.items()
+        },
         n_columns=len(dataset),
         n_rows=dataset.n_rows,
         dataset_label=dataset.name,
+    )
+
+
+def _evaluate_dataset_point(
+    task: _DatasetTask, rng: np.random.Generator
+) -> _DatasetOutcome:
+    """Sweep task: one sampling fraction over every dataset column."""
+    dataset = _shared_dataset(task.dataset_name, task.scale_ppm, task.seed)
+    suite = make_estimators(task.estimators)
+    return _dataset_outcome(dataset, suite, rng, task.fraction, task.trials)
+
+
+def _scale_ppm() -> int:
+    return round(1_000_000 / config.scale_divisor())
+
+
+def _dataset_sweep(
+    dataset_name: str,
+    fractions: tuple[float, ...],
+    estimators: tuple[str, ...],
+    runs: int,
+    seed: int,
+) -> Sequence[_DatasetOutcome]:
+    """One surrogate dataset evaluated at every fraction, memoized per process."""
+    spawn = config.spawn_seeding()
+
+    def evaluate() -> Sequence[_DatasetOutcome]:
+        if spawn:
+            points = [
+                _DatasetTask(dataset_name, _scale_ppm(), estimators, runs, seed, f)
+                for f in fractions
+            ]
+            return executor.run_sweep(_evaluate_dataset_point, points, seed=seed)
+        rng = np.random.default_rng(seed)
+        dataset = DATASETS[dataset_name](rng, scale=1.0 / config.scale_divisor())
+        suite = make_estimators(estimators)
+        return [_dataset_outcome(dataset, suite, rng, f, runs) for f in fractions]
+
+    return executor.memoized(
+        (
+            "dataset sweep", dataset_name, config.scale_divisor(), fractions,
+            estimators, runs, seed, spawn,
+        ),
+        evaluate,
     )
 
 
@@ -247,27 +370,11 @@ def error_vs_sampling_rate(
     n = n_rows if n_rows is not None else config.scaled_rows(
         config.PAPER_ROWS, keep_divisible_by=duplication
     )
-    runs = _trials(trials)
-    if config.spawn_seeding():
-        spec = _ColumnSpec(_KIND_ZIPF, n, z, duplication)
-        results = executor.run_sweep(
-            _evaluate_point,
-            [
-                _EvalTask(spec, tuple(estimators), runs, seed, fraction=f)
-                for f in fractions
-            ],
-            seed=seed,
-        )
-        distinct = results[0].true_distinct if results else 0
-    else:
-        rng = np.random.default_rng(seed)
-        column = zipf_column(n, z, duplication=duplication, rng=rng)
-        suite = make_estimators(estimators)
-        results = [
-            evaluate_column(column, suite, rng, fraction=f, trials=runs)
-            for f in fractions
-        ]
-        distinct = column.distinct_count
+    results = _column_sweep(
+        [(_ColumnSpec(_KIND_ZIPF, n, z, duplication), [(f, None) for f in fractions])],
+        estimators, _trials(trials), seed,
+    )
+    distinct = results[0].true_distinct if results else 0
     label = "mean ratio error" if metric == "error" else "stddev / D"
     table = SeriesTable(
         title=(
@@ -304,28 +411,10 @@ def error_vs_skew(
     n = n_rows if n_rows is not None else config.scaled_rows(
         config.PAPER_ROWS, keep_divisible_by=duplication
     )
-    runs = _trials(trials)
-    if config.spawn_seeding():
-        results = executor.run_sweep(
-            _evaluate_point,
-            [
-                _EvalTask(
-                    _ColumnSpec(_KIND_ZIPF, n, z, duplication),
-                    tuple(estimators), runs, seed, fraction=fraction,
-                )
-                for z in skews
-            ],
-            seed=seed,
-        )
-    else:
-        rng = np.random.default_rng(seed)
-        suite = make_estimators(estimators)
-        results = []
-        for z in skews:
-            column = zipf_column(n, z, duplication=duplication, rng=rng)
-            results.append(
-                evaluate_column(column, suite, rng, fraction=fraction, trials=runs)
-            )
+    results = _column_sweep(
+        [(_ColumnSpec(_KIND_ZIPF, n, z, duplication), [(fraction, None)]) for z in skews],
+        estimators, _trials(trials), seed,
+    )
     table = SeriesTable(
         title=(
             f"mean ratio error vs skew "
@@ -350,29 +439,18 @@ def error_vs_duplication(
 ) -> SeriesTable:
     """Figures 7 (0.8% rate) and 8 (6.4% rate): error vs duplication factor."""
     base_n = n_rows if n_rows is not None else config.PAPER_ROWS
-    runs = _trials(trials)
-    sizes = [config.scaled_rows(base_n, keep_divisible_by=dup) for dup in duplications]
-    if config.spawn_seeding():
-        results = executor.run_sweep(
-            _evaluate_point,
-            [
-                _EvalTask(
-                    _ColumnSpec(_KIND_ZIPF, n, z, dup),
-                    tuple(estimators), runs, seed, fraction=fraction,
-                )
-                for n, dup in zip(sizes, duplications)
-            ],
-            seed=seed,
-        )
-    else:
-        rng = np.random.default_rng(seed)
-        suite = make_estimators(estimators)
-        results = []
-        for n, dup in zip(sizes, duplications):
-            column = zipf_column(n, z, duplication=dup, rng=rng)
-            results.append(
-                evaluate_column(column, suite, rng, fraction=fraction, trials=runs)
+    results = _column_sweep(
+        [
+            (
+                _ColumnSpec(
+                    _KIND_ZIPF, config.scaled_rows(base_n, keep_divisible_by=dup), z, dup
+                ),
+                [(fraction, None)],
             )
+            for dup in duplications
+        ],
+        estimators, _trials(trials), seed,
+    )
     table = SeriesTable(
         title=f"mean ratio error vs duplication (rate={fraction:.1%}, Z={z:g})",
         x_name="dup",
@@ -391,29 +469,18 @@ def gee_interval_table(
     trials: int | None = None,
     seed: int = 0,
 ) -> SeriesTable:
-    """Tables 1 (Z=0) and 2 (Z=2): GEE's [LOWER, UPPER] interval vs rate."""
+    """Tables 1 (Z=0) and 2 (Z=2): GEE's [LOWER, UPPER] interval vs rate.
+
+    Same sweep as Figures 1 and 3 (Z=0) or 2 and 4 (Z=2): after either
+    of those ran, the table is read from its GEE summaries.
+    """
     n = n_rows if n_rows is not None else config.scaled_rows(
         config.PAPER_ROWS, keep_divisible_by=duplication
     )
-    runs = _trials(trials)
-    if config.spawn_seeding():
-        spec = _ColumnSpec(_KIND_ZIPF, n, z, duplication)
-        results = executor.run_sweep(
-            _evaluate_point,
-            [
-                _EvalTask(spec, ("GEE",), runs, seed, fraction=f)
-                for f in fractions
-            ],
-            seed=seed,
-        )
-    else:
-        rng = np.random.default_rng(seed)
-        column = zipf_column(n, z, duplication=duplication, rng=rng)
-        gee = GEE()
-        results = [
-            evaluate_column(column, [gee], rng, fraction=f, trials=runs)
-            for f in fractions
-        ]
+    results = _column_sweep(
+        [(_ColumnSpec(_KIND_ZIPF, n, z, duplication), [(f, None) for f in fractions])],
+        ("GEE",), _trials(trials), seed,
+    )
     table = SeriesTable(
         title=(
             f"GEE error guarantee (Z={z:g}, dup={duplication}, n={n:,})"
@@ -449,30 +516,13 @@ def scaleup_bounded(
     row_counts = [max(base_rows, n // divisor - (n // divisor) % base_rows)
                   for n in row_counts]
     sample_size = max(100, sample_size // divisor)
-    runs = _trials(trials)
-    if config.spawn_seeding():
-        results = executor.run_sweep(
-            _evaluate_point,
-            [
-                _EvalTask(
-                    _ColumnSpec(_KIND_BOUNDED, n, z, base_rows),
-                    tuple(estimators), runs, seed, size=min(sample_size, n),
-                )
-                for n in row_counts
-            ],
-            seed=seed,
-        )
-    else:
-        rng = np.random.default_rng(seed)
-        suite = make_estimators(estimators)
-        results = []
-        for n in row_counts:
-            column = bounded_scaleup_column(n, base_rows=base_rows, z=z, rng=rng)
-            results.append(
-                evaluate_column(
-                    column, suite, rng, size=min(sample_size, n), trials=runs
-                )
-            )
+    results = _column_sweep(
+        [
+            (_ColumnSpec(_KIND_BOUNDED, n, z, base_rows), [(None, min(sample_size, n))])
+            for n in row_counts
+        ],
+        estimators, _trials(trials), seed,
+    )
     table = SeriesTable(
         title=(
             f"bounded-domain scaleup (Z={z:g}, base={base_rows}, "
@@ -503,30 +553,13 @@ def scaleup_unbounded(
         max(duplication, n // divisor - (n // divisor) % duplication)
         for n in row_counts
     ]
-    runs = _trials(trials)
-    if config.spawn_seeding():
-        results = executor.run_sweep(
-            _evaluate_point,
-            [
-                _EvalTask(
-                    _ColumnSpec(_KIND_UNBOUNDED, n, z, duplication),
-                    tuple(estimators), runs, seed, fraction=fraction,
-                )
-                for n in row_counts
-            ],
-            seed=seed,
-        )
-    else:
-        rng = np.random.default_rng(seed)
-        suite = make_estimators(estimators)
-        results = []
-        for n in row_counts:
-            column = unbounded_scaleup_column(
-                n, duplication=duplication, z=z, rng=rng
-            )
-            results.append(
-                evaluate_column(column, suite, rng, fraction=fraction, trials=runs)
-            )
+    results = _column_sweep(
+        [
+            (_ColumnSpec(_KIND_UNBOUNDED, n, z, duplication), [(fraction, None)])
+            for n in row_counts
+        ],
+        estimators, _trials(trials), seed,
+    )
     table = SeriesTable(
         title=(
             f"unbounded-domain scaleup (Z={z:g}, dup={duplication}, "
@@ -550,65 +583,32 @@ def real_dataset_metric(
     estimators: Sequence[str] = PAPER_ESTIMATORS,
     trials: int | None = None,
     seed: int = 0,
-    dataset: Dataset | None = None,
 ) -> SeriesTable:
     """Figures 11-16: per-estimator mean error / stddev over all columns.
 
-    ``dataset`` may be passed in to share one generated surrogate across
-    the error and variance exhibits of the same dataset; an explicit
-    dataset always runs on the legacy sequential path (worker processes
-    regenerate shared inputs from specs rather than shipping arrays).
+    Both metrics come from one sweep, memoized per process, so the error
+    and stddev exhibits of a dataset evaluate it once.
     """
     if metric not in _METRICS:
         raise InvalidParameterError(f"metric must be one of {_METRICS}, got {metric!r}")
-    if dataset_name not in DATASETS and dataset is None:
+    if dataset_name not in DATASETS:
         known = ", ".join(sorted(DATASETS))
         raise InvalidParameterError(
             f"unknown dataset {dataset_name!r}; known: {known}"
         )
-    runs = _trials(trials)
-    if dataset is None and config.spawn_seeding():
-        scale_ppm = round(1_000_000 / config.scale_divisor())
-        points = [
-            _DatasetTask(
-                dataset_name, scale_ppm, tuple(estimators), runs, seed, f, metric
-            )
-            for f in fractions
-        ]
-        outcomes = executor.run_sweep(_evaluate_dataset_point, points, seed=seed)
-        if outcomes:
-            first = outcomes[0]
-            names = list(first.means)
-            n_columns, n_rows_label = first.n_columns, first.n_rows
-            dataset_label = first.dataset_label
-        else:  # metadata only: no grid points to borrow it from
-            shared = _shared_dataset(dataset_name, scale_ppm, seed)
-            names = [e.name for e in make_estimators(estimators)]
-            n_columns, n_rows_label = len(shared), shared.n_rows
-            dataset_label = shared.name
-        rows = {
-            name: [outcome.means[name] for outcome in outcomes] for name in names
-        }
-    else:
-        rng = np.random.default_rng(seed)
-        if dataset is None:
-            dataset = DATASETS[dataset_name](rng, scale=1.0 / config.scale_divisor())
-        suite = make_estimators(estimators)
-        rows = {e.name: [] for e in suite}
-        for fraction in fractions:
-            totals = {e.name: 0.0 for e in suite}
-            for column in dataset:
-                result = evaluate_column(
-                    column, suite, rng, fraction=fraction, trials=runs
-                )
-                for estimator in suite:
-                    totals[estimator.name] += _metric_value(
-                        result[estimator.name], metric
-                    )
-            for name, total in totals.items():
-                rows[name].append(total / len(dataset))
-        n_columns, n_rows_label = len(dataset), dataset.n_rows
-        dataset_label = dataset.name
+    outcomes = _dataset_sweep(
+        dataset_name, tuple(fractions), tuple(estimators), _trials(trials), seed
+    )
+    if outcomes:
+        first = outcomes[0]
+        names = list(first.means[metric])
+        n_columns, n_rows_label = first.n_columns, first.n_rows
+        dataset_label = first.dataset_label
+    else:  # metadata only: no grid points to borrow it from
+        shared = _shared_dataset(dataset_name, _scale_ppm(), seed)
+        names = [e.name for e in make_estimators(estimators)]
+        n_columns, n_rows_label = len(shared), shared.n_rows
+        dataset_label = shared.name
     label = "mean ratio error" if metric == "error" else "stddev / D"
     table = SeriesTable(
         title=(
@@ -618,8 +618,8 @@ def real_dataset_metric(
         x_name="rate",
         x_values=[f"{f:.1%}" for f in fractions],
     )
-    for name, values in rows.items():
-        table.add_series(name, values)
+    for name in names:
+        table.add_series(name, [outcome.means[metric][name] for outcome in outcomes])
     return table
 
 
