@@ -1,13 +1,14 @@
 """Before/after microbenchmarks of the native-speed kernel tier.
 
-Each test times the *same* workload twice — once through the historical
-implementation (``REPRO_KERNEL=legacy`` reduction, scalar estimator
-loop, serial harness path) and once through the kernel tier (single-pass
-reduction, ``estimate_batch``) — asserts the two produce identical
-results, and records both timings into ``BENCH_perf.json``'s
-``kernels`` section.  ``scripts/check_perf_baseline.py`` compares the
-recorded speedups against the committed ``BENCH_perf.baseline.json`` and
-fails CI when any tracked speedup regresses by more than 25%.
+Each test times the *same* workload twice — once through a per-trial
+reference (``FrequencyProfile.from_sample`` of each sample, the scalar
+``estimate`` of each profile) and once through the kernel tier
+(single-pass reduction, ``estimate_batch``) — asserts the two produce
+identical results, and records both timings into ``BENCH_perf.json``'s
+``kernels`` section (the reference under ``legacy_seconds``).
+``scripts/check_perf_baseline.py`` compares the recorded speedups
+against the committed ``BENCH_perf.baseline.json`` and fails CI when any
+tracked speedup regresses by more than 25%.
 
 Speedups (ratios on one machine, one process) are what the baseline
 pins, not absolute seconds, so the gate is robust to runner hardware.
@@ -15,12 +16,14 @@ pins, not absolute seconds, so the gate is robust to runner hardware.
 
 from __future__ import annotations
 
+import math
 import time
 
 import numpy as np
 import pytest
 
 from conftest import record_kernel_times
+from repro.core.base import ratio_error
 from repro.core.registry import make_estimator, make_estimators
 from repro.data import zipf_column
 from repro.experiments import config
@@ -70,20 +73,16 @@ def _trial_profiles(trials: int = 50):
 
 
 def test_reduction_kernel(benchmark):
-    """Single-pass bincount reduction vs the two-``np.unique`` legacy."""
+    """Single-pass bincount reduction vs ``from_sample`` of each trial."""
     samples = _trial_samples()
-    legacy_seconds, legacy = _best_of(
-        lambda: profiles_from_samples(samples, kernel="legacy")
+    reference_seconds, reference = _best_of(
+        lambda: [FrequencyProfile.from_sample(sample) for sample in samples]
     )
-    fast_seconds, fast = _best_of(
-        lambda: profiles_from_samples(samples, kernel="numpy")
-    )
-    assert fast == legacy
-    record_kernel_times("reduction", legacy_seconds, fast_seconds)
+    fast_seconds, fast = _best_of(lambda: profiles_from_samples(samples))
+    assert fast == reference
+    record_kernel_times("reduction", reference_seconds, fast_seconds)
     benchmark.pedantic(
-        lambda: profiles_from_samples(samples, kernel="numpy"),
-        rounds=1,
-        iterations=1,
+        lambda: profiles_from_samples(samples), rounds=1, iterations=1
     )
 
 
@@ -105,11 +104,12 @@ def test_estimator_batch_kernel(benchmark, name):
     )
 
 
-def test_harness_estimate_stage(benchmark, monkeypatch):
-    """The harness inner loop end to end: legacy path vs kernel tier.
+def test_harness_estimate_stage(benchmark):
+    """The harness inner loop end to end: per-trial reference vs kernel tier.
 
     This is the ``sweep.point`` self-time driver: one column, the full
-    paper estimator suite, shared trial profiles.
+    paper estimator suite, shared trial profiles.  The reference draws,
+    profiles and estimates one trial at a time.
     """
     rng = np.random.default_rng(27)
     n = config.scaled_rows(1_000_000, keep_divisible_by=10)
@@ -118,6 +118,25 @@ def test_harness_estimate_stage(benchmark, monkeypatch):
         ["GEE", "AE", "Shlosser", "SJ", "JK2", "HYBGEE", "HYBSKEW", "HYBVAR"]
     )
     trials = config.trials()
+    sampler = UniformWithoutReplacement()
+
+    def reference():
+        draws = np.random.default_rng(5)
+        profiles = [
+            FrequencyProfile.from_sample(
+                sampler.sample(column.values, draws, fraction=0.01)
+            )
+            for _ in range(trials)
+        ]
+        means = {}
+        for estimator in estimators:
+            values = [estimator.estimate(p, column.n_rows).value for p in profiles]
+            means[estimator.name] = (
+                math.fsum(values) / trials,
+                math.fsum(ratio_error(v, column.distinct_count) for v in values)
+                / trials,
+            )
+        return means
 
     def run():
         return evaluate_column(
@@ -128,10 +147,11 @@ def test_harness_estimate_stage(benchmark, monkeypatch):
             trials=trials,
         )
 
-    monkeypatch.setenv("REPRO_KERNEL", "legacy")
-    legacy_seconds, legacy = _best_of(run)
-    monkeypatch.setenv("REPRO_KERNEL", "numpy")
+    reference_seconds, expected = _best_of(reference)
     fast_seconds, fast = _best_of(run)
-    assert legacy == fast
-    record_kernel_times("harness.estimate", legacy_seconds, fast_seconds)
+    assert {
+        name: (summary.mean_estimate, summary.mean_ratio_error)
+        for name, summary in fast.summaries.items()
+    } == expected
+    record_kernel_times("harness.estimate", reference_seconds, fast_seconds)
     benchmark.pedantic(run, rounds=1, iterations=1)

@@ -20,10 +20,10 @@ regressions show up as diffs between runs.  When the suite runs with
 ``REPRO_TELEMETRY=1`` the report additionally aggregates the run's
 telemetry — counter totals, per-name span time, and per-name histogram
 quantiles — under a ``telemetry`` key, and every exhibit entry carries
-the p50/p99 of its per-point durations (``sweep.point``, or
-``harness.evaluate_column`` on the legacy serial path; ``null`` with
-telemetry off) so ``repro perfdiff`` can compare distributions, not
-just totals (see ``docs/observability.md``).
+the p50/p99 of its per-point durations (``sweep.point``; ``null``
+with telemetry off or for an exhibit that runs no sweep) so ``repro
+perfdiff`` can compare distributions, not just totals (see
+``docs/observability.md``).
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from repro.experiments import config, run_experiment
 from repro.experiments.report import SeriesTable
 from repro.obs import OBS, LogHistogram
 from repro.resilience import atomic_write
-from repro.sampling.kernels import kernel_info
 
 # Wall-time registries for the BENCH_perf.json report.  ``_EXHIBIT_TIMES``
 # holds the experiment compute alone (timed inside run_exhibit, excluding
@@ -51,11 +50,10 @@ _TEST_TIMES: dict[str, float] = {}
 
 # Per-exhibit point-duration histograms, attributed by snapshot/subtract
 # around each :func:`run_exhibit` call (exact integer bucket arithmetic,
-# so attribution cannot drift).  ``sweep.point`` only exists on the
-# spawn-seeding executor path; the legacy serial runners loop directly,
-# so ``harness.evaluate_column`` is the fallback per-point span.  Empty
-# when the suite runs without REPRO_TELEMETRY=1.
-_POINT_SPANS = ("sweep.point", "harness.evaluate_column")
+# so attribution cannot drift).  Every grid sweep times each point as a
+# ``sweep.point`` span.  Empty when the suite runs without
+# REPRO_TELEMETRY=1.
+_POINT_SPAN = "sweep.point"
 _EXHIBIT_POINT_HISTS: dict[str, LogHistogram] = {}
 
 # Before/after timings of the kernel-tier microbenchmarks
@@ -76,9 +74,7 @@ def record_kernel_times(name: str, legacy_seconds: float, fast_seconds: float) -
 
 def run_exhibit(benchmark, exhibit_id: str, **kwargs) -> SeriesTable:
     """Run one registered exhibit under the benchmark timer and print it."""
-    before = (
-        {name: OBS.histogram(name) for name in _POINT_SPANS} if OBS.enabled else None
-    )
+    before = OBS.histogram(_POINT_SPAN) if OBS.enabled else None
     started = time.perf_counter()
     result = benchmark.pedantic(
         lambda: run_experiment(exhibit_id, **kwargs), rounds=1, iterations=1
@@ -87,12 +83,10 @@ def run_exhibit(benchmark, exhibit_id: str, **kwargs) -> SeriesTable:
         _EXHIBIT_TIMES.get(exhibit_id, 0.0) + time.perf_counter() - started
     )
     if before is not None:
-        for name in _POINT_SPANS:
-            contributed = OBS.histogram(name).subtract(before[name])
-            if contributed.count:
-                tally = _EXHIBIT_POINT_HISTS.setdefault(exhibit_id, LogHistogram())
-                tally.merge(contributed)
-                break
+        contributed = OBS.histogram(_POINT_SPAN).subtract(before)
+        if contributed.count:
+            tally = _EXHIBIT_POINT_HISTS.setdefault(exhibit_id, LogHistogram())
+            tally.merge(contributed)
     print()
     print(result.render())
     return result
@@ -212,8 +206,6 @@ def pytest_sessionfinish(session, exitstatus):
         "scale_divisor": config.scale_divisor(),
         "trials": config.trials(),
         "workers": config.workers(),
-        "seed_mode": config.seed_mode(),
-        "kernel": kernel_info(),
         "exhibits": _exhibit_entries(),
         "tests": {k: round(v, 4) for k, v in sorted(_TEST_TIMES.items())},
         "total_seconds": round(sum(_TEST_TIMES.values()), 4),

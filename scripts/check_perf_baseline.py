@@ -2,8 +2,8 @@
 """Gate the kernel-tier speedups in BENCH_perf.json against the baseline.
 
 ``benchmarks/bench_perf_kernels.py`` times each tracked kernel twice in
-the same process — legacy path, then fast path — and records the ratio
-under the report's ``"kernels"`` key.  Ratios measured back-to-back on
+the same process — per-trial reference, then fast path — and records
+the ratio under the report's ``"kernels"`` key.  Ratios measured back-to-back on
 one machine are robust to runner speed, so the committed
 ``BENCH_perf.baseline.json`` pins them directly: this script fails when
 any tracked speedup falls more than ``tolerance`` (default 25%) below

@@ -68,7 +68,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import sys
 from pathlib import Path
 
@@ -246,7 +245,6 @@ def _cmd_exhibit(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.experiments import config
     from repro.experiments.executor import sweep_context
     from repro.resilience import RetryPolicy
 
@@ -254,14 +252,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     _require(args.retries >= 0, f"--retries must be >= 0, got {args.retries}")
     if args.timeout is not None:
         _require(args.timeout > 0, f"--timeout must be positive, got {args.timeout:g}")
-    # Resumable sweeps need worker-count-invariant per-point streams; the
-    # legacy protocol threads one generator through the whole sweep and
-    # cannot skip completed points bit-identically.
-    if config.seed_mode() == "legacy":
-        raise InvalidParameterError(
-            "repro sweep requires spawned seeding; unset REPRO_SEED_MODE=legacy"
-        )
-    os.environ["REPRO_SEED_MODE"] = "spawn"
     journal_path = Path(args.journal or f"sweeps/{args.id}.journal.jsonl")
     policy = RetryPolicy(retries=args.retries, timeout=args.timeout)
     args._telemetry_extra = {

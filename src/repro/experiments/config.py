@@ -14,12 +14,11 @@ Two environment variables rescale everything for quick runs:
   i.e. full paper scale);
 * ``REPRO_TRIALS`` — trials per configuration (default 10, the paper's).
 
-Two more select the sweep execution engine (see ``docs/performance.md``):
+One more sets the sweep execution engine (see ``docs/performance.md``):
 
-* ``REPRO_WORKERS`` — worker processes for grid sweeps (default 1);
-* ``REPRO_SEED_MODE`` — ``auto`` (default; spawned per-point seeds iff
-  more than one worker), ``legacy`` (the original sequential shared
-  generator, always), or ``spawn`` (per-point seeds even on one worker).
+* ``REPRO_WORKERS`` — worker processes for grid sweeps (default 1).
+  Every grid point draws from its own spawned stream, so the worker
+  count changes scheduling, never a number.
 
 The resilience layer adds four more (read by
 :mod:`repro.resilience`, documented in ``docs/robustness.md``):
@@ -42,12 +41,9 @@ __all__ = [
     "SKEW_VALUES",
     "DUPLICATION_FACTORS",
     "PAPER_ROWS",
-    "SEED_MODES",
     "scale_divisor",
     "trials",
     "workers",
-    "seed_mode",
-    "spawn_seeding",
     "scaled_rows",
 ]
 
@@ -87,38 +83,9 @@ def trials() -> int:
     return _positive_int_env("REPRO_TRIALS", 10)
 
 
-#: Recognized ``REPRO_SEED_MODE`` values.
-SEED_MODES: tuple[str, ...] = ("auto", "legacy", "spawn")
-
-
 def workers() -> int:
     """Sweep worker processes from ``REPRO_WORKERS`` (default 1)."""
     return _positive_int_env("REPRO_WORKERS", 1)
-
-
-def seed_mode() -> str:
-    """Seeding protocol from ``REPRO_SEED_MODE`` (default ``auto``).
-
-    ``legacy`` threads one shared generator through a sweep exactly as
-    the serial runners always have (bit-reproducing historical numbers);
-    ``spawn`` derives an independent child seed per grid point, making
-    results identical for every worker count; ``auto`` picks ``legacy``
-    on a single worker and ``spawn`` otherwise.
-    """
-    raw = os.environ.get("REPRO_SEED_MODE", "auto").strip().lower()
-    if raw not in SEED_MODES:
-        raise InvalidParameterError(
-            f"REPRO_SEED_MODE must be one of {SEED_MODES}, got {raw!r}"
-        )
-    return raw
-
-
-def spawn_seeding() -> bool:
-    """Whether sweeps should use spawned per-grid-point seeds."""
-    mode = seed_mode()
-    if mode == "auto":
-        return workers() > 1
-    return mode == "spawn"
 
 
 def scaled_rows(rows: int = PAPER_ROWS, keep_divisible_by: int = 1) -> int:

@@ -1,9 +1,8 @@
 """Parallel sweep execution with deterministic seed spawning.
 
 A *sweep* maps a task function over grid points (sampling rates, skews,
-row counts, ...).  The serial figure runners thread one shared generator
-through every point, which makes the points order-dependent and
-unparallelizable.  This module provides the alternative protocol:
+row counts, ...).  Every paper sweep runs through :func:`run_sweep`,
+under one seeding protocol:
 
 * every grid point ``i`` of a sweep rooted at ``seed`` receives its own
   :class:`numpy.random.SeedSequence` built as
@@ -15,7 +14,8 @@ unparallelizable.  This module provides the alternative protocol:
   dataset) derive their seeds from their *specification* under
   :data:`DATA_DOMAIN` via :func:`derived_rng`, so any worker that needs
   the same input regenerates the same bytes, and a per-process memo
-  (:func:`memoized`) builds it at most once per worker;
+  (:func:`memoized`) builds it at most once per worker while holding
+  one shared input at a time;
 * results are collected in submission order, so
   ``run_sweep(fn, points, seed=s, workers=w)`` returns byte-identical
   results for every ``w >= 1`` — one worker runs inline with no pool.
@@ -567,6 +567,8 @@ def _supervised_pool(
 # Per-process memo for shared sweep inputs
 # ----------------------------------------------------------------------
 _MEMO: dict[Hashable, Any] = {}
+#: The one shared sweep input (a column, a dataset) the memo holds.
+_SHARED: dict[Hashable, Any] = {}
 _MEMO_HITS = 0
 _MEMO_MISSES = 0
 
@@ -579,7 +581,9 @@ class MemoStats(NamedTuple):
     size: int
 
 
-def memoized(key: Hashable, build: Callable[[], _ResultT]) -> _ResultT:  # reprolint: disable=R1101 - per-process cache by contract: build is deterministic per key, so workers rebuilding independently is correct; hit/miss tallies are documented as per-process
+def memoized(  # reprolint: disable=R1101 - per-process cache by contract: build is deterministic per key, so workers rebuilding independently is correct; hit/miss tallies are documented as per-process
+    key: Hashable, build: Callable[[], _ResultT], *, shared_input: bool = False
+) -> _ResultT:
     """Build-at-most-once cache, scoped to the current process.
 
     Sweep tasks use this so a worker that evaluates several grid points
@@ -591,16 +595,25 @@ def memoized(key: Hashable, build: Callable[[], _ResultT]) -> _ResultT:  # repro
     ``executor.memo_hits`` / ``executor.memo_misses`` counters — in a
     parallel sweep those counters are per-process tallies summed at
     merge, so they depend on how the pool scheduled points.
+
+    ``shared_input=True`` marks a large sweep input (a column, a
+    dataset).  The memo holds one of those at a time: building a new one
+    first releases the previous one, so a sweep over ten columns peaks
+    at one column's memory, not ten.  Grid points are submitted column
+    by column, so an inline sweep builds each input once.
     """
     global _MEMO_HITS, _MEMO_MISSES
+    store = _SHARED if shared_input else _MEMO
     try:
-        value = _MEMO[key]
+        value = store[key]
     except KeyError:
         _MEMO_MISSES += 1
         if OBS.enabled:
             OBS.add("executor.memo_misses")
+        if shared_input:
+            store.clear()
         value = build()
-        _MEMO[key] = value
+        store[key] = value
         return value
     _MEMO_HITS += 1
     if OBS.enabled:
@@ -612,15 +625,16 @@ def clear_memo() -> None:
     """Drop every memo entry *and* its hit/miss tallies (tests, servers)."""
     global _MEMO_HITS, _MEMO_MISSES
     _MEMO.clear()
+    _SHARED.clear()
     _MEMO_HITS = 0
     _MEMO_MISSES = 0
 
 
 def memo_size() -> int:
     """Number of live per-process memo entries."""
-    return len(_MEMO)
+    return len(_MEMO) + len(_SHARED)
 
 
 def memo_stats() -> MemoStats:
     """Hits, misses, and live entries of the per-process memo."""
-    return MemoStats(hits=_MEMO_HITS, misses=_MEMO_MISSES, size=len(_MEMO))
+    return MemoStats(hits=_MEMO_HITS, misses=_MEMO_MISSES, size=memo_size())

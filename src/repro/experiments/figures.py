@@ -20,18 +20,13 @@ in the executor memo (:func:`~repro.experiments.executor.clear_memo`
 drops it), so the second exhibit of a group costs no sampling or
 estimation and prints the bytes a run of its own would.
 
-Grid sweeps run under either of two seeding protocols (selected by
-``REPRO_WORKERS`` / ``REPRO_SEED_MODE``, see
-:mod:`repro.experiments.executor` and ``docs/performance.md``):
-
-* **legacy** (the default on a single worker): one generator threads
-  sequentially through column generation and every grid point, exactly
-  reproducing the numbers of earlier releases;
-* **spawn**: every grid point draws from an independent child stream
-  derived from the root seed and its grid index, and shared inputs
-  (columns, datasets) derive theirs from their specification — results
-  are then byte-identical for *any* worker count, and points can be
-  executed in parallel processes.
+Every grid sweep is a :func:`~repro.experiments.executor.run_sweep`
+(see ``docs/performance.md``): each grid point draws from an independent
+child stream derived from the root seed and its grid index, and shared
+inputs (columns, datasets) derive theirs from their specification.  A
+point's samples therefore depend on nothing but the seed and the point,
+and results are byte-identical for any ``REPRO_WORKERS`` value and for
+``repro exhibit`` and ``repro sweep`` alike.
 """
 
 from __future__ import annotations
@@ -42,7 +37,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.base import DistinctValueEstimator, ratio_error
+from repro.core.base import ratio_error
 from repro.core.registry import PAPER_ESTIMATORS, make_estimators
 from repro.core.theory import adversarial_pair, lower_bound_error
 from repro.data.column import Column
@@ -100,7 +95,7 @@ def _series_names(
 
 
 # ----------------------------------------------------------------------
-# Sweep task machinery (the spawn-seeded, process-parallel protocol)
+# Sweep task machinery (spawn-seeded, process-parallel)
 # ----------------------------------------------------------------------
 _KIND_ZIPF, _KIND_BOUNDED, _KIND_UNBOUNDED = 1, 2, 3
 
@@ -149,6 +144,7 @@ def _shared_column(spec: _ColumnSpec, seed: int) -> Column:
     return executor.memoized(
         ("column", seed, spec),
         lambda: _build_column_traced(spec, seed),
+        shared_input=True,
     )
 
 
@@ -186,21 +182,16 @@ def _column_sweep(
 ) -> Sequence[EvaluationResult]:
     """Evaluate each column of ``grid`` at each of its samplings, in order.
 
-    Legacy seeding threads one generator through the grid: it builds a
-    column, draws that column's points, then builds the next.  Spawn
-    seeding makes every point a sweep task on its own stream.
-
-    The results are memoized per process under everything that
-    determines them: the grid, the trial count, the seed and the
-    protocol.  A sweep already evaluated for a superset of
-    ``estimators`` answers the request without sampling again:
-    estimators are pure functions of the shared trial profiles, so
-    leaving some out changes no byte of the others' summaries.
+    Every point is a sweep task on its own stream.  The results are
+    memoized per process under everything that determines them: the
+    grid, the trial count and the seed.  A sweep already evaluated for
+    a superset of ``estimators`` answers the request without sampling
+    again: estimators are pure functions of the shared trial profiles,
+    so leaving some out changes no byte of the others' summaries.
     """
-    spawn = config.spawn_seeding()
     frozen = tuple((spec, tuple(samplings)) for spec, samplings in grid)
     evaluated: dict[tuple[str, ...], Sequence[EvaluationResult]] = executor.memoized(
-        ("column sweep", frozen, runs, seed, spawn), dict
+        ("column sweep", frozen, runs, seed), dict
     )
     names = [e.name for e in make_estimators(estimators)]
     for cached in evaluated.values():
@@ -209,32 +200,15 @@ def _column_sweep(
                 replace(result, summaries={name: result[name] for name in names})
                 for result in cached
             ]
-    results: Sequence[EvaluationResult]
-    if spawn:
-        results = executor.run_sweep(
-            _evaluate_point,
-            [
-                _EvalTask(
-                    spec, tuple(estimators), runs, seed, fraction=fraction, size=size
-                )
-                for spec, samplings in frozen
-                for fraction, size in samplings
-            ],
-            seed=seed,
-        )
-    else:
-        rng = np.random.default_rng(seed)
-        suite = make_estimators(estimators)
-        computed: list[EvaluationResult] = []
-        for spec, samplings in frozen:
-            column = spec.build(rng)
-            computed += [
-                evaluate_column(
-                    column, suite, rng, fraction=fraction, size=size, trials=runs
-                )
-                for fraction, size in samplings
-            ]
-        results = computed
+    results = executor.run_sweep(
+        _evaluate_point,
+        [
+            _EvalTask(spec, tuple(estimators), runs, seed, fraction=fraction, size=size)
+            for spec, samplings in frozen
+            for fraction, size in samplings
+        ],
+        seed=seed,
+    )
     evaluated[tuple(estimators)] = results
     return results
 
@@ -264,6 +238,7 @@ def _shared_dataset(name: str, scale_ppm: int, seed: int) -> Dataset:
     return executor.memoized(
         ("dataset", seed, name, scale_ppm),
         lambda: _build_dataset_traced(name, scale_ppm, seed),
+        shared_input=True,
     )
 
 
@@ -282,17 +257,17 @@ class _DatasetOutcome:
     dataset_label: str
 
 
-def _dataset_outcome(
-    dataset: Dataset,
-    suite: Sequence[DistinctValueEstimator],
-    rng: np.random.Generator,
-    fraction: float,
-    runs: int,
+def _evaluate_dataset_point(
+    task: _DatasetTask, rng: np.random.Generator
 ) -> _DatasetOutcome:
-    """Both metrics, averaged over all dataset columns, at one fraction."""
+    """Sweep task: both metrics, averaged over every dataset column, at one fraction."""
+    dataset = _shared_dataset(task.dataset_name, task.scale_ppm, task.seed)
+    suite = make_estimators(task.estimators)
     totals = {metric: {e.name: 0.0 for e in suite} for metric in _METRICS}
     for column in dataset:
-        result = evaluate_column(column, suite, rng, fraction=fraction, trials=runs)
+        result = evaluate_column(
+            column, suite, rng, fraction=task.fraction, trials=task.trials
+        )
         for metric, sums in totals.items():
             for name in sums:
                 sums[name] += _metric_value(result[name], metric)
@@ -307,15 +282,6 @@ def _dataset_outcome(
     )
 
 
-def _evaluate_dataset_point(
-    task: _DatasetTask, rng: np.random.Generator
-) -> _DatasetOutcome:
-    """Sweep task: one sampling fraction over every dataset column."""
-    dataset = _shared_dataset(task.dataset_name, task.scale_ppm, task.seed)
-    suite = make_estimators(task.estimators)
-    return _dataset_outcome(dataset, suite, rng, task.fraction, task.trials)
-
-
 def _scale_ppm() -> int:
     return round(1_000_000 / config.scale_divisor())
 
@@ -328,26 +294,17 @@ def _dataset_sweep(
     seed: int,
 ) -> Sequence[_DatasetOutcome]:
     """One surrogate dataset evaluated at every fraction, memoized per process."""
-    spawn = config.spawn_seeding()
-
-    def evaluate() -> Sequence[_DatasetOutcome]:
-        if spawn:
-            points = [
-                _DatasetTask(dataset_name, _scale_ppm(), estimators, runs, seed, f)
-                for f in fractions
-            ]
-            return executor.run_sweep(_evaluate_dataset_point, points, seed=seed)
-        rng = np.random.default_rng(seed)
-        dataset = DATASETS[dataset_name](rng, scale=1.0 / config.scale_divisor())
-        suite = make_estimators(estimators)
-        return [_dataset_outcome(dataset, suite, rng, f, runs) for f in fractions]
-
+    scale_ppm = _scale_ppm()
     return executor.memoized(
-        (
-            "dataset sweep", dataset_name, config.scale_divisor(), fractions,
-            estimators, runs, seed, spawn,
+        ("dataset sweep", dataset_name, scale_ppm, fractions, estimators, runs, seed),
+        lambda: executor.run_sweep(
+            _evaluate_dataset_point,
+            [
+                _DatasetTask(dataset_name, scale_ppm, estimators, runs, seed, f)
+                for f in fractions
+            ],
+            seed=seed,
         ),
-        evaluate,
     )
 
 

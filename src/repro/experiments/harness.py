@@ -9,10 +9,12 @@ its estimates as a fraction of the true distinct count.
 The trial samples are drawn through the sampler's batched fast path
 (:meth:`~repro.sampling.base.RowSampler.profile_batch`), which reduces
 all ``T`` trials to profiles in one vectorized pass while consuming the
-random stream exactly as the historical one-trial-at-a-time loop did —
-estimators are pure functions of the profile, so hoisting the draws
-ahead of the estimates leaves every number bit-identical.  Custom
-samplers without a batch path fall back to the serial loop.
+random stream exactly as a one-trial-at-a-time loop would; each
+estimator then sees the whole profile stack in one ``estimate_batch``
+call.  Estimators are pure functions of the profile, so the result
+equals drawing, profiling and estimating one trial at a time, bit for
+bit.  Custom samplers without a batch path fall back to the serial
+loop.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from repro.errors import InvalidParameterError
 from repro.frequency.batch import FrequencyProfileBatch
 from repro.obs.recorder import OBS
 from repro.sampling.base import RowSampler
-from repro.sampling.kernels import realized_kernel
 from repro.sampling.schemes import UniformWithoutReplacement
 
 __all__ = ["EstimatorSummary", "EvaluationResult", "evaluate_column"]
@@ -133,35 +134,20 @@ def evaluate_column(
             math.fsum(p.sample_size for p in profiles) / trials
         )
         with OBS.span("harness.estimate", trials=trials):
-            # Estimator-major batched evaluation: each estimator sees the
-            # whole profile stack in one estimate_batch call (vectorized
-            # where the estimator has a kernel, the scalar loop where
-            # not).  Results land in the same per-estimator lists in the
-            # same trial order as the historical profile-major loop, so
-            # every downstream number is unchanged; REPRO_KERNEL=legacy
-            # keeps the historical loop itself for A/B verification.
-            if realized_kernel() == "legacy":
-                for profile in profiles:
-                    for estimator in estimators:
-                        outcome = estimator.estimate(profile, n)
-                        estimates[estimator.name].append(outcome.value)
-                        errors[estimator.name].append(
-                            ratio_error(outcome.value, true_distinct)
-                        )
-                        if outcome.interval is not None:
-                            lowers[estimator.name].append(outcome.interval.lower)
-                            uppers[estimator.name].append(outcome.interval.upper)
-            else:
-                batch = FrequencyProfileBatch.from_profiles(profiles)
-                for estimator in estimators:
-                    for outcome in estimator.estimate_batch(batch, n):
-                        estimates[estimator.name].append(outcome.value)
-                        errors[estimator.name].append(
-                            ratio_error(outcome.value, true_distinct)
-                        )
-                        if outcome.interval is not None:
-                            lowers[estimator.name].append(outcome.interval.lower)
-                            uppers[estimator.name].append(outcome.interval.upper)
+            # Estimator-major: each estimator sees the whole profile
+            # stack in one estimate_batch call (vectorized where the
+            # estimator has a kernel, the scalar loop where not), and
+            # its outcomes land in trial order.
+            batch = FrequencyProfileBatch.from_profiles(profiles)
+            for estimator in estimators:
+                for outcome in estimator.estimate_batch(batch, n):
+                    estimates[estimator.name].append(outcome.value)
+                    errors[estimator.name].append(
+                        ratio_error(outcome.value, true_distinct)
+                    )
+                    if outcome.interval is not None:
+                        lowers[estimator.name].append(outcome.interval.lower)
+                        uppers[estimator.name].append(outcome.interval.upper)
 
     summaries = {}
     for estimator in estimators:

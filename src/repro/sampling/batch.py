@@ -4,17 +4,13 @@ The measurement harness draws ``T`` independent samples per
 configuration and needs one :class:`~repro.frequency.profile.FrequencyProfile`
 per trial.  Reducing each sample separately costs ``T`` sorts plus ``T``
 rounds of Python dict handling; this module validates the batch once and
-hands the actual counting to a reduction kernel from
-:mod:`repro.sampling.kernels` — the historical two-``np.unique``
-reduction (``legacy``), the single-pass bincount kernel (``numpy``, the
-default), or the optional compiled variant (``numba``), selected by the
-``REPRO_KERNEL`` environment knob.
+hands the actual counting to the single-pass reduction kernel of
+:mod:`repro.sampling.kernels`.
 
 The result is exactly ``[FrequencyProfile.from_sample(s) for s in
-samples]`` under *every* kernel: all counting is integer-exact and every
-kernel emits histogram keys in the same ascending ``(trial, frequency)``
-order, so the batched reduction is interchangeable with the serial one —
-and the kernels with each other — bit for bit.
+samples]``: all counting is integer-exact and the kernel emits histogram
+keys in the same ascending ``(trial, frequency)`` order, so the batched
+reduction is interchangeable with the serial one bit for bit.
 """
 
 from __future__ import annotations
@@ -34,16 +30,13 @@ __all__ = ["profiles_from_samples"]
 
 def profiles_from_samples(
     samples: Sequence[npt.NDArray[Any]],
-    kernel: str | None = None,
 ) -> list[FrequencyProfile]:
     """Reduce a batch of sample arrays to one profile per trial.
 
     ``samples`` holds one 1-D array of sampled values per trial; the
     arrays may differ in length (Bernoulli trials do).  Returns the
     trials' profiles in order, equal to calling
-    :meth:`FrequencyProfile.from_sample` on each array.  ``kernel``
-    overrides the ``REPRO_KERNEL`` knob for this call (identity tests
-    compare kernels through it).
+    :meth:`FrequencyProfile.from_sample` on each array.
     """
     arrays: list[npt.NDArray[Any]] = []
     for sample in samples:
@@ -57,4 +50,4 @@ def profiles_from_samples(
         return []
     if sum(a.size for a in arrays) == 0:
         return [FrequencyProfile.empty() for _ in arrays]
-    return [FrequencyProfile(c) for c in reduce_samples(arrays, kernel)]
+    return [FrequencyProfile(c) for c in reduce_samples(arrays)]

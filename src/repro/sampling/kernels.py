@@ -1,65 +1,36 @@
-"""Reduction kernels: many sampling trials -> per-trial frequency histograms.
+"""The reduction kernel: many sampling trials -> per-trial frequency histograms.
 
 The batched trial path (:func:`repro.sampling.batch.profiles_from_samples`)
 ends in a *reduction*: given the concatenated samples of ``T`` trials,
-produce one ``{frequency: count}`` histogram per trial.  This module
-holds the interchangeable implementations of that reduction and the
-``REPRO_KERNEL`` knob that selects between them:
+produce one ``{frequency: count}`` histogram per trial.
 
-``legacy``
-    The historical two-``np.unique`` reduction, kept verbatim: factorize,
-    sort the ``(trial, code)`` pair keys, then sort the
-    ``(trial, multiplicity)`` keys.  This is the reference every other
-    kernel is verified against, bit for bit.
+The kernel is a single pass: factorize once (integer columns with a
+modest value range skip the factorizing sort entirely and use their
+values as dense codes), then count ``(trial, code)`` pairs and the
+per-trial multiplicity histogram with two ``np.bincount`` calls over
+dense keys — no further sorts.  Dense keys whose range would explode
+memory fall back to a sort-based pass (``np.unique``), so adversarial
+inputs cost a sort, never an unbounded allocation.
 
-``numpy`` (the ``auto`` default)
-    A cache-aware single-pass kernel: factorize once (integer columns
-    with a modest value range skip the factorizing sort entirely and use
-    their values as dense codes), then count ``(trial, code)`` pairs and
-    the per-trial multiplicity histogram with two ``np.bincount`` calls
-    over dense keys — no further sorts.  Dense keys whose range would
-    explode memory fall back to the sort-based passes, so the kernel is
-    never worse than ``legacy`` on adversarial inputs.
-
-``numba``
-    An optional compiled variant of the single-pass kernel.  It is used
-    only when the ``numba`` package is importable; otherwise the request
-    degrades to ``numpy`` (the mandatory pure-numpy fallback), and the
-    obs manifest records both the requested and the realized kernel.
-
-Every kernel returns dictionaries whose keys are inserted in ascending
-``(trial, frequency)`` order — the insertion order
+The histograms' keys are inserted in ascending ``(trial, frequency)``
+order — the insertion order
 :class:`~repro.frequency.profile.FrequencyProfile` preserves and the
-estimators' accumulation loops depend on — so the choice of kernel can
-never change a downstream number.  All counting is integer-exact.
+estimators' accumulation loops depend on — and all counting is
+integer-exact, so the result equals
+:meth:`FrequencyProfile.from_sample` of each trial bit for bit (the
+test oracle).
 """
 
 from __future__ import annotations
 
-import os
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 import numpy.typing as npt
 
-from repro.errors import InvalidParameterError
 from repro.obs.recorder import OBS
 
-__all__ = [
-    "KERNELS",
-    "available_kernels",
-    "kernel_info",
-    "numba_available",
-    "realized_kernel",
-    "reduce_samples",
-    "requested_kernel",
-]
-
-#: Environment knob selecting the reduction kernel.
-ENV_KERNEL = "REPRO_KERNEL"
-
-#: Recognized ``REPRO_KERNEL`` values.
-KERNELS: tuple[str, ...] = ("auto", "legacy", "numpy", "numba")
+__all__ = ["reduce_samples"]
 
 #: Dense-key budget for the bincount passes: a key space larger than
 #: ``max(_DENSE_KEY_FACTOR * occupied, _DENSE_KEY_FLOOR)`` falls back to
@@ -67,69 +38,7 @@ KERNELS: tuple[str, ...] = ("auto", "legacy", "numpy", "numba")
 _DENSE_KEY_FACTOR = 8
 _DENSE_KEY_FLOOR = 1 << 21
 
-try:  # pragma: no cover - exercised only where numba is installed
-    from numba import njit as _njit  # type: ignore[import-not-found]
 
-    _NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - the CI path
-    _njit = None
-    _NUMBA_AVAILABLE = False
-
-
-def numba_available() -> bool:
-    """True when the optional compiled kernel can actually be used."""
-    return _NUMBA_AVAILABLE
-
-
-def available_kernels() -> tuple[str, ...]:
-    """The kernels that can be *realized* on this installation."""
-    if _NUMBA_AVAILABLE:
-        return ("legacy", "numpy", "numba")
-    return ("legacy", "numpy")
-
-
-def requested_kernel() -> str:  # reprolint: disable=R1001 - REPRO_KERNEL selects among bit-identical reductions; the choice is recorded in the obs manifest and cannot change a result value
-    """The ``REPRO_KERNEL`` knob value (default ``auto``), validated."""
-    raw = os.environ.get(ENV_KERNEL, "auto").strip().lower() or "auto"
-    if raw not in KERNELS:
-        raise InvalidParameterError(
-            f"{ENV_KERNEL} must be one of {KERNELS}, got {raw!r}"
-        )
-    return raw
-
-
-def realized_kernel(requested: str | None = None) -> str:  # reprolint: disable=R1001 - REPRO_KERNEL selects among bit-identical reductions; the choice is recorded in the obs manifest and cannot change a result value
-    """Resolve a kernel request to the implementation that will run.
-
-    ``auto`` resolves to the single-pass numpy kernel; ``numba``
-    degrades to ``numpy`` when the package is missing (the mandatory
-    pure-python-stack fallback of the ``profile_batch`` protocol).
-    """
-    choice = requested_kernel() if requested is None else requested
-    if choice not in KERNELS:
-        raise InvalidParameterError(
-            f"kernel must be one of {KERNELS}, got {choice!r}"
-        )
-    if choice == "auto":
-        return "numpy"
-    if choice == "numba" and not _NUMBA_AVAILABLE:
-        return "numpy"
-    return choice
-
-
-def kernel_info() -> dict[str, Any]:  # reprolint: disable=R1001 - manifest fingerprint by design, like repro/obs: records the knob, never enters a result
-    """Requested/realized kernel snapshot for run manifests."""
-    requested = requested_kernel()
-    return {
-        "requested": requested,
-        "realized": realized_kernel(requested),
-        "numba_available": _NUMBA_AVAILABLE,
-    }
-
-
-# ----------------------------------------------------------------------
-# Shared factorization
-# ----------------------------------------------------------------------
 def _dense_cap(occupied: int) -> int:
     return max(_DENSE_KEY_FACTOR * occupied, _DENSE_KEY_FLOOR)
 
@@ -145,7 +54,7 @@ def _factorize(
     which is all the pair-counting passes need (only the *grouping* of
     ``(trial, code)`` pairs and their sort order matter downstream).
     Everything else — floats (NaN semantics), strings, objects — takes
-    the same ``np.unique`` call as the legacy kernel.
+    the ``np.unique`` sort.
     """
     if flat.dtype.kind in ("i", "u"):
         low = int(flat.min())
@@ -161,60 +70,6 @@ def _factorize(
     codes = codes.astype(np.int64, copy=False)
     n_codes = max(int(codes.max()) + 1, 1)
     return codes, n_codes
-
-
-def _concat(
-    arrays: list[npt.NDArray[Any]],
-) -> tuple[npt.NDArray[Any], npt.NDArray[np.int64], int]:
-    lengths = np.array([a.size for a in arrays], dtype=np.int64)
-    flat = np.concatenate(arrays)
-    trial_ids = np.repeat(np.arange(len(arrays), dtype=np.int64), lengths)
-    return flat, trial_ids, int(lengths.sum())
-
-
-def _build_histograms(
-    trials: int,
-    key_trials: list[int],
-    key_freqs: list[int],
-    key_counts: list[int],
-) -> list[dict[int, int]]:
-    """Assemble per-trial dicts in ascending ``(trial, frequency)`` order."""
-    counts: list[dict[int, int]] = [{} for _ in range(trials)]
-    for trial, frequency, count in zip(key_trials, key_freqs, key_counts):
-        counts[trial][frequency] = count
-    return counts
-
-
-# ----------------------------------------------------------------------
-# Kernels
-# ----------------------------------------------------------------------
-def _reduce_legacy(arrays: list[npt.NDArray[Any]]) -> list[dict[int, int]]:
-    """The historical two-pass ``np.unique`` reduction, kept verbatim."""
-    flat, trial_ids, _total = _concat(arrays)
-
-    # Pass 1: multiplicity of every (trial, value) pair.  Values are
-    # factorized to dense codes so the pair collapses into a single
-    # int64 key regardless of the column's dtype.
-    _, codes = np.unique(flat, return_inverse=True)
-    # ``max(..., 1)`` states the >= 1 invariant (codes are dense and
-    # non-negative) in a form the interval prover can discharge.
-    n_codes = max(int(codes.max()) + 1, 1)
-    pair_keys, multiplicities = np.unique(
-        trial_ids * n_codes + codes.astype(np.int64), return_counts=True
-    )
-    pair_trials = pair_keys // n_codes
-
-    # Pass 2: per trial, how many values occur with each multiplicity.
-    stride = max(int(multiplicities.max()) + 1, 1)
-    freq_keys, value_counts = np.unique(
-        pair_trials * stride + multiplicities, return_counts=True
-    )
-    return _build_histograms(
-        len(arrays),
-        (freq_keys // stride).tolist(),
-        (freq_keys % stride).tolist(),
-        value_counts.tolist(),
-    )
 
 
 def _pair_counts_dense(
@@ -240,122 +95,50 @@ def _pair_counts_dense(
     )
 
 
-def _reduce_numpy(arrays: list[npt.NDArray[Any]]) -> list[dict[int, int]]:
-    """Single-pass kernel: factorize once, then two dense bincounts."""
-    flat, trial_ids, total = _concat(arrays)
-    codes, n_codes = _factorize(flat, total)
+def reduce_samples(arrays: list[npt.NDArray[Any]]) -> list[dict[int, int]]:
+    """Reduce per-trial sample arrays to per-trial frequency histograms.
+
+    The arrays must be 1-D, non-empty in aggregate, and already
+    validated — :func:`repro.sampling.batch.profiles_from_samples` is
+    the public entry point.
+
+    With telemetry on, each reduction updates the ``kernel.batch_trials``
+    / ``kernel.batch_rows`` gauges (last batch shape), tallies the row
+    count into the ``kernel.batch_rows`` histogram, and counts its
+    branch selections (``kernel.dense`` vs ``kernel.sort_fallback``,
+    ``kernel.factorize_dense`` vs ``kernel.factorize_sort``) — all
+    visible in ``repro stats``.
+    """
+    lengths = np.array([a.size for a in arrays], dtype=np.int64)
+    total = int(lengths.sum())
+    if OBS.enabled:
+        OBS.gauge("kernel.batch_trials", len(arrays))
+        OBS.gauge("kernel.batch_rows", total)
+        OBS.observe("kernel.batch_rows", total)
+    trial_ids = np.repeat(np.arange(len(arrays), dtype=np.int64), lengths)
+    codes, n_codes = _factorize(np.concatenate(arrays), total)
     # ``max(..., 1)`` restates the >= 1 invariant of ``_factorize`` in a
-    # form the interval prover can discharge (cf. ``_reduce_legacy``).
+    # form the interval prover can discharge.
     n_codes = max(n_codes, 1)
 
+    # Pass 1: multiplicity of every (trial, value) pair.
     pair_keys, multiplicities = _pair_counts_dense(
         trial_ids * n_codes + codes, len(arrays) * n_codes, total
     )
     pair_trials = pair_keys // n_codes
 
+    # Pass 2: per trial, how many values occur with each multiplicity.
     stride = max(int(multiplicities.max()) + 1, 1)
     freq_keys, value_counts = _pair_counts_dense(
         pair_trials * stride + multiplicities,
         len(arrays) * stride,
         int(pair_keys.size),
     )
-    return _build_histograms(
-        len(arrays),
+    histograms: list[dict[int, int]] = [{} for _ in arrays]
+    for trial, frequency, count in zip(
         (freq_keys // stride).tolist(),
         (freq_keys % stride).tolist(),
         value_counts.tolist(),
-    )
-
-
-if _NUMBA_AVAILABLE:  # pragma: no cover - requires the optional package
-
-    @_njit(cache=True)
-    def _numba_pair_counts(keys, key_space):  # type: ignore[no-untyped-def]
-        dense = np.zeros(key_space, dtype=np.int64)
-        for k in keys:
-            dense[k] += 1
-        occupied = 0
-        for v in dense:
-            if v > 0:
-                occupied += 1
-        out_keys = np.empty(occupied, dtype=np.int64)
-        out_counts = np.empty(occupied, dtype=np.int64)
-        j = 0
-        for i in range(key_space):
-            if dense[i] > 0:
-                out_keys[j] = i
-                out_counts[j] = dense[i]
-                j += 1
-        return out_keys, out_counts
-
-
-def _reduce_numba(arrays: list[npt.NDArray[Any]]) -> list[dict[int, int]]:
-    """Compiled single-pass kernel (counting loops instead of bincount).
-
-    Falls back to the numpy kernel for over-budget key spaces and for
-    non-integer codes — the compiled part only replaces the exact
-    integer counting, so its results are identical by construction.
-    """
-    if not _NUMBA_AVAILABLE:  # pragma: no cover - guarded by realized_kernel
-        return _reduce_numpy(arrays)
-    flat, trial_ids, total = _concat(arrays)  # pragma: no cover
-    codes, n_codes = _factorize(flat, total)  # pragma: no cover
-    n_codes = max(n_codes, 1)  # pragma: no cover - prover invariant, see _reduce_numpy
-
-    pair_space = len(arrays) * n_codes  # pragma: no cover
-    if pair_space > _dense_cap(total):  # pragma: no cover
-        return _reduce_numpy(arrays)
-    pair_keys, multiplicities = _numba_pair_counts(  # pragma: no cover
-        trial_ids * n_codes + codes, pair_space
-    )
-    pair_trials = pair_keys // n_codes  # pragma: no cover
-
-    stride = max(int(multiplicities.max()) + 1, 1)  # pragma: no cover
-    hist_space = len(arrays) * stride  # pragma: no cover
-    if hist_space > _dense_cap(int(pair_keys.size)):  # pragma: no cover
-        freq_keys, value_counts = _pair_counts_dense(
-            pair_trials * stride + multiplicities, hist_space, 0
-        )
-    else:  # pragma: no cover
-        freq_keys, value_counts = _numba_pair_counts(
-            pair_trials * stride + multiplicities, hist_space
-        )
-    return _build_histograms(  # pragma: no cover
-        len(arrays),
-        (freq_keys // stride).tolist(),
-        (freq_keys % stride).tolist(),
-        value_counts.tolist(),
-    )
-
-
-_REDUCERS: dict[str, Callable[[list[npt.NDArray[Any]]], list[dict[int, int]]]] = {
-    "legacy": _reduce_legacy,
-    "numpy": _reduce_numpy,
-    "numba": _reduce_numba,
-}
-
-
-def reduce_samples(
-    arrays: list[npt.NDArray[Any]], kernel: str | None = None
-) -> list[dict[int, int]]:
-    """Reduce per-trial sample arrays to per-trial frequency histograms.
-
-    ``kernel`` overrides the ``REPRO_KERNEL`` knob (tests use this to
-    compare implementations); ``None`` reads the environment.  The
-    arrays must be 1-D, non-empty in aggregate, and already validated —
-    :func:`repro.sampling.batch.profiles_from_samples` is the public
-    entry point.
-
-    With telemetry on, each reduction updates the ``kernel.batch_trials``
-    / ``kernel.batch_rows`` gauges (last batch shape), tallies the row
-    count into the ``kernel.batch_rows`` histogram, and the kernels
-    themselves count their branch selections (``kernel.dense`` vs
-    ``kernel.sort_fallback``, ``kernel.factorize_dense`` vs
-    ``kernel.factorize_sort``) — all visible in ``repro stats``.
-    """
-    if OBS.enabled:
-        rows = sum(array.size for array in arrays)
-        OBS.gauge("kernel.batch_trials", len(arrays))
-        OBS.gauge("kernel.batch_rows", rows)
-        OBS.observe("kernel.batch_rows", rows)
-    return _REDUCERS[realized_kernel(kernel)](arrays)
+    ):
+        histograms[trial][frequency] = count
+    return histograms

@@ -1,13 +1,10 @@
-"""Tests for the parallel sweep executor and the dual seeding protocol.
+"""Tests for the parallel sweep executor and its seeding protocol.
 
 Two invariants anchor this file:
 
-* the **legacy** protocol (the default on one worker) must keep
-  producing the exact numbers of earlier releases — frozen here as
-  literals;
-* the **spawn** protocol must produce byte-identical results for every
-  worker count, because each grid point's stream depends only on
-  ``(seed, index)``.
+* a figure sweep keeps producing the numbers frozen here as literals;
+* it produces byte-identical results for every worker count, because
+  each grid point's stream depends only on ``(seed, index)``.
 """
 
 from __future__ import annotations
@@ -16,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.errors import InvalidParameterError
-from repro.experiments import config, executor
+from repro.experiments import executor
 from repro.experiments.figures import error_vs_sampling_rate
 
 
@@ -100,32 +97,6 @@ class TestMemo:
         assert executor.memo_size() == 0
 
 
-class TestSeedModeConfig:
-    def test_legacy_is_default_on_one_worker(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SEED_MODE", raising=False)
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        assert config.seed_mode() == "auto"
-        assert not config.spawn_seeding()
-
-    def test_auto_spawns_with_workers(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SEED_MODE", raising=False)
-        monkeypatch.setenv("REPRO_WORKERS", "2")
-        assert config.spawn_seeding()
-
-    def test_explicit_modes(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "4")
-        monkeypatch.setenv("REPRO_SEED_MODE", "legacy")
-        assert not config.spawn_seeding()
-        monkeypatch.setenv("REPRO_WORKERS", "1")
-        monkeypatch.setenv("REPRO_SEED_MODE", "spawn")
-        assert config.spawn_seeding()
-
-    def test_rejects_unknown_mode(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SEED_MODE", "fastest")
-        with pytest.raises(InvalidParameterError):
-            config.seed_mode()
-
-
 def _tiny_sweep() -> dict[str, list[float]]:
     table = error_vs_sampling_rate(
         z=1.0,
@@ -141,18 +112,17 @@ def _tiny_sweep() -> dict[str, list[float]]:
 
 class TestFigureLevelDeterminism:
     def test_legacy_numbers_frozen(self, monkeypatch):
-        # These literals predate the batch/executor rewrite; the default
-        # protocol must keep reproducing them exactly.
-        monkeypatch.delenv("REPRO_SEED_MODE", raising=False)
+        # Frozen when spawned per-point seeding became the only sweep
+        # protocol; any change to a sweep's random stream moves them.
+        executor.clear_memo()
         monkeypatch.delenv("REPRO_WORKERS", raising=False)
         assert _tiny_sweep() == {
-            "GEE": [1.4566128067025732, 1.6251479071093857],
-            "DUJ2A": [1.505572304736159, 2.0662844029072294],
+            "GEE": [1.4225014961101137, 1.6253971039166857],
+            "DUJ2A": [1.1697966702664968, 1.8066934699730934],
         }
 
     def test_spawn_mode_is_worker_count_invariant(self, monkeypatch):
         executor.clear_memo()
-        monkeypatch.setenv("REPRO_SEED_MODE", "spawn")
         monkeypatch.setenv("REPRO_WORKERS", "1")
         one = _tiny_sweep()
         executor.clear_memo()
@@ -160,18 +130,6 @@ class TestFigureLevelDeterminism:
         two = _tiny_sweep()
         executor.clear_memo()
         assert one == two
-
-    def test_spawn_and_legacy_are_distinct_protocols(self, monkeypatch):
-        # Documented split (docs/performance.md): spawned per-point
-        # streams cannot reproduce the sequential shared-generator
-        # numbers; guard against silently conflating the two.
-        monkeypatch.setenv("REPRO_SEED_MODE", "spawn")
-        monkeypatch.setenv("REPRO_WORKERS", "1")
-        executor.clear_memo()
-        spawned = _tiny_sweep()
-        executor.clear_memo()
-        monkeypatch.setenv("REPRO_SEED_MODE", "legacy")
-        assert spawned != _tiny_sweep()
 
 
 class TestMemoStats:

@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
 import pytest
 
 from repro.core import GEE, make_estimators
-from repro.data import uniform_column
+from repro.core.base import ratio_error
+from repro.data import uniform_column, zipf_column
 from repro.errors import InvalidParameterError
 from repro.experiments import evaluate_column
+from repro.frequency import FrequencyProfile
+from repro.sampling import UniformWithoutReplacement
 
 
 class TestEvaluateColumn:
@@ -89,39 +95,58 @@ class TestRealizedSampleSize:
 
 
 class TestKernelTierIdentity:
-    """REPRO_KERNEL=legacy (historical loops) vs the batched fast path."""
+    """``evaluate_column`` vs drawing, profiling and estimating one trial at a time."""
 
     ESTIMATORS = [
         "GEE", "AE", "Shlosser", "ModShlosser", "SJ", "UJ2", "JK1",
         "JK2", "Chao84", "Scale", "HYBGEE", "HYBSKEW", "HYBVAR", "DUJ2A",
     ]
+    TRIALS = 6
 
-    def _evaluate(self, monkeypatch, kernel, zipf_exponent=1.2):
-        import numpy as np
+    def _reference(self, column):
+        """Per trial: draw, ``from_sample``, then each scalar ``estimate``."""
+        rng = np.random.default_rng(97)
+        sampler = UniformWithoutReplacement()
+        profiles = [
+            FrequencyProfile.from_sample(
+                sampler.sample(column.values, rng, fraction=0.05)
+            )
+            for _ in range(self.TRIALS)
+        ]
+        truth = column.distinct_count
+        summaries = {}
+        for estimator in make_estimators(self.ESTIMATORS):
+            outcomes = [estimator.estimate(p, column.n_rows) for p in profiles]
+            values = [outcome.value for outcome in outcomes]
+            errors = [ratio_error(v, truth) for v in values]
+            mean = math.fsum(values) / self.TRIALS
+            variance = math.fsum((v - mean) ** 2 for v in values) / (self.TRIALS - 1)
+            fields = {
+                "mean_estimate": mean,
+                "mean_ratio_error": math.fsum(errors) / self.TRIALS,
+                "max_ratio_error": max(errors),
+                "std_fraction": math.sqrt(variance) / truth,
+            }
+            intervals = [o.interval for o in outcomes if o.interval is not None]
+            if intervals:
+                count = len(intervals)
+                fields["mean_lower"] = math.fsum(i.lower for i in intervals) / count
+                fields["mean_upper"] = math.fsum(i.upper for i in intervals) / count
+            summaries[estimator.name] = fields
+        return summaries
 
-        from repro.data import zipf_column
-
-        monkeypatch.setenv("REPRO_KERNEL", kernel)
-        column = zipf_column(20_000, zipf_exponent, rng=np.random.default_rng(31))
-        return evaluate_column(
+    def test_matches_the_per_trial_reference(self):
+        column = zipf_column(20_000, 1.2, rng=np.random.default_rng(31))
+        result = evaluate_column(
             column,
             make_estimators(self.ESTIMATORS),
             np.random.default_rng(97),
             fraction=0.05,
-            trials=6,
+            trials=self.TRIALS,
         )
-
-    def test_legacy_and_fast_paths_bit_identical(self, monkeypatch):
-        legacy = self._evaluate(monkeypatch, "legacy")
-        fast = self._evaluate(monkeypatch, "numpy")
-        assert legacy == fast
-        for name in self.ESTIMATORS:
-            for field in (
-                "mean_estimate",
-                "mean_ratio_error",
-                "max_ratio_error",
-                "std_fraction",
-            ):
-                left = getattr(legacy[name], field)
-                right = getattr(fast[name], field)
-                assert left.hex() == right.hex(), (name, field)
+        reference = self._reference(column)
+        assert set(result.summaries) == set(reference) == set(self.ESTIMATORS)
+        for name, fields in reference.items():
+            for field, want in fields.items():
+                got = getattr(result[name], field)
+                assert got.hex() == want.hex(), (name, field)

@@ -78,6 +78,30 @@ class TestExhibit:
         assert main(["exhibit", "table1", "--csv", str(csv)]) == 0
         assert csv.read_text().startswith("rate,")
 
+    def test_sweep_prints_the_exhibit_bytes(self, tmp_path, capsys, monkeypatch):
+        # One process: the sweep may read the exhibit's memoized sweep,
+        # then a fresh supervised sweep must print the same bytes too.
+        import os
+
+        from repro.experiments.executor import clear_memo
+
+        monkeypatch.setenv("REPRO_SCALE", "20")
+        monkeypatch.setenv("REPRO_TRIALS", "3")
+        monkeypatch.chdir(tmp_path)
+        environ = dict(os.environ)
+        clear_memo()
+        try:
+            assert main(["exhibit", "fig5", "--csv", "exhibit.csv"]) == 0
+            assert main(["sweep", "fig5", "--csv", "sweep.csv"]) == 0
+            clear_memo()
+            assert main(["sweep", "fig5", "--csv", "fresh.csv"]) == 0
+        finally:
+            clear_memo()
+        exhibit = (tmp_path / "exhibit.csv").read_bytes()
+        assert (tmp_path / "sweep.csv").read_bytes() == exhibit
+        assert (tmp_path / "fresh.csv").read_bytes() == exhibit
+        assert dict(os.environ) == environ
+
 
 class TestBound:
     def test_floor(self, capsys):
