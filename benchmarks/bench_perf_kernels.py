@@ -1,14 +1,20 @@
 """Before/after microbenchmarks of the native-speed kernel tier.
 
 Each test times the *same* workload twice — once through a per-trial
-reference (``FrequencyProfile.from_sample`` of each sample, the scalar
-``estimate`` of each profile) and once through the kernel tier
-(single-pass reduction, ``estimate_batch``) — asserts the two produce
-identical results, and records both timings into ``BENCH_perf.json``'s
-``kernels`` section (the reference under ``legacy_seconds``).
-``scripts/check_perf_baseline.py`` compares the recorded speedups
-against the committed ``BENCH_perf.baseline.json`` and fails CI when any
-tracked speedup regresses by more than 25%.
+reference and once through the path the sweeps run — asserts the two
+produce identical results, and records both timings into
+``BENCH_perf.json``'s ``kernels`` section (the reference under
+``legacy_seconds``):
+
+* ``reduction``: ``FrequencyProfile.from_sample`` of each sample vs the
+  single-pass ``profiles_from_samples``;
+* ``harness.estimate``: drawing, profiling and estimating one trial at a
+  time vs ``evaluate_column``.
+
+``repro perfdiff --gate`` (``scripts/check_perf_baseline.py`` wraps it)
+compares the recorded speedups against the committed
+``BENCH_perf.baseline.json`` and fails CI when any tracked speedup
+regresses by more than 25%.
 
 Speedups (ratios on one machine, one process) are what the baseline
 pins, not absolute seconds, so the gate is robust to runner hardware.
@@ -20,22 +26,15 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from conftest import record_kernel_times
 from repro.core.base import ratio_error
-from repro.core.registry import make_estimator, make_estimators
+from repro.core.registry import make_estimators
 from repro.data import zipf_column
 from repro.experiments import config
 from repro.experiments.harness import evaluate_column
 from repro.frequency import FrequencyProfile
-from repro.frequency.batch import FrequencyProfileBatch
 from repro.sampling import UniformWithoutReplacement, profiles_from_samples
-
-#: Estimators with dedicated vector kernels whose speedup the baseline
-#: tracks.  The hybrids matter most: their scalar path re-derives the
-#: gate statistic per profile, the batch path computes it once.
-TRACKED_ESTIMATORS = ("GEE", "Shlosser", "AE", "HYBGEE", "HYBSKEW")
 
 _REPEATS = 3
 
@@ -60,18 +59,6 @@ def _trial_samples(trials: int = 10):
     ]
 
 
-def _trial_profiles(trials: int = 50):
-    rng = np.random.default_rng(23)
-    ranks = np.arange(1, 20_001)
-    weights = ranks ** -1.5
-    weights /= weights.sum()
-    size = max(config.scaled_rows(10_000), 100)
-    return [
-        FrequencyProfile.from_sample(rng.choice(ranks, size=size, p=weights))
-        for _ in range(trials)
-    ]
-
-
 def test_reduction_kernel(benchmark):
     """Single-pass bincount reduction vs ``from_sample`` of each trial."""
     samples = _trial_samples()
@@ -86,30 +73,14 @@ def test_reduction_kernel(benchmark):
     )
 
 
-@pytest.mark.parametrize("name", TRACKED_ESTIMATORS)
-def test_estimator_batch_kernel(benchmark, name):
-    """``estimate_batch`` vector kernels vs the scalar estimate loop."""
-    profiles = _trial_profiles()
-    batch = FrequencyProfileBatch.from_profiles(profiles)
-    estimator = make_estimator(name)
-    n = 10**6
-    legacy_seconds, scalar = _best_of(
-        lambda: [estimator.estimate(p, n) for p in profiles]
-    )
-    fast_seconds, batched = _best_of(lambda: estimator.estimate_batch(batch, n))
-    assert scalar == batched
-    record_kernel_times(f"estimator.{name}", legacy_seconds, fast_seconds)
-    benchmark.pedantic(
-        lambda: estimator.estimate_batch(batch, n), rounds=1, iterations=1
-    )
-
-
 def test_harness_estimate_stage(benchmark):
-    """The harness inner loop end to end: per-trial reference vs kernel tier.
+    """The harness inner loop end to end: per-trial reference vs ``evaluate_column``.
 
     This is the ``sweep.point`` self-time driver: one column, the full
     paper estimator suite, shared trial profiles.  The reference draws,
-    profiles and estimates one trial at a time.
+    profiles and estimates one trial at a time; ``evaluate_column``
+    draws and reduces the trials in one batched pass, then estimates
+    each profile.
     """
     rng = np.random.default_rng(27)
     n = config.scaled_rows(1_000_000, keep_divisible_by=10)

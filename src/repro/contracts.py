@@ -20,10 +20,11 @@ consumers:
   assumed at call sites and verified at every return — ``proved``
   clauses cost nothing at runtime, unprovable ones are the documented
   residue the runtime checks cover;
-* **at runtime**, the clauses compile into optional asserts.  They are
-  **off by default** (zero overhead beyond one flag check) and enabled
-  under ``REPRO_CONTRACTS=1`` — which the test suite and CI set — or via
-  :func:`set_runtime_checks`.
+* **at runtime**, the clauses compile into optional asserts that the
+  decorator's wrapper evaluates on every call of the decorated
+  function.  They are **off by default** (zero overhead beyond one flag
+  check) and enabled under ``REPRO_CONTRACTS=1`` — which the test suite
+  and CI set — or via :func:`set_runtime_checks`.
 
 Metadata is always attached (``__repro_contracts__``), so coverage gates
 can verify every public estimator carries a contract without enabling
@@ -45,7 +46,6 @@ from repro.errors import InvalidParameterError
 
 __all__ = [
     "ContractViolationError",
-    "check_contracts",
     "contract_clauses",
     "ensures",
     "requires",
@@ -108,42 +108,6 @@ def contract_clauses(func: Callable[..., Any]) -> dict[str, list[str]]:
             }
         current = getattr(current, "__wrapped__", None)
     return {"requires": [], "ensures": []}
-
-
-def _contract_meta(
-    func: Callable[..., Any],
-) -> dict[str, list[tuple[str, CodeType]]] | None:
-    current: Any = func
-    while current is not None:
-        meta = getattr(current, "__repro_contracts__", None)
-        if meta is not None:
-            return meta  # type: ignore[no-any-return]
-        current = getattr(current, "__wrapped__", None)
-    return None
-
-
-def check_contracts(
-    func: Callable[..., Any], namespace: dict[str, Any], kind: str = "ensures"
-) -> None:
-    """Evaluate a contracted callable's clauses against an explicit namespace.
-
-    Batched evaluation paths (``estimate_batch``) compute many results in
-    one call but must enforce the *same* per-result contracts the scalar
-    path does; this helper re-runs a function's compiled ``requires`` or
-    ``ensures`` clauses with caller-supplied bindings (parameter names,
-    plus ``result`` for ``ensures``).  No-op for uncontracted callables.
-    Raises :class:`ContractViolationError` exactly as the scalar wrapper
-    would.
-    """
-    if kind not in ("requires", "ensures"):
-        raise InvalidParameterError(
-            f"kind must be 'requires' or 'ensures', got {kind!r}"
-        )
-    meta = _contract_meta(func)
-    if meta is None:
-        return
-    for compiled in meta[kind]:
-        _check(compiled, namespace, func, kind)
 
 
 def _compile_clause(clause: str, kind: str) -> tuple[str, CodeType]:

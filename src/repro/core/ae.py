@@ -57,19 +57,11 @@ from __future__ import annotations
 import math
 from typing import Callable, Mapping
 
-import numpy as np
-
 from repro.contracts import requires
-from repro.core.base import ConfidenceInterval, DistinctValueEstimator, RawOutcome
-from repro.core.bounds import gee_interval, gee_interval_batch
+from repro.core.base import ConfidenceInterval, DistinctValueEstimator
+from repro.core.bounds import gee_interval
 from repro.core.roots import brentq
 from repro.errors import InvalidParameterError
-from repro.frequency.batch import (
-    FrequencyProfileBatch,
-    exact_exp,
-    segment_sums,
-    segment_sums_int,
-)
 from repro.frequency.profile import FrequencyProfile
 
 __all__ = ["AE", "ae_estimate", "solve_low_frequency_count"]
@@ -207,44 +199,6 @@ def solve_low_frequency_count(
 
     if method == "approx":
         a0, b0 = _high_frequency_sums_approx(profile, rare_cutoff)
-    else:
-        a0, b0 = _high_frequency_sums_exact(profile, rare_cutoff)
-    return _solve_from_sums(
-        method=method,
-        f1=f1,
-        rare_distinct=rare_distinct,
-        rare_rows=rare_rows,
-        a0=a0,
-        b0=b0,
-        sample_size=r,
-        population_size=population_size,
-    )
-
-
-def _solve_from_sums(
-    *,
-    method: str,
-    f1: int,
-    rare_distinct: int,
-    rare_rows: int,
-    a0: float,
-    b0: float,
-    sample_size: int,
-    population_size: int | None,
-) -> float:
-    """Root-find and bound ``m`` given the precomputed tail sums.
-
-    This is the back half of :func:`solve_low_frequency_count`; the batch
-    kernel computes ``(a0, b0)`` and the rare counts for a whole batch in
-    vectorized passes and then runs this per profile, so the solver —
-    brackets, Brent iterations, structural bounds — is the scalar one.
-    """
-    r = sample_size
-    if f1 == 0 or rare_rows == 0:
-        # Same reduction as in solve_low_frequency_count: the equation
-        # collapses to m = rare_distinct.
-        return float(rare_distinct)
-    if method == "approx":
 
         def residual(m: float) -> float:
             return _fixed_point_residual_approx(
@@ -253,6 +207,7 @@ def _solve_from_sums(
 
         lo = float(rare_distinct)
     else:
+        a0, b0 = _high_frequency_sums_exact(profile, rare_cutoff)
 
         def residual(m: float) -> float:
             return _fixed_point_residual_exact(
@@ -353,70 +308,10 @@ class AE(DistinctValueEstimator):
         estimate = profile.distinct + m - rare_distinct
         return estimate, {"m": m, "rare_distinct": rare_distinct}
 
-    def _estimate_raw_batch(
-        self, batch: FrequencyProfileBatch, population_size: int
-    ) -> list[RawOutcome] | None:
-        # Vectorize the profile reductions — the rare counts and the
-        # exponential tail sums (one shared math.exp table for the whole
-        # batch) — and run the scalar Brent solver on each profile's
-        # sums.  The exact method's (1 - i/r)^r powers have no bitwise
-        # vectorization, so it keeps the scalar path.
-        if self.method != "approx":
-            return None
-        frequencies = batch.frequencies
-        counts = batch.counts
-        rare = frequencies <= self.rare_cutoff
-        rare_distinct = segment_sums_int(
-            np.where(rare, counts, 0), batch.indptr
-        )
-        rare_rows = segment_sums_int(
-            np.where(rare, frequencies * counts, 0), batch.indptr
-        )
-        frequencies_f = frequencies.astype(np.float64)
-        counts_f = counts.astype(np.float64)
-        weight = exact_exp(np.minimum(-frequencies_f, 0.0))
-        tail = ~rare
-        a0 = segment_sums(
-            np.where(tail, weight * counts_f, 0.0), batch.indptr
-        )
-        b0 = segment_sums(
-            np.where(tail, frequencies_f * weight * counts_f, 0.0), batch.indptr
-        )
-        outcomes: list[RawOutcome] = []
-        for k, profile in enumerate(batch.profiles):
-            m = _solve_from_sums(
-                method=self.method,
-                f1=int(batch.f1[k]),
-                rare_distinct=int(rare_distinct[k]),
-                rare_rows=int(rare_rows[k]),
-                a0=float(a0[k]),
-                b0=float(b0[k]),
-                sample_size=int(batch.sample_size[k]),
-                population_size=population_size,
-            )
-            rare_seen = int(rare_distinct[k])
-            if math.isinf(m):
-                outcomes.append(
-                    (float("inf"), {"m": m, "rare_distinct": rare_seen})
-                )
-            else:
-                outcomes.append(
-                    (
-                        int(batch.distinct[k]) + m - rare_seen,
-                        {"m": m, "rare_distinct": rare_seen},
-                    )
-                )
-        return outcomes
-
     def _interval(
         self, profile: FrequencyProfile, population_size: int
     ) -> ConfidenceInterval:
         return gee_interval(profile, population_size)
-
-    def _interval_batch(
-        self, batch: FrequencyProfileBatch, population_size: int
-    ) -> list[ConfidenceInterval | None]:
-        return list(gee_interval_batch(batch, population_size))
 
 
 def ae_estimate(profile: FrequencyProfile, population_size: int) -> float:

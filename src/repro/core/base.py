@@ -17,30 +17,14 @@ from __future__ import annotations
 import math
 import time
 from abc import ABC, abstractmethod
-from collections.abc import Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass, field
-from typing import Mapping, Union
+from typing import Mapping
 
-import numpy as np
-
-from repro.contracts import (
-    check_contracts,
-    ensures,
-    requires,
-    runtime_checks_enabled,
-)
+from repro.contracts import ensures, requires
 from repro.errors import InvalidParameterError
-from repro.frequency.batch import FrequencyProfileBatch
 from repro.frequency.profile import FrequencyProfile
 from repro.obs.recorder import OBS
-
-#: What ``estimate_batch`` accepts: an already-packed batch or any
-#: sequence of profiles (packed on entry).
-ProfileBatchLike = Union[FrequencyProfileBatch, Sequence[FrequencyProfile]]
-
-#: What ``_estimate_raw_batch`` returns per profile: exactly the scalar
-#: ``_estimate_raw`` outcome (a float, optionally with diagnostics).
-RawOutcome = Union[float, tuple[float, Mapping[str, object]]]
 
 __all__ = [
     "ConfidenceInterval",
@@ -232,135 +216,12 @@ class DistinctValueEstimator(ABC):
         return result
 
     def estimate_batch(
-        self, profiles: ProfileBatchLike, population_size: int
+        self, profiles: Iterable[FrequencyProfile], population_size: int
     ) -> list[Estimate]:
-        """Estimate every profile of a batch in one call.
-
-        Semantically identical to ``[self.estimate(p, population_size)
-        for p in profiles]`` — same values, raw values, intervals,
-        details, exceptions, and (under ``REPRO_CONTRACTS=1``) the same
-        contract clauses enforced per profile — but estimators that
-        implement :meth:`_estimate_raw_batch` compute the whole stack in
-        a few vectorized passes.  Estimators without a vector kernel
-        fall back to the scalar loop, so every subclass keeps working.
-
-        Contract semantics on the batch path: the subclass's
-        ``@requires`` clauses are checked for every profile *before* the
-        kernel runs, and its ``@ensures`` clauses (plus the sanity-bound
-        postconditions of :meth:`estimate`) are checked per result after
-        it — the same clauses, compiled once, evaluated per profile.
-        Inner helper contracts (e.g. on plug-in estimators a kernel
-        inlines) are covered by the scalar fallback and the equivalence
-        tests instead.
-        """
-        batch = (
-            profiles
-            if isinstance(profiles, FrequencyProfileBatch)
-            else FrequencyProfileBatch.from_profiles(profiles)
-        )
-        if not batch.profiles:
-            return []
-        n = int(population_size)
-        if (
-            type(self)._estimate_raw_batch
-            is DistinctValueEstimator._estimate_raw_batch
-        ):
-            # No vector kernel at all: skip straight to the scalar loop
-            # (each estimate() call validates and meters itself) rather
-            # than paying the batch validation just to discover None.
-            return [self.estimate(p, n) for p in batch.profiles]
-        started = time.perf_counter() if OBS.enabled else 0.0
-        self._validate_batch(batch, n)
-        checks = runtime_checks_enabled()
-        if checks:
-            for profile in batch.profiles:
-                check_contracts(
-                    self._estimate_raw,
-                    {"self": self, "profile": profile, "population_size": n},
-                    "requires",
-                )
-        outcomes = self._estimate_raw_batch(batch, n)
-        if outcomes is None:
-            # Scalar fallback: each estimate() call does its own
-            # validation, contracts, clamping, and telemetry.
-            return [self.estimate(p, n) for p in batch.profiles]
-        intervals = self._interval_batch(batch, n)
-        distincts = batch.distinct.tolist()
-        sample_sizes = batch.sample_size.tolist()
-        results: list[Estimate] = []
-        for k, profile in enumerate(batch.profiles):
-            outcome = outcomes[k]
-            if checks:
-                check_contracts(
-                    self._estimate_raw,
-                    {
-                        "self": self,
-                        "profile": profile,
-                        "population_size": n,
-                        "result": outcome,
-                    },
-                    "ensures",
-                )
-            raw = float(outcome[0]) if isinstance(outcome, tuple) else float(outcome)
-            details = outcome[1] if isinstance(outcome, tuple) else {}
-            result = Estimate(
-                value=clamp_estimate(raw, distincts[k], n),
-                raw_value=float(raw),
-                estimator=self.name,
-                sample_size=sample_sizes[k],
-                population_size=n,
-                sample_distinct=distincts[k],
-                interval=intervals[k],
-                details=details,
-            )
-            if checks:
-                check_contracts(
-                    type(self).estimate,
-                    {
-                        "self": self,
-                        "profile": profile,
-                        "population_size": n,
-                        "result": result,
-                    },
-                    "ensures",
-                )
-            results.append(result)
-        if OBS.enabled:
-            elapsed = time.perf_counter() - started
-            OBS.add(f"estimator.calls.{self.name}", len(results))
-            OBS.add(f"estimator.seconds.{self.name}", elapsed)
-            OBS.observe(f"estimator.seconds.{self.name}", elapsed)
-        return results
-
-    def _validate_batch(self, batch: FrequencyProfileBatch, n: int) -> None:
-        """Re-run :meth:`estimate`'s input validation over a batch.
-
-        One vectorized feasibility pass over the batch's cached summary
-        vectors; when any profile is infeasible, the scalar clauses are
-        replayed on the *first* one in batch order, so the raised error
-        matches the scalar loop's exactly.
-        """
-        if n <= 0:
-            raise InvalidParameterError(f"population size must be positive, got {n}")
-        infeasible = (
-            (batch.sample_size == 0)
-            | (batch.distinct > n)
-            | (batch.max_frequency > n)
-        )
-        if not bool(infeasible.any()):
-            return
-        profile = batch.profiles[int(np.argmax(infeasible))]
-        if profile.sample_size == 0:
-            raise InvalidParameterError("cannot estimate from an empty sample")
-        if profile.distinct > n:
-            raise InvalidParameterError(
-                f"sample has {profile.distinct} distinct values but the "
-                f"population only {n} rows"
-            )
-        raise InvalidParameterError(
-            f"a sample value occurs {profile.max_frequency} times but the "
-            f"population only has {n} rows"
-        )
+        """:meth:`estimate` of every profile, in order."""
+        # Kept apart from estimate() because the benchmark's traced pass
+        # (bench/tracer.py) wraps it to time each estimator per sweep point.
+        return [self.estimate(profile, population_size) for profile in profiles]
 
     @abstractmethod
     def _estimate_raw(
@@ -368,34 +229,11 @@ class DistinctValueEstimator(ABC):
     ) -> float | tuple[float, Mapping[str, object]]:
         """Return the unclamped estimate, optionally with diagnostics."""
 
-    def _estimate_raw_batch(
-        self, batch: FrequencyProfileBatch, population_size: int
-    ) -> list[RawOutcome] | None:
-        """Hook: unclamped estimates for a whole batch, or ``None``.
-
-        Implementations must return one outcome per profile, each
-        bitwise equal to what :meth:`_estimate_raw` returns for that
-        profile (including any details mapping).  Returning ``None``
-        selects the scalar fallback loop — the default for estimators
-        without a vector kernel.
-        """
-        return None
-
     def _interval(
         self, profile: FrequencyProfile, population_size: int
     ) -> ConfidenceInterval | None:
         """Hook for estimators that provide a confidence interval."""
         return None
-
-    def _interval_batch(
-        self, batch: FrequencyProfileBatch, population_size: int
-    ) -> list[ConfidenceInterval | None]:
-        """Per-profile confidence intervals for the batch path.
-
-        The default defers to :meth:`_interval` per profile (preserving
-        any contracts on it); vectorized estimators may override.
-        """
-        return [self._interval(p, population_size) for p in batch.profiles]
 
     def __call__(self, profile: FrequencyProfile, population_size: int) -> float:
         """Shorthand returning just the clamped numeric estimate."""

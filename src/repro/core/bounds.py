@@ -14,19 +14,11 @@ the sampling fraction grows.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.base import ConfidenceInterval
 from repro.errors import InvalidParameterError
-from repro.frequency.batch import FrequencyProfileBatch, gather_over_unique
 from repro.frequency.profile import FrequencyProfile
 
-__all__ = [
-    "gee_lower_bound",
-    "gee_upper_bound",
-    "gee_interval",
-    "gee_interval_batch",
-]
+__all__ = ["gee_lower_bound", "gee_upper_bound", "gee_interval"]
 
 
 def gee_lower_bound(profile: FrequencyProfile) -> float:
@@ -59,23 +51,3 @@ def gee_interval(profile: FrequencyProfile, population_size: int) -> ConfidenceI
         lower=gee_lower_bound(profile),
         upper=gee_upper_bound(profile, population_size),
     )
-
-
-def gee_interval_batch(
-    batch: FrequencyProfileBatch, population_size: int
-) -> list[ConfidenceInterval]:
-    """:func:`gee_interval` for every profile of a batch, vectorized.
-
-    ``n / r`` is computed once per unique sample size with Python scalar
-    division and gathered, so each interval is bitwise the scalar one.
-    """
-    n = int(population_size)
-    r = batch.sample_size
-    scale = gather_over_unique(
-        r, {int(rv): n / int(rv) for rv in np.unique(r).tolist()}  # reprolint: disable=R101 - rv ranges over sample sizes, >= 1 by the batch requires
-    )
-    uppers = np.minimum(batch.distinct - batch.f1 + scale * batch.f1, float(n))
-    return [
-        ConfidenceInterval(lower=float(lower), upper=float(upper))
-        for lower, upper in zip(batch.distinct.tolist(), uppers.tolist())
-    ]

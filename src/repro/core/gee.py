@@ -23,13 +23,10 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from repro.contracts import ensures, requires
 from repro.core.base import ConfidenceInterval, DistinctValueEstimator
-from repro.core.bounds import gee_interval, gee_interval_batch
+from repro.core.bounds import gee_interval
 from repro.errors import InvalidParameterError
-from repro.frequency.batch import FrequencyProfileBatch, gather_over_unique
 from repro.frequency.profile import FrequencyProfile
 
 __all__ = ["GEE", "gee_estimate", "gee_coefficient"]
@@ -84,32 +81,10 @@ class GEE(DistinctValueEstimator):
         coefficient = (population_size / r) ** self.exponent
         return profile.distinct + (coefficient - 1.0) * profile.f1
 
-    def _estimate_raw_batch(
-        self, batch: FrequencyProfileBatch, population_size: int
-    ) -> list[float]:
-        # ``(n/r) ** a`` once per unique r with Python scalar arithmetic
-        # (same division and pow the scalar path uses), then elementwise
-        # IEEE add/multiply — bitwise the scalar results.
-        r = batch.sample_size
-        coefficient = gather_over_unique(
-            r,
-            {
-                int(rv): (population_size / int(rv)) ** self.exponent  # reprolint: disable=R101 - rv ranges over sample sizes, >= 1 by the batch requires
-                for rv in np.unique(r).tolist()
-            },
-        )
-        values = batch.distinct + (coefficient - 1.0) * batch.f1
-        return [float(value) for value in values.tolist()]
-
     def _interval(
         self, profile: FrequencyProfile, population_size: int
     ) -> ConfidenceInterval:
         return gee_interval(profile, population_size)
-
-    def _interval_batch(
-        self, batch: FrequencyProfileBatch, population_size: int
-    ) -> list[ConfidenceInterval | None]:
-        return list(gee_interval_batch(batch, population_size))
 
 
 def gee_estimate(profile: FrequencyProfile, population_size: int) -> float:

@@ -15,12 +15,9 @@ from __future__ import annotations
 import math
 from typing import Mapping
 
-import numpy as np
-
 from repro.contracts import ensures, requires
 from repro.core.base import DistinctValueEstimator
 from repro.errors import InvalidParameterError
-from repro.frequency.batch import FrequencyProfileBatch
 from repro.frequency.profile import FrequencyProfile
 from repro.frequency.statistics import coverage_estimate_distinct, cv_squared
 
@@ -67,19 +64,6 @@ class Chao(DistinctValueEstimator):
         # this equals the classic f1 (f1 - 1) / 2 correction while making
         # the lower-bound clause above machine-checkable.
         return d + f1 * max(f1 - 1, 0) / 2.0
-
-    def _estimate_raw_batch(
-        self, batch: FrequencyProfileBatch, population_size: int
-    ) -> list[float]:
-        # f1*f1 and f1*(f1-1) stay integer-exact in int64; the divisions
-        # are the same elementwise IEEE operations the scalar path does.
-        d, f1, f2 = batch.distinct, batch.f1, batch.f2
-        values = np.where(
-            f2 > 0,
-            d + f1 * f1 / (2.0 * np.maximum(f2, 1)),
-            d + f1 * np.maximum(f1 - 1, 0) / 2.0,
-        )
-        return [float(value) for value in values.tolist()]
 
 
 class ChaoLee(DistinctValueEstimator):
@@ -234,18 +218,6 @@ class NaiveScaleUp(DistinctValueEstimator):
     def _estimate_raw(self, profile: FrequencyProfile, population_size: int) -> float:
         return profile.distinct * population_size / profile.sample_size
 
-    def _estimate_raw_batch(
-        self, batch: FrequencyProfileBatch, population_size: int
-    ) -> list[float]:
-        # Python big-int multiply/divide per profile: d * n can exceed
-        # 2**53, where int64 arithmetic would round before dividing.
-        return [
-            d * population_size / r  # reprolint: disable=R101 - r is a sample size, >= 1 by the batch requires
-            for d, r in zip(
-                batch.distinct.tolist(), batch.sample_size.tolist()
-            )
-        ]
-
 
 class SampleDistinct(DistinctValueEstimator):
     """The trivial lower bound ``D_hat = d`` (GEE's LOWER)."""
@@ -261,8 +233,3 @@ class SampleDistinct(DistinctValueEstimator):
     @ensures("result >= profile.distinct", "result <= population_size")
     def _estimate_raw(self, profile: FrequencyProfile, population_size: int) -> float:
         return float(profile.distinct)
-
-    def _estimate_raw_batch(
-        self, batch: FrequencyProfileBatch, population_size: int
-    ) -> list[float]:
-        return [float(d) for d in batch.distinct.tolist()]

@@ -16,53 +16,15 @@ from __future__ import annotations
 
 from typing import Mapping
 
-import numpy as np
-import numpy.typing as npt
-
 from repro.contracts import ensures, requires
-from repro.core.base import DistinctValueEstimator, RawOutcome
+from repro.core.base import DistinctValueEstimator
 from repro.errors import InvalidParameterError
 from repro.estimators.jackknife import SmoothedJackknife
 from repro.estimators.shlosser import Shlosser
-from repro.frequency.batch import FrequencyProfileBatch, segment_sums_int
 from repro.frequency.profile import FrequencyProfile
-from repro.frequency.skew import chi_squared_critical_value, chi_squared_skew_test
+from repro.frequency.skew import chi_squared_skew_test
 
 __all__ = ["HybridSkew"]
-
-
-def _batched_skew_gate(
-    batch: FrequencyProfileBatch, alpha: float
-) -> tuple[
-    npt.NDArray[np.float64], npt.NDArray[np.float64], npt.NDArray[np.bool_]
-]:
-    """``(statistic, critical, high_skew)`` of the chi-squared gate per profile.
-
-    The statistic ``(sum_i i^2 f_i)/(r/d) - r`` is integer-exact up to
-    the final two float operations, and the critical value comes from
-    the scalar path's own :func:`chi_squared_critical_value`, evaluated
-    once per unique dof.  ``p_value`` is not computed: the hybrids never
-    read it.
-    """
-    distinct = batch.distinct
-    r = batch.sample_size
-    sum_squares = segment_sums_int(
-        batch.frequencies * batch.frequencies * batch.counts, batch.indptr
-    )
-    degenerate = distinct <= 1
-    # d >= 1 for every validated profile, so r/d is always defined.
-    expected = r.astype(np.float64) / distinct
-    statistic = np.where(degenerate, 0.0, sum_squares / expected - r)  # reprolint: disable=R101 - expected = r/d with r >= 1, d >= 1 post-validation
-    dof = np.maximum(distinct - 1, 0)
-    critical = np.full(len(batch), np.inf)
-    tested = ~degenerate
-    if bool(tested.any()):
-        unique_dof, inverse = np.unique(dof[tested], return_inverse=True)
-        critical[tested] = np.array(
-            [chi_squared_critical_value(int(k), alpha) for k in unique_dof],
-            dtype=np.float64,
-        )[inverse]
-    return statistic, critical, statistic > critical
 
 
 class HybridSkew(DistinctValueEstimator):
@@ -114,48 +76,3 @@ class HybridSkew(DistinctValueEstimator):
             "chi2_critical": test.critical_value,
         }
         return inner.value, details
-
-    def _estimate_raw_batch(
-        self, batch: FrequencyProfileBatch, population_size: int
-    ) -> list[RawOutcome]:
-        # Gate every profile with one vectorized chi-squared pass, then
-        # evaluate each branch once over the profiles it won — the branch
-        # estimators' own estimate_batch keeps their values (and nested
-        # contracts/telemetry) identical to per-profile calls.
-        statistic, critical, high_skew = _batched_skew_gate(batch, self.alpha)
-        values: list[float] = [0.0] * len(batch)
-        for branch, indices in (
-            (
-                self.high_skew_estimator,
-                [k for k in range(len(batch)) if high_skew[k]],
-            ),
-            (
-                self.low_skew_estimator,
-                [k for k in range(len(batch)) if not high_skew[k]],
-            ),
-        ):
-            if indices:
-                inner = branch.estimate_batch(
-                    batch.subset(indices), population_size
-                )
-                for k, estimate in zip(indices, inner):
-                    values[k] = estimate.value
-        outcomes: list[RawOutcome] = []
-        for k in range(len(batch)):
-            branch = (
-                self.high_skew_estimator
-                if high_skew[k]
-                else self.low_skew_estimator
-            )
-            outcomes.append(
-                (
-                    values[k],
-                    {
-                        "branch": branch.name,
-                        "high_skew": bool(high_skew[k]),
-                        "chi2_statistic": float(statistic[k]),
-                        "chi2_critical": float(critical[k]),
-                    },
-                )
-            )
-        return outcomes

@@ -27,16 +27,14 @@ from __future__ import annotations
 from typing import Mapping
 
 from repro.contracts import ensures, requires
-from repro.core.base import DistinctValueEstimator, RawOutcome
+from repro.core.base import DistinctValueEstimator
 from repro.errors import InvalidParameterError
 from repro.estimators.jackknife import (
     DUJ2A,
     SmoothedJackknife,
-    _batched_jackknife_plugins,
     haas_stokes_cv_squared,
 )
 from repro.estimators.shlosser import ModifiedShlosser
-from repro.frequency.batch import FrequencyProfileBatch
 from repro.frequency.profile import FrequencyProfile
 
 __all__ = ["HybridVariance"]
@@ -98,52 +96,3 @@ class HybridVariance(DistinctValueEstimator):
         inner = branch.estimate(profile, population_size)
         details = {"branch": branch.name, "cv_squared": gamma_sq}
         return inner.value, details
-
-    def _branch_for(self, gamma_sq: float) -> DistinctValueEstimator:
-        if gamma_sq <= self.cv_zero:
-            return self.uniform_estimator
-        if gamma_sq <= self.cv_high:
-            return self.moderate_estimator
-        return self.skewed_estimator
-
-    def _estimate_raw_batch(
-        self, batch: FrequencyProfileBatch, population_size: int
-    ) -> list[RawOutcome]:
-        # One batched smoothed-jackknife pass supplies the CV plug-ins;
-        # the CV itself stays per-profile Python (exact big-int moment
-        # fractions).  Each selected branch then evaluates once over the
-        # profiles it won via its own estimate_batch.
-        plugin = _batched_jackknife_plugins(batch, population_size)
-        gammas = [
-            haas_stokes_cv_squared(
-                profile, population_size, distinct_estimate=plugin.get(k)
-            )
-            for k, profile in enumerate(batch.profiles)
-        ]
-        branches = [self._branch_for(gamma_sq) for gamma_sq in gammas]
-        values: list[float] = [0.0] * len(batch)
-        # dict.fromkeys dedupes aliased branch objects by identity so an
-        # injected shared estimator is still evaluated exactly once.
-        for branch in dict.fromkeys(
-            (
-                self.uniform_estimator,
-                self.moderate_estimator,
-                self.skewed_estimator,
-            )
-        ):
-            indices = [
-                k for k in range(len(batch)) if branches[k] is branch
-            ]
-            if indices:
-                inner = branch.estimate_batch(
-                    batch.subset(indices), population_size
-                )
-                for k, estimate in zip(indices, inner):
-                    values[k] = estimate.value
-        return [
-            (
-                values[k],
-                {"branch": branches[k].name, "cv_squared": gammas[k]},
-            )
-            for k in range(len(batch))
-        ]

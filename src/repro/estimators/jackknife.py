@@ -24,13 +24,10 @@ from __future__ import annotations
 import math
 from typing import Mapping
 
-import numpy as np
-
 from repro.contracts import ensures, requires
-from repro.core.base import DistinctValueEstimator, RawOutcome, clamp_estimate
+from repro.core.base import DistinctValueEstimator, clamp_estimate
 from repro.core.roots import brentq
 from repro.errors import InvalidParameterError
-from repro.frequency.batch import FrequencyProfileBatch, gather_over_unique
 from repro.frequency.profile import FrequencyProfile
 
 __all__ = [
@@ -68,16 +65,6 @@ class FirstOrderJackknife(DistinctValueEstimator):
         r = profile.sample_size
         return profile.distinct + (r - 1) / r * profile.f1
 
-    def _estimate_raw_batch(
-        self, batch: FrequencyProfileBatch, population_size: int
-    ) -> list[float]:
-        r = batch.sample_size
-        coefficient = gather_over_unique(
-            r, {int(rv): (int(rv) - 1) / int(rv) for rv in np.unique(r).tolist()}  # reprolint: disable=R101 - rv ranges over sample sizes, >= 1 by the batch requires
-        )
-        values = batch.distinct + coefficient * batch.f1
-        return [float(value) for value in values.tolist()]
-
 
 class SecondOrderJackknife(DistinctValueEstimator):
     """Burnham–Overton second-order jackknife.
@@ -99,37 +86,6 @@ class SecondOrderJackknife(DistinctValueEstimator):
             + (2 * r - 3) / r * profile.f1
             - (r - 2) ** 2 / (r * (r - 1)) * profile.f2
         )
-
-    def _estimate_raw_batch(
-        self, batch: FrequencyProfileBatch, population_size: int
-    ) -> list[float]:
-        # All three coefficients use exact Python big-int division per
-        # unique r (numpy's int64 / int64 rounds the operands first).
-        r = batch.sample_size
-        unique_r = np.unique(r).tolist()
-        first = gather_over_unique(
-            r, {int(rv): (int(rv) - 1) / int(rv) for rv in unique_r}
-        )
-        second = gather_over_unique(
-            r, {int(rv): (2 * int(rv) - 3) / int(rv) for rv in unique_r}
-        )
-        third = gather_over_unique(
-            r,
-            {
-                int(rv): (
-                    (int(rv) - 2) ** 2 / (int(rv) * (int(rv) - 1))
-                    if int(rv) >= 2
-                    else 0.0
-                )
-                for rv in unique_r
-            },
-        )
-        values = np.where(
-            r < 2,
-            batch.distinct + first * batch.f1,
-            batch.distinct + second * batch.f1 - third * batch.f2,
-        )
-        return [float(value) for value in values.tolist()]
 
 
 class SmoothedJackknife(DistinctValueEstimator):
@@ -180,23 +136,6 @@ class SmoothedJackknife(DistinctValueEstimator):
             # scale-up is defensible — saturate at the population size.
             return float(population_size)
         return profile.distinct / denominator
-
-    def _estimate_raw_batch(
-        self, batch: FrequencyProfileBatch, population_size: int
-    ) -> list[float]:
-        r = batch.sample_size
-        q = gather_over_unique(
-            r,
-            {int(rv): int(rv) / population_size for rv in np.unique(r).tolist()},
-        )
-        denominator = 1.0 - (1.0 - q) * batch.f1 / r  # reprolint: disable=R101 - r is a sample-size vector, >= 1 by the batch requires
-        positive = denominator > 0.0
-        values = np.where(
-            positive,
-            batch.distinct / np.where(positive, denominator, 1.0),  # reprolint: disable=R101 - masked lanes divide by 1.0 and are discarded by the outer where
-            float(population_size),
-        )
-        return [float(value) for value in values.tolist()]
 
 
 class MethodOfMoments(DistinctValueEstimator):
@@ -283,23 +222,6 @@ def haas_stokes_cv_squared(
     return max(0.0, gamma_sq)
 
 
-def _batched_jackknife_plugins(
-    batch: FrequencyProfileBatch, population_size: int
-) -> dict[int, float]:
-    """Smoothed-jackknife plug-in values for every profile with ``r >= 2``.
-
-    :func:`haas_stokes_cv_squared` only consults the plug-in for samples
-    of at least two rows (below that the CV is defined as 0), so smaller
-    profiles are omitted — keeping the inner estimator's call count, and
-    with it the telemetry, identical to the scalar path.
-    """
-    need = [k for k, p in enumerate(batch.profiles) if p.sample_size >= 2]
-    if not need:
-        return {}
-    inner = SmoothedJackknife().estimate_batch(batch.subset(need), population_size)
-    return {k: estimate.value for k, estimate in zip(need, inner)}
-
-
 class UnsmoothedSecondOrderJackknife(DistinctValueEstimator):
     """Haas–Stokes second-order generalized jackknife (``uj2``).
 
@@ -335,46 +257,6 @@ class UnsmoothedSecondOrderJackknife(DistinctValueEstimator):
         if denominator <= 0.0:
             # Same algebraic floor as SmoothedJackknife: denominator >= q,
             # so this is reachable only through rounding — saturate at n.
-            return float(n), {"cv_squared": gamma_sq}
-        return (d - skew_correction) / denominator, {"cv_squared": gamma_sq}
-
-    def _estimate_raw_batch(
-        self, batch: FrequencyProfileBatch, population_size: int
-    ) -> list[RawOutcome]:
-        # The closed form stays per-profile Python (its CV plug-in mixes
-        # exact big-int moments with floats), but the inner smoothed
-        # jackknife — the expensive part — is evaluated once for the
-        # whole batch through its own vector kernel.
-        plugin = _batched_jackknife_plugins(batch, population_size)
-        outcomes: list[RawOutcome] = []
-        for k, profile in enumerate(batch.profiles):
-            outcomes.append(
-                self._estimate_raw_with_plugin(
-                    profile, population_size, plugin.get(k)
-                )
-            )
-        return outcomes
-
-    def _estimate_raw_with_plugin(
-        self,
-        profile: FrequencyProfile,
-        population_size: int,
-        distinct_estimate: float | None,
-    ) -> RawOutcome:
-        """The scalar body with the CV plug-in supplied by the caller."""
-        r = profile.sample_size
-        n = population_size
-        q = r / n
-        d = profile.distinct
-        f1 = profile.f1
-        gamma_sq = haas_stokes_cv_squared(
-            profile, n, distinct_estimate=distinct_estimate
-        )
-        if q >= 1.0:
-            return float(d), {"cv_squared": gamma_sq}
-        skew_correction = f1 * (1.0 - q) * math.log1p(-q) * gamma_sq / q
-        denominator = 1.0 - (1.0 - q) * f1 / r
-        if denominator <= 0.0:
             return float(n), {"cv_squared": gamma_sq}
         return (d - skew_correction) / denominator, {"cv_squared": gamma_sq}
 

@@ -57,18 +57,9 @@ from __future__ import annotations
 import math
 from typing import Mapping
 
-import numpy as np
-import numpy.typing as npt
-
 from repro.contracts import ensures, requires
-from repro.core.base import DistinctValueEstimator, RawOutcome
+from repro.core.base import DistinctValueEstimator
 from repro.errors import InvalidParameterError
-from repro.frequency.batch import (
-    FrequencyProfileBatch,
-    exact_exp,
-    gather_over_unique,
-    segment_sums,
-)
 from repro.frequency.profile import FrequencyProfile
 
 __all__ = ["Shlosser", "ModifiedShlosser", "shlosser_ratio"]
@@ -101,36 +92,6 @@ def shlosser_ratio(profile: FrequencyProfile, q: float) -> float:
     return numerator / denominator
 
 
-def _batched_sampling_fractions(
-    batch: FrequencyProfileBatch, population_size: int
-) -> tuple[npt.NDArray[np.float64], npt.NDArray[np.float64]]:
-    """Per-profile ``(q, log1p(-q))`` with exact per-unique-r arithmetic.
-
-    ``q = min(r/n, 1.0)`` exactly as the scalar estimators compute it;
-    exhaustive profiles (``q >= 1``), whose log would be ``-inf``, carry
-    a 0.0 placeholder — their kernels mask the result out before use.
-    """
-    r = batch.sample_size
-    q_by_r = {
-        int(rv): min(int(rv) / population_size, 1.0)
-        for rv in np.unique(r).tolist()
-    }
-    log_by_r = {
-        rv: math.log1p(-q) if q < 1.0 else 0.0 for rv, q in q_by_r.items()
-    }
-    return gather_over_unique(r, q_by_r), gather_over_unique(r, log_by_r)
-
-
-def _batched_missed_mass_terms(
-    batch: FrequencyProfileBatch, log_one_minus_q: npt.NDArray[np.float64]
-) -> npt.NDArray[np.float64]:
-    """CSR terms ``exp(min(0, i log(1-q))) f_i``, bitwise the scalar ones."""
-    frequencies = batch.frequencies.astype(np.float64)
-    counts = batch.counts.astype(np.float64)
-    log_b = batch.broadcast(log_one_minus_q)
-    return exact_exp(np.minimum(frequencies * log_b, 0.0)) * counts
-
-
 class Shlosser(DistinctValueEstimator):
     """Shlosser's 1981 estimator, the high-skew branch of HYBSKEW."""
 
@@ -146,33 +107,6 @@ class Shlosser(DistinctValueEstimator):
     def _estimate_raw(self, profile: FrequencyProfile, population_size: int) -> float:
         q = min(profile.sample_size / population_size, 1.0)
         return profile.distinct + profile.f1 * shlosser_ratio(profile, q)
-
-    def _estimate_raw_batch(
-        self, batch: FrequencyProfileBatch, population_size: int
-    ) -> list[float]:
-        q, log_one_minus_q = _batched_sampling_fractions(batch, population_size)
-        numerator = segment_sums(
-            _batched_missed_mass_terms(batch, log_one_minus_q), batch.indptr
-        )
-        frequencies = batch.frequencies.astype(np.float64)
-        counts = batch.counts.astype(np.float64)
-        denominator_terms = (
-            frequencies
-            * batch.broadcast(q)
-            * exact_exp(
-                np.minimum(
-                    (frequencies - 1.0) * batch.broadcast(log_one_minus_q), 0.0
-                )
-            )
-            * counts
-        )
-        denominator = segment_sums(denominator_terms, batch.indptr)
-        defined = (q < 1.0) & (denominator > 0.0)
-        ratio = np.where(
-            defined, numerator / np.where(defined, denominator, 1.0), 0.0  # reprolint: disable=R101 - masked lanes divide by 1.0 and are discarded by the outer where
-        )
-        values = batch.distinct + batch.f1 * ratio
-        return [float(value) for value in values.tolist()]
 
 
 class ModifiedShlosser(DistinctValueEstimator):
@@ -201,38 +135,6 @@ class ModifiedShlosser(DistinctValueEstimator):
         if self.mode == "behavioral":
             return self._estimate_behavioral(profile, population_size)
         return self._estimate_spectral(profile, population_size)
-
-    def _estimate_raw_batch(
-        self, batch: FrequencyProfileBatch, population_size: int
-    ) -> list[RawOutcome] | None:
-        if self.mode != "behavioral":
-            # The spectral reconstruction mixes expm1 branches per term;
-            # it stays on the (rarely benchmarked) scalar path.
-            return None
-        q, log_one_minus_q = _batched_sampling_fractions(batch, population_size)
-        missed = segment_sums(
-            _batched_missed_mass_terms(batch, log_one_minus_q), batch.indptr
-        )
-        distinct = batch.distinct
-        seen = distinct - missed
-        positive = seen > 0.0
-        unseen = missed / distinct  # reprolint: disable=R101 - d >= 1 whenever r >= 1, enforced by the batch requires
-        values = np.where(
-            positive,
-            distinct * distinct / np.where(positive, seen, 1.0),  # reprolint: disable=R101 - masked lanes divide by 1.0 and are discarded by the outer where
-            math.inf,
-        )
-        outcomes: list[RawOutcome] = []
-        for k in range(len(batch)):
-            if q[k] >= 1.0:
-                outcomes.append(
-                    (float(distinct[k]), {"unseen_probability": 0.0})
-                )
-            else:
-                outcomes.append(
-                    (float(values[k]), {"unseen_probability": float(unseen[k])})
-                )
-        return outcomes
 
     def _estimate_behavioral(
         self, profile: FrequencyProfile, population_size: int

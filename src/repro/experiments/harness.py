@@ -10,11 +10,10 @@ The trial samples are drawn through the sampler's batched fast path
 (:meth:`~repro.sampling.base.RowSampler.profile_batch`), which reduces
 all ``T`` trials to profiles in one vectorized pass while consuming the
 random stream exactly as a one-trial-at-a-time loop would; each
-estimator then sees the whole profile stack in one ``estimate_batch``
-call.  Estimators are pure functions of the profile, so the result
-equals drawing, profiling and estimating one trial at a time, bit for
-bit.  Custom samplers without a batch path fall back to the serial
-loop.
+estimator then estimates the ``T`` profiles one at a time.  Estimators
+are pure functions of the profile, so the result equals drawing,
+profiling and estimating one trial at a time, bit for bit.  Custom
+samplers without a batch path fall back to the serial loop.
 """
 
 from __future__ import annotations
@@ -134,10 +133,8 @@ def evaluate_column(
             math.fsum(p.sample_size for p in profiles) / trials
         )
         with OBS.span("harness.estimate", trials=trials):
-            # Estimator-major: each estimator sees the whole profile
-            # stack in one estimate_batch call (vectorized where the
-            # estimator has a kernel, the scalar loop where not), and
-            # its outcomes land in trial order.
+            # Estimator-major: each estimator estimates every trial's
+            # profile in turn, so its outcomes land in trial order.
             batch = FrequencyProfileBatch.from_profiles(profiles)
             for estimator in estimators:
                 for outcome in estimator.estimate_batch(batch, n):

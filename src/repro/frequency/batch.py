@@ -1,228 +1,31 @@
-"""A stack of frequency profiles in CSR layout for batched evaluation.
+"""One sweep point's trial profiles, as handed to every estimator.
 
-``harness.evaluate_column`` feeds the same ``T`` trial profiles to every
-estimator.  Evaluating them one profile at a time costs a Python loop
-per ``(trial, estimator)`` pair; :class:`FrequencyProfileBatch` lays the
-``T`` sparse ``f_i`` vectors out as one CSR matrix (concatenated
-``frequencies``/``counts`` arrays plus an ``indptr``) so an estimator's
-:meth:`~repro.core.base.DistinctValueEstimator.estimate_batch` kernel
-can compute all trials in a handful of vectorized passes.
-
-**Bit-identity is the design constraint.**  The estimators' scalar
-kernels iterate ``profile.counts.items()`` in dict insertion order and
-accumulate floats sequentially, so:
-
-* each profile's segment stores its frequencies in that profile's
-  *insertion* order (for kernel-built profiles this is ascending
-  frequency, but the batch never re-sorts, so hand-built profiles are
-  represented faithfully too);
-* :func:`segment_sums` reduces each segment with ``np.cumsum``, whose
-  sequential pairing is bitwise identical to a scalar ``+=`` loop
-  (unlike ``np.add.reduceat``, which pairs differently);
-* :func:`exact_exp` vectorizes ``math.exp`` by evaluating it once per
-  *unique* argument and gathering — numpy's ``np.exp`` is not bitwise
-  identical to ``math.exp``, but profiles are sparse and their exponent
-  arguments heavily repeated, so the gather is both exact and fast.
+``harness.evaluate_column`` draws the ``T`` trial profiles of a grid
+point, packs them with :meth:`FrequencyProfileBatch.from_profiles`, and
+gives the same batch to each estimator's
+:meth:`~repro.core.base.DistinctValueEstimator.estimate_batch`, which
+estimates one profile at a time.
 """
 
 from __future__ import annotations
 
-import math
-from collections.abc import Sequence
-from dataclasses import dataclass, field
-
-import numpy as np
-import numpy.typing as npt
+from collections.abc import Iterable
 
 from repro.frequency.profile import FrequencyProfile
 
-__all__ = [
-    "FrequencyProfileBatch",
-    "exact_exp",
-    "gather_over_unique",
-    "segment_sums",
-    "segment_sums_int",
-]
+__all__ = ["FrequencyProfileBatch"]
 
 
-def exact_exp(arguments: npt.NDArray[np.float64]) -> npt.NDArray[np.float64]:
-    """``math.exp`` of every non-positive element, bitwise scalar-identical.
+class FrequencyProfileBatch(tuple[FrequencyProfile, ...]):
+    """The trial profiles of one sweep point, in trial order."""
 
-    Evaluates ``math.exp`` once per unique argument and gathers, so the
-    result matches a per-element ``math.exp`` loop exactly (``np.exp``
-    does not: its SIMD polynomial differs from libm in the last ulp for
-    a few percent of arguments).  Arguments are missed-mass exponents,
-    which every caller clamps to ``<= 0.0``; the clamp is restated here
-    so overflow is impossible by construction.
-    """
-    if arguments.size == 0:
-        return np.empty(0, dtype=np.float64)
-    unique, inverse = np.unique(arguments, return_inverse=True)
-    table = np.array(
-        [math.exp(min(value, 0.0)) for value in unique.tolist()],
-        dtype=np.float64,
-    )
-    return table[inverse]
-
-
-def segment_sums(
-    values: npt.NDArray[np.float64], indptr: npt.NDArray[np.int64]
-) -> npt.NDArray[np.float64]:
-    """Per-segment sequential sums, bitwise equal to scalar ``+=`` loops.
-
-    ``values`` is a concatenation of segments delimited by ``indptr``;
-    returns one float per segment: the left-to-right sequential sum of
-    its elements (0.0 for empty segments).  Uses one ``np.cumsum`` per
-    segment — ``np.cumsum`` applies the same sequential pairing as a
-    scalar accumulation loop, so the result is bit-identical to the
-    estimators' historical term-by-term sums.
-    """
-    out = np.zeros(indptr.size - 1, dtype=np.float64)
-    for k in range(indptr.size - 1):
-        start, stop = int(indptr[k]), int(indptr[k + 1])
-        if stop > start:
-            out[k] = np.cumsum(values[start:stop])[-1]
-    return out
-
-
-def segment_sums_int(
-    values: npt.NDArray[np.int64], indptr: npt.NDArray[np.int64]
-) -> npt.NDArray[np.int64]:
-    """Per-segment integer sums (exact, so summation order is free).
-
-    Integer addition is associative, so unlike :func:`segment_sums` this
-    can use one global ``np.cumsum`` and a difference — the result equals
-    a per-segment Python ``sum`` exactly as long as the grand total fits
-    in int64 (true for every profile statistic: they are bounded by
-    ``r^2`` per trial).
-    """
-    totals = np.zeros(values.size + 1, dtype=np.int64)
-    np.cumsum(values, out=totals[1:])
-    result: npt.NDArray[np.int64] = totals[indptr[1:]] - totals[indptr[:-1]]
-    return result
-
-
-def gather_over_unique(
-    keys: npt.NDArray[np.int64], table: "dict[int, float]"
-) -> npt.NDArray[np.float64]:
-    """Expand a per-unique-key float table back onto ``keys``.
-
-    Estimator kernels compute ``r``-dependent coefficients (``sqrt(n/r)``,
-    ``(r-1)/r``, ``log1p(-q)``…) once per *unique* sample size with exact
-    Python scalar arithmetic — including correctly-rounded big-int
-    division, which numpy's int64 path lacks — then broadcast via this
-    gather, so the vectorized values are bitwise the scalar ones.
-    """
-    return np.array([table[int(k)] for k in keys.tolist()], dtype=np.float64)
-
-
-@dataclass(frozen=True)
-class FrequencyProfileBatch:
-    """``T`` frequency profiles as one CSR ``f_i`` matrix.
-
-    Attributes
-    ----------
-    profiles:
-        The wrapped :class:`FrequencyProfile` objects, in order.  Kept
-        so loop fallbacks and per-profile finalization read the same
-        objects the scalar path would.
-    indptr:
-        CSR row pointer, shape ``(T + 1,)``; profile ``k`` occupies the
-        slice ``indptr[k]:indptr[k + 1]`` of ``frequencies``/``counts``.
-    frequencies, counts:
-        Concatenated ``(i, f_i)`` pairs in each profile's dict insertion
-        order (int64).
-    distinct, sample_size, f1, f2, max_frequency:
-        Cached per-profile summary vectors (int64), matching the scalar
-        properties of the same names.
-    """
-
-    profiles: tuple[FrequencyProfile, ...]
-    indptr: npt.NDArray[np.int64] = field(repr=False, compare=False)
-    frequencies: npt.NDArray[np.int64] = field(repr=False, compare=False)
-    counts: npt.NDArray[np.int64] = field(repr=False, compare=False)
-    distinct: npt.NDArray[np.int64] = field(repr=False, compare=False)
-    sample_size: npt.NDArray[np.int64] = field(repr=False, compare=False)
-    f1: npt.NDArray[np.int64] = field(repr=False, compare=False)
-    f2: npt.NDArray[np.int64] = field(repr=False, compare=False)
-    max_frequency: npt.NDArray[np.int64] = field(repr=False, compare=False)
+    __slots__ = ()
 
     @classmethod
     def from_profiles(
-        cls, profiles: Sequence[FrequencyProfile]
+        cls, profiles: Iterable[FrequencyProfile]
     ) -> "FrequencyProfileBatch":
-        """Lay a sequence of profiles out in CSR form (insertion order)."""
-        stack = tuple(profiles)
-        lengths = [len(p.counts) for p in stack]
-        indptr = np.zeros(len(stack) + 1, dtype=np.int64)
-        np.cumsum(np.array(lengths, dtype=np.int64), out=indptr[1:])
-        freqs = np.empty(int(indptr[-1]), dtype=np.int64)
-        counts = np.empty(int(indptr[-1]), dtype=np.int64)
-        cursor = 0
-        for profile in stack:
-            for i, c in profile.counts.items():
-                freqs[cursor] = i
-                counts[cursor] = c
-                cursor += 1
-        return cls(
-            profiles=stack,
-            indptr=indptr,
-            frequencies=freqs,
-            counts=counts,
-            distinct=np.array([p.distinct for p in stack], dtype=np.int64),
-            sample_size=np.array([p.sample_size for p in stack], dtype=np.int64),
-            f1=np.array([p.f1 for p in stack], dtype=np.int64),
-            f2=np.array([p.f2 for p in stack], dtype=np.int64),
-            max_frequency=np.array([p.max_frequency for p in stack], dtype=np.int64),
-        )
-
-    def __len__(self) -> int:
-        return len(self.profiles)
-
-    def __iter__(self):  # type: ignore[no-untyped-def]
-        return iter(self.profiles)
-
-    def segment_ids(self) -> npt.NDArray[np.int64]:
-        """Profile index of every CSR element (``np.repeat`` expansion)."""
-        return np.repeat(
-            np.arange(len(self.profiles), dtype=np.int64), np.diff(self.indptr)
-        )
-
-    def broadcast(
-        self, per_profile: npt.NDArray[np.float64]
-    ) -> npt.NDArray[np.float64]:
-        """Expand one value per profile to one value per CSR element."""
-        result: npt.NDArray[np.float64] = np.repeat(
-            per_profile, np.diff(self.indptr)
-        )
-        return result
-
-    def subset(self, indices: Sequence[int]) -> "FrequencyProfileBatch":
-        """A new batch over the selected profiles (hybrid branch dispatch).
-
-        Slices the CSR arrays directly — segment order and within-segment
-        element order are preserved, so the subset is exactly what
-        :meth:`from_profiles` would build from the selected profiles.
-        """
-        idx = np.asarray(list(indices), dtype=np.int64)
-        starts = self.indptr[idx]
-        lengths = self.indptr[idx + 1] - starts
-        indptr = np.zeros(idx.size + 1, dtype=np.int64)
-        np.cumsum(lengths, out=indptr[1:])
-        # Element positions: each segment's start repeated, plus the
-        # within-segment offset (global arange minus new segment start).
-        positions = np.repeat(starts, lengths) + (
-            np.arange(int(indptr[-1]), dtype=np.int64)
-            - np.repeat(indptr[:-1], lengths)
-        )
-        return FrequencyProfileBatch(
-            profiles=tuple(self.profiles[int(i)] for i in idx.tolist()),
-            indptr=indptr,
-            frequencies=self.frequencies[positions],
-            counts=self.counts[positions],
-            distinct=self.distinct[idx],
-            sample_size=self.sample_size[idx],
-            f1=self.f1[idx],
-            f2=self.f2[idx],
-            max_frequency=self.max_frequency[idx],
-        )
+        """Pack profiles in order."""
+        # A named step of its own because the benchmark's traced pass
+        # (bench/tracer.py) wraps it to time the frequency.batch layer.
+        return cls(profiles)

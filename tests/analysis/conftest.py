@@ -9,13 +9,44 @@ as estimator-stack code regardless of where the file really lives.
 from __future__ import annotations
 
 import os
+import time
+from dataclasses import dataclass
+from pathlib import Path
 
+import pytest
+
+from repro.analysis import lint_paths
 from repro.analysis.findings import Finding
 from repro.analysis.project import build_context
 from repro.analysis.rules import ProjectRule, all_rules
+from repro.analysis.runner import LintReport
 from repro.analysis.source import SourceModule
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+
+SRC = Path(__file__).resolve().parents[2] / "src"
+
+
+@dataclass(frozen=True)
+class TreeLint:
+    """One analysis of ``src/`` and its wall time."""
+
+    report: LintReport
+    seconds: float
+
+
+@pytest.fixture(scope="session")
+def src_lint() -> TreeLint:
+    """``lint_paths([src], prove=True)``, run once per test session.
+
+    Proving only adds contract verdicts: the findings, suppression count
+    and exit code are those of a plain ``repro lint src``.  The
+    lint-clean, stale-pragma and estimator-guarantee gates all read
+    this one run instead of analysing the tree once each.
+    """
+    start = time.perf_counter()
+    report = lint_paths([str(SRC)], prove=True)
+    return TreeLint(report, time.perf_counter() - start)
 
 
 def fixture_text(name: str) -> str:

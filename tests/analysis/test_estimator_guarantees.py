@@ -8,23 +8,22 @@ estimator-facing ensures clause stops proving statically, or when the
 total proved-clause count regresses below the committed baseline
 (``BENCH_analysis.baseline.json``).
 
-The proving pass is also the analysis benchmark: its wall time and
-verdict counts are written to ``BENCH_analysis.json`` (uploaded as a CI
-artifact next to ``BENCH_perf.json``) so prover-coverage and lint-speed
-trends stay visible across commits.
+The proving pass (the session's shared ``src_lint`` run) is also the
+analysis benchmark: its wall time and verdict counts are written to
+``BENCH_analysis.json`` (uploaded as a CI artifact next to
+``BENCH_perf.json``) so prover-coverage and lint-speed trends stay
+visible across commits.
 """
 
 from __future__ import annotations
 
 import inspect
 import json
-import time
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from repro.analysis import lint_paths
 from repro.core.base import DistinctValueEstimator
 from repro.core.registry import ESTIMATOR_FACTORIES
 
@@ -42,11 +41,8 @@ _KNOWN_RUNTIME = {("_validated", "result[1] >= 1.0")}
 
 
 @pytest.fixture(scope="module")
-def prove_report():
-    start = time.perf_counter()
-    report = lint_paths([str(_SRC)], prove=True)
-    elapsed = time.perf_counter() - start
-
+def prove_report(src_lint):
+    report = src_lint.report
     verdicts = Counter(v.verdict for _, v in report.contract_verdicts)
     via = Counter(
         v.via for _, v in report.contract_verdicts if v.verdict == "proved"
@@ -54,7 +50,7 @@ def prove_report():
     _BENCH_OUT.write_text(
         json.dumps(
             {
-                "lint_seconds": round(elapsed, 3),
+                "lint_seconds": round(src_lint.seconds, 3),
                 "files_scanned": report.files_scanned,
                 "findings": len(report.findings),
                 "clauses": len(report.contract_verdicts),

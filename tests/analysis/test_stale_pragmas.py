@@ -113,17 +113,15 @@ class TestScoping:
 class TestRepoGate:
     """Tier-1 gate: the real tree carries zero stale pragmas."""
 
-    def test_src_has_no_stale_pragmas(self):
-        src = Path(__file__).resolve().parents[2] / "src"
-        report = lint_paths([str(src)])  # full rule set: 'all' judged too
-        stale = [f for f in report.findings if f.code == "R701"]
+    def test_src_has_no_stale_pragmas(self, src_lint):
+        # src_lint runs the full rule set, so 'all' pragmas are judged too.
+        stale = [f for f in src_lint.report.findings if f.code == "R701"]
         assert stale == []
 
-    def test_every_surviving_pragma_still_works(self):
+    def test_every_surviving_pragma_still_works(self, src_lint):
         # Stronger than "no R701": every pragma in the tree must have
         # absorbed at least one finding, i.e. suppressed count > 0 and
         # no finding of any kind escapes.
-        src = Path(__file__).resolve().parents[2] / "src"
-        report = lint_paths([str(src)])
+        report = src_lint.report
         assert report.exit_code == 0
         assert report.suppressed > 0

@@ -1,12 +1,13 @@
 """``estimate_batch`` vs the scalar loop: bit-identity for every estimator.
 
-The batch path's contract is the strongest the library makes anywhere:
-for every registered estimator, ``estimate_batch(batch, n)`` must equal
-``[estimate(p, n) for p in batch]`` *bitwise* — values, raw values,
-intervals, details, clamping, contract enforcement, and telemetry
-counts.  These tests pin that contract on the adversarial inputs
-(Theorem-1-style heavy-head profiles, all-singletons, no-singletons,
-single-row, huge single class) plus sampled zipfian profiles.
+``estimate_batch(profiles, n)`` is the per-profile loop
+``[estimate(p, n) for p in profiles]``: the harness calls it once per
+estimator and sweep point, and the benchmark's traced pass times it.
+These tests pin that it stays exactly that loop — values, raw values,
+intervals, details, clamping, contract enforcement, errors and
+telemetry counts — on the adversarial inputs (Theorem-1-style
+heavy-head profiles, all-singletons, no-singletons, single-row, huge
+single class) plus sampled zipfian profiles.
 """
 
 from __future__ import annotations
