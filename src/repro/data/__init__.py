@@ -7,6 +7,7 @@ from repro.data.surrogates import (
     ColumnSpec,
     Dataset,
     census,
+    class_size_dataset,
     covertype,
     mssales,
 )
@@ -16,6 +17,7 @@ from repro.data.synthetic import (
     clustered_column,
     column_with_distinct,
     constant_column,
+    distinct_class_sizes,
     needle_column,
     unbounded_scaleup_column,
     uniform_column,
@@ -30,6 +32,7 @@ __all__ = [
     "ColumnSpec",
     "Dataset",
     "census",
+    "class_size_dataset",
     "covertype",
     "mssales",
     "all_distinct_column",
@@ -37,6 +40,7 @@ __all__ = [
     "clustered_column",
     "column_with_distinct",
     "constant_column",
+    "distinct_class_sizes",
     "needle_column",
     "unbounded_scaleup_column",
     "uniform_column",

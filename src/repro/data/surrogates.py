@@ -30,10 +30,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.data.column import Column
-from repro.data.synthetic import column_with_distinct
+from repro.data.synthetic import column_with_distinct, distinct_class_sizes
 from repro.errors import DataGenerationError
 
-__all__ = ["Dataset", "ColumnSpec", "census", "covertype", "mssales", "DATASETS"]
+__all__ = [
+    "Dataset",
+    "ColumnSpec",
+    "census",
+    "covertype",
+    "mssales",
+    "DATASETS",
+    "class_size_dataset",
+]
 
 
 @dataclass(frozen=True)
@@ -141,6 +149,19 @@ MSSALES_COLUMNS: tuple[ColumnSpec, ...] = (
 )
 
 
+def _scaled_columns(
+    n_rows: int, specs: tuple[ColumnSpec, ...], scale: float
+) -> list[tuple[ColumnSpec, int, int]]:
+    """``(spec, rows, distinct)`` of every column, shrunk by ``scale``."""
+    if not 0.0 < scale <= 1.0:
+        raise DataGenerationError(f"scale must be in (0, 1], got {scale}")
+    rows = max(1, int(round(n_rows * scale)))
+    return [
+        (spec, rows, max(1, min(rows, int(round(spec.distinct * scale)))))
+        for spec in specs
+    ]
+
+
 def _build_dataset(
     name: str,
     n_rows: int,
@@ -148,17 +169,15 @@ def _build_dataset(
     rng: np.random.Generator | None,
     scale: float,
 ) -> Dataset:
-    if not 0.0 < scale <= 1.0:
-        raise DataGenerationError(f"scale must be in (0, 1], got {scale}")
+    scaled = _scaled_columns(n_rows, specs, scale)
     rng = rng if rng is not None else np.random.default_rng(0)
-    rows = max(1, int(round(n_rows * scale)))
-    columns = []
-    for spec in specs:
-        distinct = max(1, min(rows, int(round(spec.distinct * scale))))
-        columns.append(
+    return Dataset(
+        name=name,
+        columns=[
             column_with_distinct(rows, distinct, z=spec.skew, rng=rng, name=spec.name)
-        )
-    return Dataset(name=name, columns=columns)
+            for spec, rows, distinct in scaled
+        ],
+    )
 
 
 def census(
@@ -188,3 +207,35 @@ DATASETS = {
     "CoverType": covertype,
     "MSSales": mssales,
 }
+
+#: Row count and column specs of each surrogate, by dataset name.
+_TABLES: dict[str, tuple[int, tuple[ColumnSpec, ...]]] = {
+    "Census": (CENSUS_ROWS, CENSUS_COLUMNS),
+    "CoverType": (COVERTYPE_ROWS, COVERTYPE_COLUMNS),
+    "MSSales": (MSSALES_ROWS, MSSALES_COLUMNS),
+}
+
+
+def class_size_dataset(name: str, scale: float = 1.0) -> Dataset:
+    """A surrogate whose columns hold only their class sizes.
+
+    Each column has the class sizes of the same column of
+    ``DATASETS[name](rng, scale)``, but no rows: the experiment sweeps
+    draw its sample profiles from the sizes alone, so they need no
+    layout and no random stream (see :class:`~repro.data.column.Column`).
+    """
+    try:
+        n_rows, specs = _TABLES[name]
+    except KeyError:
+        raise DataGenerationError(
+            f"unknown dataset {name!r}; known: {', '.join(sorted(_TABLES))}"
+        ) from None
+    return Dataset(
+        name=name,
+        columns=[
+            Column.from_class_sizes(
+                distinct_class_sizes(rows, distinct, z=spec.skew), name=spec.name
+            )
+            for spec, rows, distinct in _scaled_columns(n_rows, specs, scale)
+        ],
+    )

@@ -28,6 +28,7 @@ __all__ = [
     "uniform_column",
     "needle_column",
     "column_with_distinct",
+    "distinct_class_sizes",
     "clustered_column",
 ]
 
@@ -160,14 +161,8 @@ def clustered_column(
     )
 
 
-def column_with_distinct(
-    n_rows: int,
-    distinct: int,
-    z: float = 1.0,
-    rng: np.random.Generator | None = None,
-    name: str | None = None,
-) -> Column:
-    """A column with an exact distinct count and Zipf-shaped class sizes.
+def distinct_class_sizes(n_rows: int, distinct: int, z: float = 1.0) -> np.ndarray:
+    """Zipf-shaped class sizes with an exact distinct count (descending).
 
     Used by the real-dataset surrogates, where the published schema fixes
     each column's cardinality: ranks get weight ``1 / i^z``, sizes are
@@ -180,7 +175,6 @@ def column_with_distinct(
         )
     if z < 0:
         raise DataGenerationError(f"z must be >= 0, got {z}")
-    rng = rng if rng is not None else np.random.default_rng()
     ranks = np.arange(1, distinct + 1, dtype=np.float64)
     weights = 1.0 / ranks**z
     sizes = np.maximum(1, np.floor(n_rows * weights / weights.sum())).astype(np.int64)
@@ -204,6 +198,19 @@ def column_with_distinct(
         per, extra = divmod(residual, head)
         sizes[:head] += per
         sizes[:extra] += 1
+    return sizes
+
+
+def column_with_distinct(
+    n_rows: int,
+    distinct: int,
+    z: float = 1.0,
+    rng: np.random.Generator | None = None,
+    name: str | None = None,
+) -> Column:
+    """A randomly laid-out column with :func:`distinct_class_sizes` classes."""
+    sizes = distinct_class_sizes(n_rows, distinct, z)
+    rng = rng if rng is not None else np.random.default_rng()
     return shuffled_from_class_sizes(
         sizes, rng, name=name or f"zipfD(n={n_rows},D={distinct},z={z:g})"
     )

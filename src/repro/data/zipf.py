@@ -117,7 +117,8 @@ def shuffled_from_class_sizes(
 
     Value ``value_offset + i`` receives ``class_sizes[i]`` rows; rows are
     then placed at uniformly random positions ("The layout of data for
-    each column was random", §6).
+    each column was random", §6).  Every builder that lays out rows goes
+    through here, so the ``data.rows_generated`` counter counts them all.
     """
     sizes = np.asarray(class_sizes, dtype=np.int64)
     if sizes.size == 0 or (sizes <= 0).any():
@@ -126,6 +127,8 @@ def shuffled_from_class_sizes(
         np.arange(value_offset, value_offset + sizes.size, dtype=np.int64), sizes
     )
     rng.shuffle(values)
+    if OBS.enabled:
+        OBS.add("data.rows_generated", int(values.size))
     return Column(name=name, values=values, _class_sizes=np.sort(sizes))
 
 
@@ -154,7 +157,4 @@ def zipf_column(
         base_sizes = zipf_class_sizes(n_rows // duplication, z)
         sizes = base_sizes * duplication
         label = name or f"zipf(n={n_rows},z={z:g},dup={duplication})"
-        column = shuffled_from_class_sizes(sizes, rng, name=label)
-    if OBS.enabled:
-        OBS.add("data.rows_generated", n_rows)
-    return column
+        return shuffled_from_class_sizes(sizes, rng, name=label)

@@ -11,9 +11,9 @@ under one seeding protocol:
   depend only on ``(seed, i)``, never on worker count, scheduling, or
   completion order;
 * shared inputs (a column reused by every rate point, a surrogate
-  dataset) derive their seeds from their *specification* under
-  :data:`DATA_DOMAIN` via :func:`derived_rng`, so any worker that needs
-  the same input regenerates the same bytes, and a per-process memo
+  dataset) have no random stream: a sweep column holds only its class
+  sizes, a pure function of its specification, so any worker that
+  needs the same input builds the same one, and a per-process memo
   (:func:`memoized`) builds it at most once per worker while holding
   one shared input at a time;
 * results are collected in submission order, so
@@ -65,8 +65,6 @@ from repro.resilience.supervisor import PartialSweepResult, RetryPolicy, jitter_
 
 __all__ = [
     "TASK_DOMAIN",
-    "DATA_DOMAIN",
-    "derived_rng",
     "task_seed",
     "run_sweep",
     "sweep_context",
@@ -85,37 +83,18 @@ _log = logging.getLogger(__name__)
 
 #: Spawn-key namespace for per-grid-point trial streams.
 TASK_DOMAIN = 0x7A5C
-#: Spawn-key namespace for shared inputs (columns, datasets).
-DATA_DOMAIN = 0xDA7A
 
 #: Sentinel distinguishing "no result yet" from a legitimate None result.
 _MISSING: Any = object()
 
 
-def task_seed(seed: int, index: int, domain: int = TASK_DOMAIN) -> np.random.SeedSequence:
+def task_seed(seed: int, index: int) -> np.random.SeedSequence:
     """The :class:`~numpy.random.SeedSequence` of sweep point ``index``."""
     if seed < 0:
         raise InvalidParameterError(f"seed must be >= 0, got {seed}")
     if index < 0:
         raise InvalidParameterError(f"index must be >= 0, got {index}")
-    return np.random.SeedSequence(entropy=seed, spawn_key=(domain, index))
-
-
-def derived_rng(
-    seed: int, *key: int, domain: int = DATA_DOMAIN
-) -> np.random.Generator:
-    """A generator on a stream derived from ``(seed, key)``.
-
-    The stream depends only on the root seed and the integer key (all
-    components must be non-negative), so two workers deriving a
-    generator for the same specification consume identical bytes.
-    """
-    if seed < 0:
-        raise InvalidParameterError(f"seed must be >= 0, got {seed}")
-    if any(part < 0 for part in key):
-        raise InvalidParameterError(f"key components must be >= 0, got {key!r}")
-    sequence = np.random.SeedSequence(entropy=seed, spawn_key=(domain, *key))
-    return np.random.default_rng(sequence)
+    return np.random.SeedSequence(entropy=seed, spawn_key=(TASK_DOMAIN, index))
 
 
 def _run_point(
@@ -587,19 +566,19 @@ def memoized(  # reprolint: disable=R1101 - per-process cache by contract: build
     """Build-at-most-once cache, scoped to the current process.
 
     Sweep tasks use this so a worker that evaluates several grid points
-    over the same column (or dataset) materializes it once.  Correctness
+    over the same column (or dataset) builds it once.  Correctness
     never depends on hits: ``build`` must be deterministic for its key,
-    which holds when its randomness comes from :func:`derived_rng` keyed
-    by the same specification.  Hits and misses are tallied for
-    :func:`memo_stats` and, when telemetry is on, the
-    ``executor.memo_hits`` / ``executor.memo_misses`` counters — in a
-    parallel sweep those counters are per-process tallies summed at
-    merge, so they depend on how the pool scheduled points.
+    as a sweep column built from its specification alone is.  Hits and
+    misses are tallied for :func:`memo_stats` and, when telemetry is
+    on, the ``executor.memo_hits`` / ``executor.memo_misses`` counters
+    — in a parallel sweep those counters are per-process tallies summed
+    at merge, so they depend on how the pool scheduled points.
 
-    ``shared_input=True`` marks a large sweep input (a column, a
-    dataset).  The memo holds one of those at a time: building a new one
-    first releases the previous one, so a sweep over ten columns peaks
-    at one column's memory, not ten.  Grid points are submitted column
+    ``shared_input=True`` marks a sweep input (a column, a dataset, and
+    the class layout a column caches for sampling).  The memo holds one
+    of those at a time: building a new one first releases the previous
+    one, so a sweep over ten columns peaks at one column's memory, not
+    ten.  Grid points are submitted column
     by column, so an inline sweep builds each input once.
     """
     global _MEMO_HITS, _MEMO_MISSES

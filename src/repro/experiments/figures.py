@@ -22,11 +22,14 @@ estimation and prints the bytes a run of its own would.
 
 Every grid sweep is a :func:`~repro.experiments.executor.run_sweep`
 (see ``docs/performance.md``): each grid point draws from an independent
-child stream derived from the root seed and its grid index, and shared
-inputs (columns, datasets) derive theirs from their specification.  A
-point's samples therefore depend on nothing but the seed and the point,
-and results are byte-identical for any ``REPRO_WORKERS`` value and for
-``repro exhibit`` and ``repro sweep`` alike.
+child stream derived from the root seed and its grid index.  The shared
+inputs (columns, datasets) have no stream at all: a sweep column holds
+only its class sizes, and uniform sampling without replacement draws
+each trial's profile from those sizes (count-domain sampling), so no
+sweep builds or shuffles a column's rows.  A point's samples therefore
+depend on nothing but the seed and the point, and results are
+byte-identical for any ``REPRO_WORKERS`` value and for ``repro
+exhibit`` and ``repro sweep`` alike.
 """
 
 from __future__ import annotations
@@ -41,9 +44,8 @@ from repro.core.base import ratio_error
 from repro.core.registry import PAPER_ESTIMATORS, make_estimators
 from repro.core.theory import adversarial_pair, lower_bound_error
 from repro.data.column import Column
-from repro.data.surrogates import DATASETS, Dataset
-from repro.data.synthetic import bounded_scaleup_column, unbounded_scaleup_column
-from repro.data.zipf import zipf_column
+from repro.data.surrogates import DATASETS, Dataset, class_size_dataset
+from repro.data.zipf import zipf_class_sizes
 from repro.errors import InvalidParameterError
 from repro.experiments import config, executor
 from repro.experiments.harness import (
@@ -105,9 +107,10 @@ class _ColumnSpec:
     """Deterministic description of a synthetic column.
 
     ``factor`` is the duplication factor for zipf/unbounded columns and
-    ``base_rows`` for the bounded-scaleup workload.  The spec — not a
-    generator state — keys the column's random stream, so every worker
-    that needs the column regenerates identical bytes.
+    ``base_rows`` for the bounded-scaleup workload.  The column it
+    builds holds only its class sizes (those of ``zipf_column``,
+    ``bounded_scaleup_column`` or ``unbounded_scaleup_column`` with the
+    same arguments), so every worker that needs it builds the same one.
     """
 
     kind: int
@@ -115,36 +118,26 @@ class _ColumnSpec:
     z: float
     factor: int
 
-    @property
-    def key(self) -> tuple[int, int, int, int]:
-        return (self.kind, self.n_rows, int(round(self.z * 1000)), self.factor)
-
-    def build(self, rng: np.random.Generator) -> Column:
-        if self.kind == _KIND_ZIPF:
-            return zipf_column(self.n_rows, self.z, duplication=self.factor, rng=rng)
+    def build(self) -> Column:
         if self.kind == _KIND_BOUNDED:
-            return bounded_scaleup_column(
-                self.n_rows, base_rows=self.factor, z=self.z, rng=rng
-            )
-        return unbounded_scaleup_column(
-            self.n_rows, duplication=self.factor, z=self.z, rng=rng
-        )
+            sizes = zipf_class_sizes(self.factor, self.z) * (self.n_rows // self.factor)
+            label = f"bounded-scaleup(n={self.n_rows},z={self.z:g},base={self.factor})"
+        else:
+            sizes = zipf_class_sizes(self.n_rows // self.factor, self.z) * self.factor
+            family = "zipf" if self.kind == _KIND_ZIPF else "unbounded-scaleup"
+            label = f"{family}(n={self.n_rows},z={self.z:g},dup={self.factor})"
+        return Column.from_class_sizes(sizes, name=label)
 
 
-def _build_column_traced(spec: _ColumnSpec, seed: int) -> Column:
-    # Covers all three column kinds; zipf specs additionally nest the
-    # generator's own ``data.zipf_column`` span (which owns the
-    # ``data.rows_generated`` counter — no double count here).
+def _build_column_traced(spec: _ColumnSpec) -> Column:
     with OBS.span("data.build_column", n_rows=spec.n_rows, z=spec.z):
-        return spec.build(executor.derived_rng(seed, *spec.key))
+        return spec.build()
 
 
-def _shared_column(spec: _ColumnSpec, seed: int) -> Column:
-    """Materialize ``spec`` once per process, on its spec-derived stream."""
+def _shared_column(spec: _ColumnSpec) -> Column:
+    """Build ``spec``'s size-only column once per process."""
     return executor.memoized(
-        ("column", seed, spec),
-        lambda: _build_column_traced(spec, seed),
-        shared_input=True,
+        ("column", spec), lambda: _build_column_traced(spec), shared_input=True
     )
 
 
@@ -155,14 +148,13 @@ class _EvalTask:
     spec: _ColumnSpec
     estimators: tuple[str, ...]
     trials: int
-    seed: int
     fraction: float | None = None
     size: int | None = None
 
 
 def _evaluate_point(task: _EvalTask, rng: np.random.Generator) -> EvaluationResult:
     """Sweep task function (module-level so worker processes can load it)."""
-    column = _shared_column(task.spec, task.seed)
+    column = _shared_column(task.spec)
     suite = make_estimators(task.estimators)
     return evaluate_column(
         column, suite, rng,
@@ -203,7 +195,7 @@ def _column_sweep(
     results = executor.run_sweep(
         _evaluate_point,
         [
-            _EvalTask(spec, tuple(estimators), runs, seed, fraction=fraction, size=size)
+            _EvalTask(spec, tuple(estimators), runs, fraction=fraction, size=size)
             for spec, samplings in frozen
             for fraction, size in samplings
         ],
@@ -221,23 +213,19 @@ class _DatasetTask:
     scale_ppm: int  # dataset scale in parts-per-million (picklable int key)
     estimators: tuple[str, ...]
     trials: int
-    seed: int
     fraction: float
 
 
-def _build_dataset_traced(name: str, scale_ppm: int, seed: int) -> Dataset:
-    index = sorted(DATASETS).index(name)
+def _build_dataset_traced(name: str, scale_ppm: int) -> Dataset:
     with OBS.span("data.build_dataset", dataset=name):
-        return DATASETS[name](
-            executor.derived_rng(seed, 4, index, scale_ppm),
-            scale=scale_ppm / 1_000_000,
-        )
+        return class_size_dataset(name, scale=scale_ppm / 1_000_000)
 
 
-def _shared_dataset(name: str, scale_ppm: int, seed: int) -> Dataset:
+def _shared_dataset(name: str, scale_ppm: int) -> Dataset:
+    """Build the size-only surrogate ``name`` once per process."""
     return executor.memoized(
-        ("dataset", seed, name, scale_ppm),
-        lambda: _build_dataset_traced(name, scale_ppm, seed),
+        ("dataset", name, scale_ppm),
+        lambda: _build_dataset_traced(name, scale_ppm),
         shared_input=True,
     )
 
@@ -261,7 +249,7 @@ def _evaluate_dataset_point(
     task: _DatasetTask, rng: np.random.Generator
 ) -> _DatasetOutcome:
     """Sweep task: both metrics, averaged over every dataset column, at one fraction."""
-    dataset = _shared_dataset(task.dataset_name, task.scale_ppm, task.seed)
+    dataset = _shared_dataset(task.dataset_name, task.scale_ppm)
     suite = make_estimators(task.estimators)
     totals = {metric: {e.name: 0.0 for e in suite} for metric in _METRICS}
     for column in dataset:
@@ -300,7 +288,7 @@ def _dataset_sweep(
         lambda: executor.run_sweep(
             _evaluate_dataset_point,
             [
-                _DatasetTask(dataset_name, scale_ppm, estimators, runs, seed, f)
+                _DatasetTask(dataset_name, scale_ppm, estimators, runs, f)
                 for f in fractions
             ],
             seed=seed,
@@ -562,7 +550,7 @@ def real_dataset_metric(
         n_columns, n_rows_label = first.n_columns, first.n_rows
         dataset_label = first.dataset_label
     else:  # metadata only: no grid points to borrow it from
-        shared = _shared_dataset(dataset_name, _scale_ppm(), seed)
+        shared = _shared_dataset(dataset_name, _scale_ppm())
         names = [e.name for e in make_estimators(estimators)]
         n_columns, n_rows_label = len(shared), shared.n_rows
         dataset_label = shared.name

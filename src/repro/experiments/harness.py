@@ -14,6 +14,10 @@ estimator then estimates the ``T`` profiles one at a time.  Estimators
 are pure functions of the profile, so the result equals drawing,
 profiling and estimating one trial at a time, bit for bit.  Custom
 samplers without a batch path fall back to the serial loop.
+
+The harness hands the sampler the column itself.  A column with rows is
+sampled row by row; a size-only column (every sweep column) has its
+profiles drawn from its class sizes, with the same law and no rows.
 """
 
 from __future__ import annotations
@@ -127,7 +131,7 @@ def evaluate_column(
         if OBS.enabled:
             OBS.add("harness.evaluations")
         profiles = sampler.profile_batch(
-            column.values, rng, trials, size=size, fraction=fraction
+            column, rng, trials, size=size, fraction=fraction
         )
         realized_sample_size = round(
             math.fsum(p.sample_size for p in profiles) / trials

@@ -75,7 +75,7 @@ ENV_FAULTS = "REPRO_FAULTS"
 ENV_FAULT_SEED = "REPRO_FAULT_SEED"
 
 #: Spawn-key namespace for fault draws — disjoint from the executor's
-#: TASK_DOMAIN/DATA_DOMAIN and the supervisor's JITTER_DOMAIN.
+#: TASK_DOMAIN and the supervisor's JITTER_DOMAIN.
 FAULT_DOMAIN = 0xFA17
 
 #: Recognized fault kinds.

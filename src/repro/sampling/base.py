@@ -3,9 +3,15 @@
 The estimators assume "a random sample of r tuples chosen uniformly at
 random from the table" (paper §2), with or without replacement.  The
 samplers in this package produce such samples from a column held as a
-1-D numpy array; they are the library's stand-in for the sampling
-operators of Olken's thesis and the SQL Server sampling hook the paper
-used (DESIGN.md §3).
+1-D numpy array (or a :class:`~repro.data.column.Column` holding one);
+they are the library's stand-in for the sampling operators of Olken's
+thesis and the SQL Server sampling hook the paper used (DESIGN.md §3).
+
+A column that holds only its class sizes has no rows to draw.  A
+scheme whose sample profile has a law in the class sizes alone
+(``count_domain``) draws its profiles from the sizes in
+:meth:`RowSampler.profile_batch`; every other scheme, and every
+single-sample method, refuses such a column.
 
 Every sampler takes an explicit :class:`numpy.random.Generator` so that
 experiments are reproducible bit-for-bit.
@@ -20,6 +26,7 @@ from typing import Any
 import numpy as np
 import numpy.typing as npt
 
+from repro.data.column import Column
 from repro.errors import InvalidParameterError
 from repro.frequency.profile import FrequencyProfile
 from repro.obs.recorder import OBS
@@ -28,9 +35,13 @@ from repro.sampling.batch import profiles_from_samples
 __all__ = ["RowSampler", "resolve_sample_size", "as_column"]
 
 
-def as_column(values: npt.ArrayLike) -> npt.NDArray[Any]:
-    """Coerce ``values`` to a 1-D numpy array, validating the shape."""
-    column = np.asarray(values)
+def as_column(values: npt.ArrayLike | Column) -> npt.NDArray[Any]:
+    """Coerce ``values`` to a 1-D numpy array, validating the shape.
+
+    A :class:`~repro.data.column.Column` yields its rows; a size-only
+    column has none and raises.
+    """
+    column = np.asarray(values.values if isinstance(values, Column) else values)
     if column.ndim != 1:
         raise InvalidParameterError(f"columns must be 1-D, got shape {column.shape}")
     if column.size == 0:
@@ -83,26 +94,24 @@ class RowSampler(ABC):
     #: Whether the scheme guarantees no row is inspected twice.
     without_replacement: bool = True
 
+    #: Whether :meth:`profile_batch` can draw profiles of a size-only
+    #: column from its class sizes (:meth:`_profiles_from_sizes`).
+    count_domain: bool = False
+
     def sample(
         self,
-        column: npt.ArrayLike,
+        column: npt.ArrayLike | Column,
         rng: np.random.Generator,
         size: int | None = None,
         fraction: float | None = None,
     ) -> npt.NDArray[Any]:
         """Draw a sample of rows from ``column``."""
         data = as_column(column)
-        r = resolve_sample_size(
-            data.size,
-            size=size,
-            fraction=fraction,
-            allow_oversample=not self.without_replacement,
-        )
-        return self._draw(data, r, rng)
+        return self._draw(data, self._sample_size(data.size, size, fraction), rng)
 
     def profile(
         self,
-        column: npt.ArrayLike,
+        column: npt.ArrayLike | Column,
         rng: np.random.Generator,
         size: int | None = None,
         fraction: float | None = None,
@@ -119,7 +128,7 @@ class RowSampler(ABC):
 
     def profile_batch(
         self,
-        column: npt.ArrayLike,
+        column: npt.ArrayLike | Column,
         rng: np.random.Generator,
         trials: int,
         size: int | None = None,
@@ -134,33 +143,56 @@ class RowSampler(ABC):
         :meth:`_draw_batch` amortize the per-trial reduction into a
         single vectorized pass over all trials.  Samplers that do not
         (any custom subclass) fall back to the serial loop.
+
+        A size-only :class:`~repro.data.column.Column` is sampled in the
+        count domain when the scheme supports it (``count_domain``):
+        each profile has the law a sample of the column's rows would
+        have, drawn from the class sizes alone, and the span records
+        which draw ran as its ``path`` attribute.  Any other scheme
+        raises on such a column.
         """
         if trials < 1:
             raise InvalidParameterError(f"trials must be >= 1, got {trials}")
-        data = as_column(column)
-        r = resolve_sample_size(
-            data.size,
-            size=size,
-            fraction=fraction,
-            allow_oversample=not self.without_replacement,
-        )
-        with OBS.span(
-            f"sample.{self.name}", trials=trials, requested_size=r
-        ) as span:
-            batch = self._draw_batch(data, r, rng, trials)
-            if batch is None:
+        if isinstance(column, Column) and column.size_only and self.count_domain:
+            r = self._sample_size(column.n_rows, size, fraction)
+            with OBS.span(
+                f"sample.{self.name}", trials=trials, requested_size=r
+            ) as span:
+                path, profiles = self._profiles_from_sizes(column, r, rng, trials)
                 if span.id is not None:
-                    span.attrs["path"] = "serial"
-                profiles = [
-                    FrequencyProfile.from_sample(self._draw(data, r, rng))
-                    for _ in range(trials)
-                ]
-            else:
-                profiles = profiles_from_samples(batch)
+                    span.attrs["path"] = path
+            if OBS.enabled:
+                OBS.add(f"sample.path.{path}", trials)
+        else:
+            data = as_column(column)
+            r = self._sample_size(data.size, size, fraction)
+            with OBS.span(
+                f"sample.{self.name}", trials=trials, requested_size=r
+            ) as span:
+                batch = self._draw_batch(data, r, rng, trials)
+                if batch is None:
+                    if span.id is not None:
+                        span.attrs["path"] = "serial"
+                    profiles = [
+                        FrequencyProfile.from_sample(self._draw(data, r, rng))
+                        for _ in range(trials)
+                    ]
+                else:
+                    profiles = profiles_from_samples(batch)
         if OBS.enabled:
             OBS.add("sample.trials", trials)
             OBS.add("sample.rows_sampled", sum(p.sample_size for p in profiles))
         return profiles
+
+    def _sample_size(
+        self, population_size: int, size: int | None, fraction: float | None
+    ) -> int:
+        return resolve_sample_size(
+            population_size,
+            size=size,
+            fraction=fraction,
+            allow_oversample=not self.without_replacement,
+        )
 
     @abstractmethod
     def _draw(
@@ -184,6 +216,16 @@ class RowSampler(ABC):
         for bit under a fixed seed.
         """
         return None
+
+    def _profiles_from_sizes(
+        self, column: Column, r: int, rng: np.random.Generator, trials: int
+    ) -> tuple[str, list[FrequencyProfile]]:
+        """Draw ``trials`` profiles of a size-only column: ``(path, profiles)``.
+
+        ``path`` names the draw that ran.  Only ``count_domain`` schemes
+        implement this; :meth:`profile_batch` never calls it otherwise.
+        """
+        raise NotImplementedError(f"{type(self).__name__} needs the column's rows")
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"

@@ -2,7 +2,8 @@
 
 * :class:`UniformWithoutReplacement` — the paper's default scheme ("We
   used existing functionality in SQL Server for obtaining a random
-  sample without replacement of a specified sample size", §6).
+  sample without replacement of a specified sample size", §6).  It
+  also samples size-only columns, from their class sizes alone.
 * :class:`UniformWithReplacement` — the scheme Theorem 2's analysis is
   written for.
 * :class:`Bernoulli` — per-row coin flips at rate ``q`` (Shlosser's
@@ -25,8 +26,11 @@ import numpy as np
 import numpy.typing as npt
 
 from repro.contracts import requires
+from repro.data.column import Column
 from repro.errors import InvalidParameterError
+from repro.frequency.profile import FrequencyProfile
 from repro.sampling.base import RowSampler
+from repro.sampling.batch import profiles_from_samples
 
 __all__ = [
     "UniformWithoutReplacement",
@@ -38,11 +42,32 @@ __all__ = [
 ]
 
 
+#: Path rule of the count-domain draw: a size-only column of ``D``
+#: classes sampled at ``r`` rows takes the hypergeometric path when
+#: ``_ROWS_PER_CLASS * D <= r``, and the index path otherwise.
+_ROWS_PER_CLASS = 2
+
+
+def _profile_of_counts(counts: npt.NDArray[np.int64]) -> FrequencyProfile:
+    """The profile of per-class sample counts, in ascending frequency.
+
+    Ascending frequency is the insertion order of
+    :meth:`FrequencyProfile.from_sample`; classes with no sampled row
+    (count 0) are not part of the sample.
+    """
+    histogram = np.bincount(counts)
+    frequencies = np.flatnonzero(histogram[1:]) + 1
+    return FrequencyProfile(
+        dict(zip(frequencies.tolist(), histogram[frequencies].tolist()))
+    )
+
+
 class UniformWithoutReplacement(RowSampler):
     """Simple random sample of ``r`` distinct rows."""
 
     name = "srswor"
     without_replacement = True
+    count_domain = True
 
     def _draw(
         self, column: npt.NDArray[Any], r: int, rng: np.random.Generator
@@ -63,6 +88,34 @@ class UniformWithoutReplacement(RowSampler):
         # (r/n <= 6.4%) *and* consume a different stream.  The batch win
         # here is the shared profile reduction.
         return [self._draw(column, r, rng) for _ in range(trials)]
+
+    def _profiles_from_sizes(
+        self, column: Column, r: int, rng: np.random.Generator, trials: int
+    ) -> tuple[str, list[FrequencyProfile]]:
+        """Per-class sample counts of a randomly laid-out column, drawn two ways.
+
+        The counts of ``r`` rows drawn without replacement from classes
+        of sizes ``n_j`` are multivariate hypergeometric in the sizes
+        alone, whatever the row layout.  With few classes per sampled
+        row (``_ROWS_PER_CLASS * D <= r``) the draw is one
+        hypergeometric per class (``method="marginals"``, O(D) per
+        trial).  Otherwise it draws ``r`` row positions, as a row sample
+        would, and maps them to classes through the column's unshuffled
+        :meth:`~repro.data.column.Column.class_layout` (O(r) per trial).
+        """
+        sizes = column.class_sizes
+        if _ROWS_PER_CLASS * sizes.size <= r:
+            return "hypergeometric", [
+                _profile_of_counts(rng.multivariate_hypergeometric(sizes, r))
+                for _ in range(trials)
+            ]
+        layout = column.class_layout()
+        return "index", profiles_from_samples(
+            [
+                layout[rng.choice(layout.size, size=r, replace=False)]
+                for _ in range(trials)
+            ]
+        )
 
 
 class UniformWithReplacement(RowSampler):

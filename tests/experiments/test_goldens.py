@@ -24,24 +24,24 @@ from repro.experiments.executor import clear_memo
 from repro.obs import OBS, attributed_fraction, build_tree
 
 GOLDEN_SHA256 = {
-    "fig1": "4c14668c2b9186a514a22d92b933a055aed573dcd2d25ee21e821aad1bb3aa2c",
-    "fig2": "c74d7790e981c8ecd67ed2145f0cb5a8364eb3f7b8e4e11fad2cddbfa2c93c5d",
-    "fig3": "940197ad7109bd6519370de5585ac70d3154551394e3cfda3b3e546759fc6c10",
-    "fig4": "099383385aa7e9d24727f4f8a46b873f28607384d7ab08fc903a9ae84b3213ab",
-    "fig5": "17f5e02965e638024d23daa47bd50e447e88e0be1c8d10ac595e808cf5320ae7",
-    "fig6": "5209bd548acbf0fe12060253e07cd1afa282bfb37707271b01987ae8d9140364",
-    "table1": "933303f24a03cfdea99f028b85ae0096c4bd9e250a6574128f6bf4e6b5f36565",
-    "table2": "bdcb6c8640afca9a69b50263efc466ad1ccecd349d378c4d2789e44453e76054",
-    "fig7": "816e856c0087bd134a6352363fc9ad63ea8a8a0fc91a49b79deb290072551887",
-    "fig8": "85d1d94eac89eaf712200b8193233a32ac14c8213a9c461b077e93588990488b",
-    "fig9": "058d0a13fa2d2a9a262ccf1da2f5e2620d7eff5b525801b75f676ee64820c4c2",
-    "fig10": "28b98dcfe41b85a3acd886244a683961cbf773d9e28254e54a29e07ef0f4a9cc",
-    "fig11": "64837a826765724283f4597ebeca0d792ccf71e18abc6cc3a58d6a284c9d0714",
-    "fig12": "ce37e540f47936162a962eccd37c90b5922d778bc283de94145ca20f62ffcb16",
-    "fig13": "7d661ac6f03103711dad1586ec8586984eba6b85b9559403c071342817ae9b25",
-    "fig14": "92fb28ca560eb140e3e99d5452eb76f16ac5fa8ed14278780099ce9b86cabbc1",
-    "fig15": "0c5d6d5bf36b2ff76b20ea86ae0a2e81e526b5dc0ee2f85cc42516a29832ed26",
-    "fig16": "7a68a37e6f29f7af367a7e7f1cb965ea31a794341f21de5eb1c3ac6bb31682ca",
+    "fig1": "4c88826b912ad3300e6c3fa980c74cd5f7cb0465441f6982e39c920749823f38",
+    "fig2": "60d6e704798f3d762cea43646be3f3e72e25eec48a8a5990f27bc9c6b9419ee6",
+    "fig3": "cf8d9e3737f782562cc4b552f54e0056991527e8db1c4ad82b1c15482cb7d94e",
+    "fig4": "d17ba3a369c010b71e5b710b8e13ad9512e877749b4070ddf6740d8c139c02d9",
+    "fig5": "4f984d159df1d9427108ea32558f730e852aa9b0a9afaffa2e13645c8bd1208b",
+    "fig6": "0e9492494e7827236b6932d07c90cca37a343ed0b1e50cb1cdeed48d2bc2c14f",
+    "table1": "5f30ab77dea797b9457ff824d2acc25a02104843c1d4800d8f7c1c28dc6a3e68",
+    "table2": "8db7fb8fda23779243ecd15400b7195f2f2ef4b4839fe76b82375fdf69ae8663",
+    "fig7": "2bd162f79ff79340ae6127e4556dad6d3d1f9c98ac4e01a50684c560200833d1",
+    "fig8": "68b0a9d2d4f4ad6be366f986fb771372878c2f074a059c8df56d5ec3650e3050",
+    "fig9": "799dc4c6cabf57d65a69483fd7eeccb1862450c9499bd9c9386cf5c53511eb9b",
+    "fig10": "68cb6b875739e21fb069fbe63b655414f2635fd59663cd36c41b59c130e6be46",
+    "fig11": "afea7d11bfbc380fca0f536e6a33aa2715fa7bf93ef874158174f705f001a453",
+    "fig12": "ab7fdf9e88bedcd39eb3ce1a8d8af196209d0d2bb229c82f12de132d46cbc25e",
+    "fig13": "4844ebf878cf9f26e3d424e79f04a2b5e919edeb1cafd6c4183f089cbab6855d",
+    "fig14": "509f6806e88eac921d53da48e3debf34b307b77f932b47ee1e84cf16889585f6",
+    "fig15": "164337b3c859861bb0641a61fe614ca56b34ca61dc8a3223f0acbf3a8974a8c7",
+    "fig16": "f7717549d22b38ebe347afff7f8693d20738668bf8cd386a4381a47c9b6919a3",
     "theorem1": "cdcb452a5ec512cfe8c23888b026c7b20b42795f7c4fb5c05f59e57a15d6442c",
     "stability": "fbb98b3d138dcbebe2992008218650e22a4c7a6ebc17f9e79fec2436247dd185",
 }
@@ -144,14 +144,36 @@ def test_a_sweep_holds_one_shared_column_at_a_time(smoke_scale, monkeypatch):
     held_at_build = []
     build = figures._build_column_traced
 
-    def spy(spec, seed):
+    def spy(spec):
         held_at_build.append(executor.memo_size())
-        return build(spec, seed)
+        return build(spec)
 
     monkeypatch.setattr(figures, "_build_column_traced", spy)
     _csv("fig9")
     assert held_at_build == [1] * 10
     assert executor.memo_size() == 2
+
+
+@pytest.mark.parametrize("exhibit_id", SWEEP_EXHIBITS)
+def test_a_sweep_samples_without_laying_out_rows(smoke_scale, exhibit_id):
+    # Sweep columns hold only their class sizes: building or shuffling a
+    # column's rows (``data.rows_generated``) in any sweep is a
+    # regression, while every sweep draws its samples, each trial on
+    # one of the two count-domain paths.
+    OBS.reset()
+    OBS.enable()
+    try:
+        _csv(exhibit_id)
+        counters = OBS.counters()
+    finally:
+        OBS.disable()
+        OBS.reset()
+    assert "data.rows_generated" not in counters
+    assert counters["sample.rows_sampled"] > 0
+    paths = counters.get("sample.path.hypergeometric", 0) + counters.get(
+        "sample.path.index", 0
+    )
+    assert paths == counters["sample.trials"]
 
 
 def _attributed(exhibit_id: str) -> float:
