@@ -30,6 +30,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from repro.analysis.effects import FunctionEffects, module_effects
+from repro.analysis.project import context_cached
 from repro.analysis.source import SourceModule
 
 __all__ = [
@@ -80,6 +81,14 @@ class ProjectCallGraph:
 
     nodes: dict[str, CallGraphNode] = field(default_factory=dict)
     edges: dict[str, set[str]] = field(default_factory=dict)
+    _by_module: dict[int, list[str]] = field(default_factory=dict, repr=False)
+
+    def keys_of(self, module: SourceModule) -> list[str]:
+        """Keys of the nodes ``module`` owns, in :attr:`nodes` order."""
+        if not self._by_module:
+            for key, node in self.nodes.items():
+                self._by_module.setdefault(id(node.module), []).append(key)
+        return self._by_module.get(id(module), [])
 
     def find_path(
         self, start: str, targets: Iterable[str]
@@ -114,10 +123,11 @@ class ProjectCallGraph:
         return None
 
 
-def _import_map(tree: ast.Module, package: str) -> dict[str, str]:
+def _import_map(module: SourceModule) -> dict[str, str]:
     """Local name → dotted project target for a module's imports."""
+    package = _package_of(module_name(module.path), module)
     imports: dict[str, str] = {}
-    for node in ast.walk(tree):
+    for node in module.index.nodes:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.name == _ROOT_PACKAGE or alias.name.startswith(
@@ -153,20 +163,20 @@ def _class_of(qualname: str) -> str | None:
     return qualname.rsplit(".", 1)[0]
 
 
-def _in_module_bases(tree: ast.Module) -> dict[str, tuple[str, ...]]:
+def _in_module_bases(module: SourceModule) -> dict[str, tuple[str, ...]]:
     """Class name → in-module base-class names (single level)."""
-    bases: dict[str, tuple[str, ...]] = {}
-    class_names = {
-        node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+    classes = [
+        node for node in module.index.nodes if isinstance(node, ast.ClassDef)
+    ]
+    class_names = {node.name for node in classes}
+    return {
+        node.name: tuple(
+            base.id
+            for base in node.bases
+            if isinstance(base, ast.Name) and base.id in class_names
+        )
+        for node in classes
     }
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef):
-            bases[node.name] = tuple(
-                base.id
-                for base in node.bases
-                if isinstance(base, ast.Name) and base.id in class_names
-            )
-    return bases
 
 
 def _resolve_method(
@@ -204,8 +214,8 @@ def build_callgraph(modules: Sequence[SourceModule]) -> ProjectCallGraph:
             graph.nodes[key] = CallGraphNode(key, module, summary)
 
     for module, modname, effects in per_module:
-        imports = _import_map(module.tree, _package_of(modname, module))
-        bases = _in_module_bases(module.tree)
+        imports = module.derived(_import_map)
+        bases = module.derived(_in_module_bases)
         for qualname, summary in effects.items():
             key = f"{modname}.{qualname}"
             resolved = graph.edges.setdefault(key, set())
@@ -229,16 +239,9 @@ def cached_callgraph(
     them all, so it carries the cache.  Without a context this is just
     :func:`build_callgraph`.
     """
-    if context is None:
-        return build_callgraph(modules)
-    token = tuple(id(module) for module in modules)
-    cached = getattr(context, "_callgraph_cache", None)
-    if cached is not None and cached[0] == token:
-        graph: ProjectCallGraph = cached[1]
-        return graph
-    graph = build_callgraph(modules)
-    setattr(context, "_callgraph_cache", (token, graph))
-    return graph
+    return context_cached(
+        context, "_callgraph_cache", modules, lambda: build_callgraph(modules)
+    )
 
 
 class CallSiteResolver:
@@ -247,16 +250,14 @@ class CallSiteResolver:
     The graph's edges only say *that* a function calls a target; the
     taint engine needs to resolve *individual call expressions* while
     walking a body.  This wraps the same resolution tables the graph
-    builder used (import map, in-module bases), so both agree exactly
-    on what resolves.
+    builder used (import map, in-module bases): both read the copies
+    kept in the module's index, so they agree exactly on what resolves.
     """
 
     def __init__(self, graph: ProjectCallGraph, module: SourceModule) -> None:
         self._modname = module_name(module.path)
-        self._imports = _import_map(
-            module.tree, _package_of(self._modname, module)
-        )
-        self._bases = _in_module_bases(module.tree)
+        self._imports = module.derived(_import_map)
+        self._bases = module.derived(_in_module_bases)
         self._nodes = graph.nodes
 
     def resolve(self, call: str, caller_qualname: str = "") -> str | None:

@@ -57,7 +57,8 @@ from repro.analysis.dataflow.engine import (
     _param_names,
 )
 from repro.analysis.dataflow.intervals import TOP, Interval
-from repro.analysis.effects import _callee_key, iter_defined_functions
+from repro.analysis.effects import _callee_key, defined_functions
+from repro.analysis.project import context_cached
 from repro.analysis.source import SourceModule
 
 __all__ = [
@@ -142,7 +143,7 @@ class ProjectBounds:
             modname = module_name(module.path)
             self._modules[module.path] = module
             self._resolvers[module.path] = CallSiteResolver(self.graph, module)
-            for qualname, func in iter_defined_functions(module.tree):
+            for qualname, func in defined_functions(module):
                 if "<locals>" in qualname:
                     continue  # nested functions never resolve cross-module
                 key = f"{modname}.{qualname}"
@@ -197,7 +198,7 @@ class ProjectBounds:
 
         analysis = self._function_analysis(key)
         defs = analysis.defs if analysis is not None else {}
-        for stmt in ast.walk(func):
+        for stmt in module.index.walk(func):
             if not (isinstance(stmt, ast.Return) and stmt.value is not None):
                 continue
             reason = nan_producer_reason(stmt.value, defs)
@@ -409,7 +410,7 @@ class ProjectBounds:
         interval, elements = analysis.return_bounds(function)
         may_nan = False
         defs = function.defs
-        for stmt in ast.walk(node):
+        for stmt in module.index.walk(node):
             if isinstance(stmt, ast.Return) and stmt.value is not None:
                 if nan_producer_reason(stmt.value, defs) is not None:
                     may_nan = True
@@ -570,16 +571,10 @@ def project_bounds(
     every later :func:`~repro.analysis.dataflow.engine.module_intervals`
     call resolves cross-module.
     """
-    if context is None:
-        engine = ProjectBounds(modules)
+
+    def build() -> ProjectBounds:
+        engine = ProjectBounds(modules, context)
         engine.install()
         return engine
-    token = tuple(id(module) for module in modules)
-    cached = getattr(context, "_bounds_cache", None)
-    if cached is not None and cached[0] == token:
-        hit: ProjectBounds = cached[1]
-        return hit
-    engine = ProjectBounds(modules, context)
-    engine.install()
-    setattr(context, "_bounds_cache", (token, engine))
-    return engine
+
+    return context_cached(context, "_bounds_cache", modules, build)

@@ -197,6 +197,8 @@ class FunctionAnalysis:
     )
     #: True when an inferred (non-contract) summary fed this analysis.
     used_summary: bool = False
+    #: True when the body (nested scopes included) contains a ``:=``.
+    has_walrus: bool = False
 
     @property
     def locals(self) -> set[str]:
@@ -261,25 +263,11 @@ def _peel_cast(expr: ast.expr) -> ast.expr:
     return expr
 
 
-def _scoped_nodes(func: ast.FunctionDef | ast.AsyncFunctionDef) -> Iterator[ast.AST]:
-    """Every node of ``func``'s body, excluding nested scopes' bodies."""
-    stack: list[ast.AST] = list(ast.iter_child_nodes(func))
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)):
-            continue
-        stack.extend(ast.iter_child_nodes(node))
-
-
 _RELATIONAL_OPS = (ast.Lt, ast.LtE, ast.Gt, ast.GtE, ast.Eq)
 
 
-def _collect_defs(
-    func: ast.FunctionDef | ast.AsyncFunctionDef, analysis: FunctionAnalysis
-) -> None:
-    """Populate store counts, single-assignment defs, and relational facts."""
-    scoped = list(_scoped_nodes(func))
+def _collect_defs(scoped: tuple[ast.AST, ...], analysis: FunctionAnalysis) -> None:
+    """Store counts, single-assignment defs and relational facts of a scope."""
     for node in scoped:
         if isinstance(node, ast.Name) and isinstance(node.ctx, (ast.Store, ast.Del)):
             analysis.store_counts[node.id] = analysis.store_counts.get(node.id, 0) + 1
@@ -712,12 +700,15 @@ class ModuleIntervals:
             contract=_contract_of(func),
         )
         analysis.param_names = set(_param_names(func))
-        for node in ast.walk(func):
+        index = self.module.index
+        for node in index.walk(func):
             if isinstance(node, ast.Name) and isinstance(node.ctx, (ast.Store, ast.Del)):
                 analysis.assigned_names.add(node.id)
             elif isinstance(node, (ast.Global, ast.Nonlocal)):
                 analysis.poisoned.update(node.names)
-        _collect_defs(func, analysis)
+            elif isinstance(node, ast.NamedExpr):
+                analysis.has_walrus = True
+        _collect_defs(index.scope(func), analysis)
         cfg = build_cfg(func)
         analysis.cfg = cfg
 
@@ -785,9 +776,8 @@ class ModuleIntervals:
     def _transfer(
         self, stmt: ast.stmt, env: Env, analysis: FunctionAnalysis, *, record: bool
     ) -> Env:
-        walrus = _walrus_names(stmt)
-        if walrus:
-            for name in walrus:
+        if analysis.has_walrus:
+            for name in _walrus_names(stmt):
                 self._kill(env, name)
         if record:
             analysis.env_at[id(stmt)] = dict(env)

@@ -57,11 +57,10 @@ from repro.analysis.dataflow.taint import (
 )
 from repro.analysis.effects import (
     NondetSources,
-    TaintSource,
     _callee_key,
-    iter_defined_functions,
+    defined_functions,
 )
-from repro.analysis.guards import walk_within_scope
+from repro.analysis.project import context_cached
 from repro.analysis.source import SourceModule
 
 __all__ = ["FunctionTaint", "ProjectTaint", "project_taint"]
@@ -109,9 +108,9 @@ class ProjectTaint:
 
         for module in modules:
             modname = module_name(module.path)
-            self._sources[module.path] = NondetSources(module.tree)
+            self._sources[module.path] = NondetSources(module)
             self._resolvers[module.path] = CallSiteResolver(self.graph, module)
-            for qualname, func in iter_defined_functions(module.tree):
+            for qualname, func in defined_functions(module):
                 key = f"{modname}.{qualname}"
                 self._functions[key] = (module, qualname, func)
                 self.summaries[key] = FunctionTaint(
@@ -171,7 +170,7 @@ class ProjectTaint:
                 seen.add(entry)
                 found.append(entry)
 
-        for node in walk_within_scope(func):
+        for node in module.index.scope(func):
             if isinstance(node, ast.Call):
                 site = sources.classify_call(node)
                 if site is not None and site.label in labels:
@@ -260,11 +259,12 @@ class ProjectTaint:
         for arg in _all_params(func):
             env[arg] = Taint.of(param_label(arg))
         analyzer = self._analyzer(module, qualname, env)
+        scope = module.index.scope(func)
         for _ in range(_ENV_PASSES):
-            if not analyzer.bind_pass(func):
+            if not analyzer.bind_pass(scope):
                 break
         returned = CLEAN
-        for node in walk_within_scope(func):
+        for node in scope:
             if isinstance(node, ast.Return) and node.value is not None:
                 returned = returned.join(analyzer.eval(node.value))
             elif isinstance(node, (ast.Yield, ast.YieldFrom)):
@@ -315,10 +315,10 @@ class _BodyAnalyzer:
     _changed: bool = field(default=False, repr=False)
 
     # -- environment construction ------------------------------------
-    def bind_pass(self, func: ast.AST) -> bool:
-        """One monotone pass binding targets; True if the env changed."""
+    def bind_pass(self, scope: tuple[ast.AST, ...]) -> bool:
+        """One monotone pass binding targets in ``scope``; True if the env changed."""
         self._changed = False
-        for node in walk_within_scope(func):
+        for node in scope:
             if isinstance(node, ast.Assign):
                 taint = self.eval(node.value)
                 for target in node.targets:
@@ -541,13 +541,6 @@ def project_taint(
     run; like :func:`~repro.analysis.callgraph.cached_callgraph`, the
     shared project context carries the cache.
     """
-    if context is None:
-        return ProjectTaint(modules)
-    token = tuple(id(module) for module in modules)
-    cached = getattr(context, "_taint_cache", None)
-    if cached is not None and cached[0] == token:
-        engine: ProjectTaint = cached[1]
-        return engine
-    engine = ProjectTaint(modules, context)
-    setattr(context, "_taint_cache", (token, engine))
-    return engine
+    return context_cached(
+        context, "_taint_cache", modules, lambda: ProjectTaint(modules, context)
+    )

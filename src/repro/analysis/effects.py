@@ -39,7 +39,6 @@ from repro.analysis.dataflow.taint import (
     RNG,
     SET_ORDER,
 )
-from repro.analysis.guards import walk_within_scope
 from repro.analysis.source import SourceModule
 
 __all__ = [
@@ -52,7 +51,7 @@ __all__ = [
     "SubmittedTask",
     "collect_rng_uses",
     "collect_artifact_writes",
-    "iter_defined_functions",
+    "defined_functions",
     "module_effects",
     "module_mutable_globals",
 ]
@@ -103,11 +102,11 @@ def _is_numpy_random(value: ast.expr, numpy_aliases: set[str]) -> bool:
     )
 
 
-def _collect_aliases(tree: ast.AST) -> tuple[_RngAliases, list[RngUse]]:
+def _collect_aliases(module: SourceModule) -> tuple[_RngAliases, list[RngUse]]:
     """Gather RNG-related import aliases plus findings for bad imports."""
     aliases = _RngAliases()
     uses: list[RngUse] = []
-    for node in ast.walk(tree):
+    for node in module.index.nodes:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.name == "random":
@@ -180,25 +179,31 @@ def _call_use(node: ast.AST, aliases: _RngAliases) -> RngUse | None:
     return None
 
 
-def collect_rng_uses(tree: ast.AST) -> list[RngUse]:
+def collect_rng_uses(module: SourceModule) -> list[RngUse]:
     """Every global-RNG use in one module, import sites first.
 
     This is R301's full detection pass; the rule turns each
     :class:`RngUse` into a finding verbatim.
     """
-    aliases, uses = _collect_aliases(tree)
-    for node in ast.walk(tree):
+    aliases, import_uses = module.derived(_collect_aliases)
+    uses = list(import_uses)
+    for node in module.index.nodes:
         use = _call_use(node, aliases)
         if use is not None:
             uses.append(use)
     return uses
 
 
-def iter_defined_functions(
-    tree: ast.AST,
-) -> Iterator[tuple[str, ast.FunctionDef | ast.AsyncFunctionDef]]:
+def defined_functions(
+    module: SourceModule,
+) -> tuple[tuple[str, ast.FunctionDef | ast.AsyncFunctionDef], ...]:
     """``(qualname, node)`` for every function/method defined in a module."""
+    return module.derived(_defined_functions)
 
+
+def _defined_functions(
+    module: SourceModule,
+) -> tuple[tuple[str, ast.FunctionDef | ast.AsyncFunctionDef], ...]:
     def walk(
         node: ast.AST, prefix: str
     ) -> Iterator[tuple[str, ast.FunctionDef | ast.AsyncFunctionDef]]:
@@ -212,7 +217,7 @@ def iter_defined_functions(
             else:
                 yield from walk(child, prefix)
 
-    yield from walk(tree, "")
+    return tuple(walk(module.tree, ""))
 
 
 def _callee_key(func: ast.expr) -> str | None:
@@ -258,12 +263,13 @@ def module_effects(module: SourceModule) -> dict[str, FunctionEffects]:
     summary covers only its own scope, so effects of an inner function
     are not attributed to the outer one — the call edge carries them.
     """
-    aliases, _import_uses = _collect_aliases(module.tree)
+    aliases, _import_uses = module.derived(_collect_aliases)
     mutable_globals = module_mutable_globals(module.tree)
     effects: dict[str, FunctionEffects] = {}
-    for qualname, func in iter_defined_functions(module.tree):
+    for qualname, func in defined_functions(module):
         summary = FunctionEffects(qualname=qualname, node=func)
-        for node in walk_within_scope(func):
+        scope = module.index.scope(func)
+        for node in scope:
             if isinstance(node, (ast.Global, ast.Nonlocal)):
                 summary.declares_global = True
             use = _call_use(node, aliases)
@@ -277,7 +283,7 @@ def module_effects(module: SourceModule) -> dict[str, FunctionEffects]:
                 if task is not None:
                     summary.submitted_tasks.append(task)
         summary.global_mutations = _collect_global_mutations(
-            func, mutable_globals
+            scope, mutable_globals
         )
         effects[qualname] = summary
     return effects
@@ -348,7 +354,7 @@ class NondetSources:
     graph's philosophy: every report traces to a real source site.
     """
 
-    def __init__(self, tree: ast.Module) -> None:
+    def __init__(self, module: SourceModule) -> None:
         self._time_aliases: set[str] = set()
         self._from_time: set[str] = set()
         self._datetime_aliases: set[str] = set()
@@ -356,7 +362,7 @@ class NondetSources:
         self._os_aliases: set[str] = set()
         self._from_os: set[str] = set()
         self._entropy_module_aliases: set[str] = set()
-        for node in ast.walk(tree):
+        for node in module.index.nodes:
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     local = alias.asname or alias.name.split(".", 1)[0]
@@ -529,7 +535,7 @@ _NUMPY_SAVERS = frozenset(
 )
 
 
-def collect_artifact_writes(tree: ast.AST) -> list[ArtifactWrite]:
+def collect_artifact_writes(module: SourceModule) -> list[ArtifactWrite]:
     """Every raw truncating write in a module, in source order.
 
     Flags ``open(path, "w"/"x"...)`` (truncate/create modes only —
@@ -544,9 +550,9 @@ def collect_artifact_writes(tree: ast.AST) -> list[ArtifactWrite]:
     serializing to memory and landing via ``atomic_write`` is exactly
     the sanctioned pattern, not a violation of it.
     """
-    buffers = _buffer_names(tree)
+    buffers = _buffer_names(module)
     writes: list[ArtifactWrite] = []
-    for node in ast.walk(tree):
+    for node in module.index.nodes:
         if not isinstance(node, ast.Call):
             continue
         func = node.func
@@ -586,10 +592,10 @@ def collect_artifact_writes(tree: ast.AST) -> list[ArtifactWrite]:
     return writes
 
 
-def _buffer_names(tree: ast.AST) -> set[str]:
+def _buffer_names(module: SourceModule) -> set[str]:
     """Names bound to ``BytesIO``/``StringIO`` calls anywhere in a module."""
     names: set[str] = set()
-    for node in ast.walk(tree):
+    for node in module.index.nodes:
         if not (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)):
             continue
         func = node.value.func
@@ -721,13 +727,13 @@ def _root_of(expr: ast.expr) -> ast.expr:
 
 
 def _collect_global_mutations(
-    func: ast.FunctionDef | ast.AsyncFunctionDef,
+    scope: tuple[ast.AST, ...],
     mutable_globals: set[str],
 ) -> list[GlobalMutation]:
-    """Mutations of module-level state within one function's own scope."""
+    """Mutations of module-level state within one function's own ``scope``."""
     declared_global: set[str] = set()
     local_bound: set[str] = set()
-    for node in walk_within_scope(func):
+    for node in scope:
         if isinstance(node, ast.Global):
             declared_global.update(node.names)
         elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
@@ -740,7 +746,7 @@ def _collect_global_mutations(
                 if isinstance(target, ast.Name):
                     local_bound.add(target.id)
 
-    lazy_guarded = _lazy_guarded_names(func)
+    lazy_guarded = _lazy_guarded_names(scope)
     mutations: list[GlobalMutation] = []
 
     def container_target(name: str) -> bool:
@@ -750,7 +756,7 @@ def _collect_global_mutations(
         # function *declared* it global, in which case writes go up).
         return name in declared_global or name not in local_bound
 
-    for node in walk_within_scope(func):
+    for node in scope:
         if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
             targets = (
                 node.targets
@@ -811,12 +817,10 @@ def _collect_global_mutations(
     return mutations
 
 
-def _lazy_guarded_names(
-    func: ast.FunctionDef | ast.AsyncFunctionDef,
-) -> set[str]:
+def _lazy_guarded_names(scope: tuple[ast.AST, ...]) -> set[str]:
     """Names assigned under an ``if NAME is None`` guard (lazy init)."""
     guarded: set[str] = set()
-    for node in walk_within_scope(func):
+    for node in scope:
         if not isinstance(node, ast.If):
             continue
         test = node.test

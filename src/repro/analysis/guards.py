@@ -27,13 +27,15 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
+from typing import Iterator
+
+from repro.analysis.source import _SCOPE_NODES, ModuleIndex
 
 __all__ = [
     "ScopeFacts",
     "CONTRACT_POSITIVE",
     "iter_scopes",
     "module_positive_constants",
-    "walk_within_scope",
 ]
 
 #: Expression texts the estimator contract guarantees to be positive:
@@ -56,8 +58,6 @@ _POSITIVE_CONSTANT_ATTRS = frozenset(
     {"math.e", "math.pi", "math.tau", "math.inf", "np.e", "np.pi", "numpy.e", "numpy.pi"}
 )
 
-_SCOPE_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
-
 
 def _call_name(func: ast.expr) -> str | None:
     if isinstance(func, ast.Name):
@@ -67,34 +67,18 @@ def _call_name(func: ast.expr) -> str | None:
     return None
 
 
-def _iter_scope_statements(node: ast.AST) -> list[ast.stmt]:
-    if isinstance(node, ast.Lambda):
-        return []
-    body = getattr(node, "body", [])
-    return list(body) if isinstance(body, list) else []
-
-
-def walk_within_scope(node: ast.AST):
-    """Yield descendants of ``node`` without entering nested scopes."""
-    stack: list[ast.AST] = list(ast.iter_child_nodes(node))
-    while stack:
-        child = stack.pop()
-        yield child
-        if not isinstance(child, _SCOPE_NODES):
-            stack.extend(ast.iter_child_nodes(child))
-
-
 @dataclass
 class ScopeFacts:
-    """Comparison and assignment facts for one scope."""
+    """Comparison and assignment facts for one scope of an indexed module."""
 
     node: ast.AST
+    index: ModuleIndex
     contract_positive: frozenset[str] = CONTRACT_POSITIVE
     compared: set[str] = field(default_factory=set)
     assignments: dict[str, list[ast.expr | None]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        for child in walk_within_scope(self.node):
+        for child in self.index.scope(self.node):
             if isinstance(child, ast.Compare):
                 self._note_compared(child.left)
                 for comparator in child.comparators:
@@ -292,12 +276,12 @@ def module_positive_constants(module_facts: ScopeFacts) -> frozenset[str]:
     return frozenset(positive)
 
 
-def iter_scopes(tree: ast.Module):
-    """Yield ``(scope_node, statements)`` for the module and every nested scope."""
-    pending: list[ast.AST] = [tree]
+def iter_scopes(index: ModuleIndex) -> Iterator[ast.AST]:
+    """Yield the module node and every nested scope node of an indexed tree."""
+    pending: list[ast.AST] = [index.tree]
     while pending:
         scope = pending.pop()
-        yield scope, _iter_scope_statements(scope)
-        for child in walk_within_scope(scope):
+        yield scope
+        for child in index.scope(scope):
             if isinstance(child, _SCOPE_NODES):
                 pending.append(child)

@@ -12,10 +12,13 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
+from typing import Callable, Sequence, TypeVar
 
 from repro.analysis.source import SourceModule
 
-__all__ = ["ClassFacts", "ProjectContext", "build_context"]
+__all__ = ["ClassFacts", "ProjectContext", "build_context", "context_cached"]
+
+_T = TypeVar("_T")
 
 #: Root of the estimator hierarchy (``repro.core.base``).
 ESTIMATOR_BASE = "DistinctValueEstimator"
@@ -95,7 +98,7 @@ def build_context(modules: list[SourceModule]) -> ProjectContext:
     """Scan every module once and derive the shared project facts."""
     context = ProjectContext()
     for module in modules:
-        for node in ast.walk(module.tree):
+        for node in module.index.nodes:
             if isinstance(node, ast.ClassDef):
                 bases = tuple(
                     name
@@ -145,3 +148,24 @@ def build_context(modules: list[SourceModule]) -> ProjectContext:
                 next_frontier.add(facts.name)
         frontier = next_frontier
     return context
+
+
+def context_cached(
+    context: object | None,
+    attribute: str,
+    modules: Sequence[SourceModule],
+    build: Callable[[], _T],
+) -> _T:
+    """``build()``, memoized on ``context`` for this exact module list.
+
+    Project rules that need the same whole-tree result in one lint run
+    share it through the :class:`ProjectContext`, which outlives them all.
+    """
+    if context is None:
+        return build()
+    token = tuple(id(module) for module in modules)
+    cached = getattr(context, attribute, None)
+    if cached is None or cached[0] != token:
+        cached = (token, build())
+        setattr(context, attribute, cached)
+    return cached[1]  # type: ignore[no-any-return]

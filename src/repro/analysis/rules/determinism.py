@@ -34,7 +34,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.analysis.callgraph import CallSiteResolver, module_name
+from repro.analysis.callgraph import CallSiteResolver
 from repro.analysis.dataflow.taint import (
     ORDER_LABELS,
     VALUE_LABELS,
@@ -43,8 +43,7 @@ from repro.analysis.dataflow.taint import (
 from repro.analysis.dataflow.taintflow import ProjectTaint, project_taint
 from repro.analysis.effects import _callee_key
 from repro.analysis.findings import Finding
-from repro.analysis.guards import walk_within_scope
-from repro.analysis.project import ProjectContext
+from repro.analysis.project import ProjectContext, context_cached
 from repro.analysis.rules.base import ProjectRule, register
 from repro.analysis.rules.numeric import _in_estimator_stack
 from repro.analysis.rules.purity import ESTIMATION_METHODS
@@ -83,17 +82,22 @@ def _is_estimation_method(key: str, context: ProjectContext) -> bool:
     )
 
 
-def _task_roots(
+#: An artifact write: module, function key, call, and its payload's taint.
+_PayloadWrite = tuple[SourceModule, str, ast.Call, Taint]
+
+
+def _taint_sinks(
     taint: ProjectTaint, modules: list[SourceModule]
-) -> dict[str, str]:
-    """Resolved worker-task functions → the submission site describing them."""
+) -> tuple[dict[str, str], list[_PayloadWrite]]:
+    """Worker-task roots (→ their submission site) and every artifact write."""
     roots: dict[str, str] = {}
+    writes: list[_PayloadWrite] = []
+    graph = taint.graph
     for module in modules:
-        modname = module_name(module.path)
-        resolver = CallSiteResolver(taint.graph, module)
-        for key, node in taint.graph.nodes.items():
-            if not key.startswith(modname + ".") or node.module is not module:
-                continue
+        resolver = CallSiteResolver(graph, module)
+        keys = graph.keys_of(module)
+        for key in keys:
+            node = graph.nodes[key]
             for task in node.effects.submitted_tasks:
                 if task.callee is None:
                     continue
@@ -103,7 +107,16 @@ def _task_roots(
                         f"submitted as a worker task at "
                         f"{module.path}:{task.line}"
                     )
-    return roots
+        for key in sorted(keys):
+            for call in module.index.scope(graph.nodes[key].effects.node):
+                if not isinstance(call, ast.Call):
+                    continue
+                payload = _payload_argument(call)
+                if payload is not None:
+                    writes.append(
+                        (module, key, call, taint.eval_argument(key, payload))
+                    )
+    return roots, writes
 
 
 class _TaintRule(ProjectRule):
@@ -120,7 +133,10 @@ class _TaintRule(ProjectRule):
         self, modules: list[SourceModule], context: ProjectContext
     ) -> Iterator[Finding]:
         taint = project_taint(modules, context)
-        roots = _task_roots(taint, modules)
+        # R1001 and R1002 share one resolution of task roots and writes.
+        roots, writes = context_cached(
+            context, "_taint_sinks_cache", modules, lambda: _taint_sinks(taint, modules)
+        )
         reported: set[tuple[str, int]] = set()
 
         for key in sorted(taint.summaries):
@@ -151,45 +167,30 @@ class _TaintRule(ProjectRule):
                 f"({self._evidence(taint, key, hit)}); {self.advice}",
             )
 
-        yield from self._artifact_payloads(taint, modules, reported)
+        yield from self._artifact_payloads(writes, reported)
 
     # -- artifact payload sinks ---------------------------------------
     def _artifact_payloads(
-        self,
-        taint: ProjectTaint,
-        modules: list[SourceModule],
-        reported: set[tuple[str, int]],
+        self, writes: list[_PayloadWrite], reported: set[tuple[str, int]]
     ) -> Iterator[Finding]:
-        for module in modules:
+        for module, key, call, taint in writes:
             if self._exempt(module):
                 continue
-            modname = module_name(module.path)
-            for key, node in sorted(taint.graph.nodes.items()):
-                if not key.startswith(modname + ".") or node.module is not module:
-                    continue
-                for call in walk_within_scope(node.effects.node):
-                    if not isinstance(call, ast.Call):
-                        continue
-                    payload = _payload_argument(call)
-                    if payload is None:
-                        continue
-                    hit = taint.eval_argument(key, payload).restricted(
-                        self.labels
-                    )
-                    if hit.is_clean:
-                        continue
-                    marker = (module.path, call.lineno)
-                    if marker in reported:
-                        continue
-                    reported.add(marker)
-                    target = _callee_key(call.func) or "write"
-                    yield self.finding(
-                        module,
-                        call.lineno,
-                        call.col_offset,
-                        f"{key} writes {hit.describe()}-tainted data to an "
-                        f"artifact via {target}(); {self.advice}",
-                    )
+            hit = taint.restricted(self.labels)
+            if hit.is_clean:
+                continue
+            marker = (module.path, call.lineno)
+            if marker in reported:
+                continue
+            reported.add(marker)
+            target = _callee_key(call.func) or "write"
+            yield self.finding(
+                module,
+                call.lineno,
+                call.col_offset,
+                f"{key} writes {hit.describe()}-tainted data to an "
+                f"artifact via {target}(); {self.advice}",
+            )
 
     # -- helpers -------------------------------------------------------
     def _exempt(self, module: SourceModule) -> bool:

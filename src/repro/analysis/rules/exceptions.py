@@ -113,7 +113,7 @@ class ExceptionHygiene(Rule):
     ) -> Iterator[Finding]:
         if not module.in_package("repro"):
             return
-        for node in ast.walk(module.tree):
+        for node in module.index.nodes:
             if not isinstance(node, ast.ExceptHandler):
                 continue
             if node.type is None:

@@ -37,7 +37,6 @@ from repro.analysis.dataflow.boundsflow import (
 )
 from repro.analysis.effects import _callee_key
 from repro.analysis.findings import Finding
-from repro.analysis.guards import walk_within_scope
 from repro.analysis.project import ProjectContext
 from repro.analysis.rules.base import ProjectRule, Rule, register
 from repro.analysis.rules.determinism import _payload_argument
@@ -136,7 +135,7 @@ class UnprovenNonzeroDivision(Rule):
         for analysis in intervals.function_analyses():
             if not analysis.contract:
                 continue
-            for node in walk_within_scope(analysis.node):
+            for node in module.index.scope(analysis.node):
                 if not (
                     isinstance(node, ast.BinOp)
                     and isinstance(node.op, (ast.Div, ast.FloorDiv, ast.Mod))
@@ -197,7 +196,7 @@ class FloatDomainViolation(Rule):
         if not _in_estimator_stack(module):
             return
         intervals = module_intervals(module)
-        for node in ast.walk(module.tree):
+        for node in module.index.nodes:
             if isinstance(node, ast.Call):
                 yield from self._check_call(module, node, intervals)
             elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
@@ -299,7 +298,7 @@ class ExpOverflowHazard(Rule):
         if not _in_estimator_stack(module):
             return
         intervals = module_intervals(module)
-        for node in ast.walk(module.tree):
+        for node in module.index.nodes:
             if not isinstance(node, ast.Call):
                 continue
             spec = _numeric_call(node)
@@ -403,8 +402,9 @@ class NanToSink(ProjectRule):
     ) -> Iterator[Finding]:
         intervals = module_intervals(module)
         for analysis in intervals.function_analyses():
-            sanitized = self._sanitized_names(analysis.node)
-            for node in walk_within_scope(analysis.node):
+            scope = module.index.scope(analysis.node)
+            sanitized = self._sanitized_names(scope)
+            for node in scope:
                 if not isinstance(node, ast.Call):
                     continue
                 payload = _payload_argument(node)
@@ -426,10 +426,10 @@ class NanToSink(ProjectRule):
                 )
 
     @staticmethod
-    def _sanitized_names(func: ast.AST) -> set[str]:
-        """Names mentioned inside a NaN check/sanitizer call in scope."""
+    def _sanitized_names(scope: tuple[ast.AST, ...]) -> set[str]:
+        """Names mentioned inside a NaN check/sanitizer call in ``scope``."""
         names: set[str] = set()
-        for node in walk_within_scope(func):
+        for node in scope:
             if not isinstance(node, ast.Call):
                 continue
             attr = (

@@ -64,7 +64,7 @@ def _is_exempt(module: SourceModule) -> bool:
     )
 
 
-def _logging_aliases(tree: ast.AST) -> tuple[set[str], set[str]]:
+def _logging_aliases(module: SourceModule) -> tuple[set[str], set[str]]:
     """Names bound to the ``logging`` module and to its emit functions.
 
     Returns ``(module_aliases, function_aliases)`` covering both
@@ -72,7 +72,7 @@ def _logging_aliases(tree: ast.AST) -> tuple[set[str], set[str]]:
     """
     modules: set[str] = set()
     functions: set[str] = set()
-    for node in ast.walk(tree):
+    for node in module.index.nodes:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.name == "logging":
@@ -119,8 +119,8 @@ class LoggingHygiene(Rule):
     ) -> Iterator[Finding]:
         if not module.in_package("repro") or _is_exempt(module):
             return
-        module_aliases, function_aliases = _logging_aliases(module.tree)
-        for node in ast.walk(module.tree):
+        module_aliases, function_aliases = _logging_aliases(module)
+        for node in module.index.nodes:
             if not isinstance(node, ast.Call):
                 continue
             func = node.func

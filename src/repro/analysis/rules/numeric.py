@@ -36,7 +36,6 @@ from repro.analysis.guards import (
     ScopeFacts,
     iter_scopes,
     module_positive_constants,
-    walk_within_scope,
 )
 from repro.analysis.project import ProjectContext
 from repro.analysis.rules.base import Rule, register
@@ -67,16 +66,13 @@ class _ScopedNumericRule(Rule):
         if not _in_estimator_stack(module):
             return
         intervals = module_intervals(module)
-        module_facts = ScopeFacts(module.tree)
+        index = module.index
+        module_facts = ScopeFacts(module.tree, index)
         positive = CONTRACT_POSITIVE | module_positive_constants(module_facts)
-        for scope, _statements in iter_scopes(module.tree):
-            facts = ScopeFacts(scope, contract_positive=positive)
-            for node in self._scope_nodes(scope):
+        for scope in iter_scopes(index):
+            facts = ScopeFacts(scope, index, contract_positive=positive)
+            for node in index.scope(scope):
                 yield from self._check_node(module, node, facts, intervals)
-
-    @staticmethod
-    def _scope_nodes(scope: ast.AST) -> Iterator[ast.AST]:
-        return walk_within_scope(scope)
 
     def _check_node(
         self,
@@ -264,7 +260,7 @@ class FloatEquality(Rule):
     def check(
         self, module: SourceModule, context: ProjectContext
     ) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
+        for node in module.index.nodes:
             if not isinstance(node, ast.Compare):
                 continue
             operators = node.ops

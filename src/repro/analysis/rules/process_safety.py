@@ -28,7 +28,6 @@ from repro.analysis.callgraph import (
     CallSiteResolver,
     ProjectCallGraph,
     cached_callgraph,
-    module_name,
 )
 from repro.analysis.effects import GlobalMutation, collect_artifact_writes
 from repro.analysis.findings import Finding
@@ -87,12 +86,9 @@ class WorkerSharedState(ProjectRule):
         graph = cached_callgraph(modules, context)
         roots: dict[str, tuple[SourceModule, int]] = {}
         for module in modules:
-            modname = module_name(module.path)
             resolver = CallSiteResolver(graph, module)
-            for key in sorted(graph.nodes):
+            for key in sorted(graph.keys_of(module)):
                 node = graph.nodes[key]
-                if not key.startswith(modname + ".") or node.module is not module:
-                    continue
                 for task in node.effects.submitted_tasks:
                     if isinstance(task.node, ast.Lambda):
                         yield self.finding(
@@ -204,7 +200,7 @@ class RawArtifactWrite(Rule):
     ) -> Iterator[Finding]:
         if module.in_package("repro", "resilience"):
             return  # the atomic/journal implementation layer itself
-        for write in collect_artifact_writes(module.tree):
+        for write in collect_artifact_writes(module):
             yield self.finding(
                 module,
                 write.line,

@@ -28,7 +28,6 @@ import ast
 from typing import Iterator
 
 from repro.analysis.findings import Finding
-from repro.analysis.guards import walk_within_scope
 from repro.analysis.project import ProjectContext
 from repro.analysis.rules.base import Rule, register
 from repro.analysis.source import SourceModule
@@ -113,7 +112,7 @@ class EstimatorPurity(Rule):
     def check(
         self, module: SourceModule, context: ProjectContext
     ) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
+        for node in module.index.nodes:
             if not isinstance(node, ast.ClassDef):
                 continue
             if node.name not in context.estimator_classes:
@@ -145,7 +144,7 @@ class EstimatorPurity(Rule):
         cls: ast.ClassDef,
         method: ast.FunctionDef | ast.AsyncFunctionDef,
     ) -> Iterator[Finding]:
-        for node in walk_within_scope(method):
+        for node in module.index.scope(method):
             if isinstance(node, (ast.Global, ast.Nonlocal)):
                 keyword = "global" if isinstance(node, ast.Global) else "nonlocal"
                 yield self.finding(
@@ -165,7 +164,7 @@ class EstimatorPurity(Rule):
         tainted: set[str],
     ) -> Iterator[Finding]:
         where = f"{cls.name}.{method.name}"
-        for node in walk_within_scope(method):
+        for node in module.index.scope(method):
             targets: list[ast.expr] = []
             if isinstance(node, ast.Assign):
                 targets = node.targets
@@ -233,7 +232,7 @@ class EstimatorPurity(Rule):
         cls: ast.ClassDef,
         method: ast.FunctionDef | ast.AsyncFunctionDef,
     ) -> Iterator[Finding]:
-        for node in ast.walk(method):
+        for node in module.index.walk(method):
             if isinstance(node, ast.Call):
                 func = node.func
                 name = (

@@ -70,5 +70,5 @@ class GlobalRandomState(Rule):
     ) -> Iterator[Finding]:
         if module.in_package("repro", "data"):
             return
-        for use in collect_rng_uses(module.tree):
+        for use in collect_rng_uses(module):
             yield self.finding(module, use.line, use.col, use.message)

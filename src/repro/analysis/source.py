@@ -13,6 +13,9 @@ Two forms are recognized::
 The line form silences the listed codes on its own line only; the file
 form silences them for the whole module.  ``disable=all`` silences every
 rule (use sparingly — generated files, vendored code).
+
+Each module also owns a :class:`ModuleIndex` of its tree's traversals,
+so one lint run walks each tree once, not once per rule.
 """
 
 from __future__ import annotations
@@ -22,9 +25,13 @@ import io
 import re
 import tokenize
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
+from typing import Callable, Iterator, TypeVar
 
-__all__ = ["SUPPRESS_ALL", "SourceModule", "SuppressionTable"]
+__all__ = ["SUPPRESS_ALL", "ModuleIndex", "SourceModule", "SuppressionTable"]
+
+_T = TypeVar("_T")
 
 _LINE_PRAGMA = re.compile(r"#\s*reprolint:\s*disable=([A-Za-z0-9_,\s]+)")
 _FILE_PRAGMA = re.compile(r"#\s*reprolint:\s*disable-file=([A-Za-z0-9_,\s]+)")
@@ -121,6 +128,52 @@ class SuppressionTable:
         return table
 
 
+_SCOPE_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def _walk_scope(node: ast.AST) -> Iterator[ast.AST]:
+    """Yield descendants of ``node`` without entering nested scopes."""
+    stack: list[ast.AST] = list(ast.iter_child_nodes(node))
+    while stack:
+        child = stack.pop()
+        yield child
+        if not isinstance(child, _SCOPE_NODES):
+            stack.extend(ast.iter_child_nodes(child))
+
+
+class ModuleIndex:
+    """The traversals of one module tree, each computed on first use.
+
+    Each is a tuple of the tree's own nodes in the exact order of the
+    walk it replaces, so passes that keep their first match are
+    unaffected.  The tree must not be mutated once it is indexed.
+    """
+
+    def __init__(self, tree: ast.Module) -> None:
+        self.tree = tree
+        #: Whole-module tables keyed by builder (:meth:`SourceModule.derived`).
+        self.tables: dict[Callable[..., object], object] = {}
+        self._walks: dict[ast.AST, tuple[ast.AST, ...]] = {}
+        self._scopes: dict[ast.AST, tuple[ast.AST, ...]] = {}
+
+    @cached_property
+    def nodes(self) -> tuple[ast.AST, ...]:
+        """Every node of the module in ``ast.walk`` (breadth-first) order."""
+        return tuple(ast.walk(self.tree))
+
+    def walk(self, function: ast.AST) -> tuple[ast.AST, ...]:
+        """``ast.walk(function)`` order, computed once per function node."""
+        if function not in self._walks:
+            self._walks[function] = tuple(ast.walk(function))
+        return self._walks[function]
+
+    def scope(self, node: ast.AST) -> tuple[ast.AST, ...]:
+        """The own-scope nodes of the module, a class, function or lambda."""
+        if node not in self._scopes:
+            self._scopes[node] = tuple(_walk_scope(node))
+        return self._scopes[node]
+
+
 @dataclass
 class SourceModule:
     """One parsed Python file, ready for rules to visit.
@@ -149,6 +202,18 @@ class SourceModule:
         """Parse a file from disk; raises ``SyntaxError`` on bad source."""
         text = Path(path).read_text(encoding="utf-8")
         return cls.from_source(text, path=str(path))
+
+    @cached_property
+    def index(self) -> ModuleIndex:
+        """This module's traversal index, built on first use."""
+        return ModuleIndex(self.tree)
+
+    def derived(self, build: Callable[[SourceModule], _T]) -> _T:
+        """``build(self)``, computed once and kept in this module's index."""
+        tables = self.index.tables
+        if build not in tables:
+            tables[build] = build(self)
+        return tables[build]  # type: ignore[return-value]
 
     def in_package(self, *parts: str) -> bool:
         """True when this module lives under the given package path.

@@ -24,7 +24,8 @@ consumers:
   decorator's wrapper evaluates on every call of the decorated
   function.  They are **off by default** (zero overhead beyond one flag
   check) and enabled under ``REPRO_CONTRACTS=1`` — which the test suite
-  and CI set — or via :func:`set_runtime_checks`.
+  and CI set — or via :func:`set_runtime_checks`.  The variable is read
+  at import and again by ``set_runtime_checks(None)``, never per call.
 
 Metadata is always attached (``__repro_contracts__``), so coverage gates
 can verify every public estimator carries a contract without enabling
@@ -71,7 +72,13 @@ _CLAUSE_GLOBALS: dict[str, Any] = {
 
 _NON_PARAMETER_NAMES = frozenset({"math"}) | frozenset(dir(builtins))
 
-_FORCED: bool | None = None
+
+def _env_enabled() -> bool:
+    return os.environ.get(ENV_FLAG, "") not in _DISABLED_VALUES
+
+
+#: The one flag every contract wrapper checks.
+_ENABLED = _env_enabled()
 
 
 class ContractViolationError(AssertionError):
@@ -80,15 +87,13 @@ class ContractViolationError(AssertionError):
 
 def runtime_checks_enabled() -> bool:
     """True when contract clauses are being evaluated on each call."""
-    if _FORCED is not None:
-        return _FORCED
-    return os.environ.get(ENV_FLAG, "") not in _DISABLED_VALUES
+    return _ENABLED
 
 
 def set_runtime_checks(enabled: bool | None) -> None:
-    """Force runtime checking on/off; ``None`` defers to ``REPRO_CONTRACTS``."""
-    global _FORCED
-    _FORCED = enabled
+    """Force runtime checking on/off; ``None`` re-reads ``REPRO_CONTRACTS``."""
+    global _ENABLED
+    _ENABLED = _env_enabled() if enabled is None else enabled
 
 
 def contract_clauses(func: Callable[..., Any]) -> dict[str, list[str]]:
@@ -184,7 +189,7 @@ def _contracted(func: F) -> F:
 
     @functools.wraps(func)
     def wrapper(*args: Any, **kwargs: Any) -> Any:
-        if not runtime_checks_enabled():
+        if not _ENABLED:
             return func(*args, **kwargs)
         bound = signature.bind(*args, **kwargs)
         bound.apply_defaults()

@@ -121,6 +121,31 @@ class TestRuntimeChecks:
         with pytest.raises(InvalidParameterError):
             requires()
 
+    def test_environment_is_read_on_reset_not_per_call(self, monkeypatch):
+        @requires("n >= 1")
+        def f(n):
+            return n
+
+        try:
+            monkeypatch.delenv("REPRO_CONTRACTS", raising=False)
+            set_runtime_checks(None)
+            assert not runtime_checks_enabled()
+            # A later change to the environment takes effect only when
+            # set_runtime_checks(None) re-reads it.
+            monkeypatch.setenv("REPRO_CONTRACTS", "1")
+            assert f(0) == 0
+            set_runtime_checks(None)
+            assert runtime_checks_enabled()
+            with pytest.raises(ContractViolationError):
+                f(0)
+            monkeypatch.delenv("REPRO_CONTRACTS")
+            set_runtime_checks(None)
+            assert not runtime_checks_enabled()
+            assert f(0) == 0
+        finally:
+            monkeypatch.undo()
+            set_runtime_checks(None)
+
 
 class TestMetadata:
     def test_contract_clauses_round_trip(self):
