@@ -102,8 +102,12 @@ class SuppressionTable:
 
         Tokenizing (rather than regex over raw lines) keeps pragma-like
         text inside string literals from being treated as a suppression.
+        A pragma needs the word ``reprolint``, so a module without it is
+        not tokenized at all.
         """
         table = cls()
+        if "reprolint" not in text:
+            return table
         try:
             tokens = tokenize.generate_tokens(io.StringIO(text).readline)
             for token in tokens:

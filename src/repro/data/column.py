@@ -15,7 +15,7 @@ size-only column has no :attr:`~Column.values`; asking for them raises.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 import numpy.typing as npt
@@ -23,15 +23,39 @@ import numpy.typing as npt
 from repro.errors import DataGenerationError, InvalidParameterError
 from repro.frequency.profile import FrequencyProfile
 
-__all__ = ["Column"]
+__all__ = ["Column", "SizeRuns"]
+
+
+class SizeRuns(NamedTuple):
+    """Classes laid out one after another, grouped into runs of equal size.
+
+    Run ``g`` holds the classes ``first_class[g]`` up to the next run's
+    first class, each of ``sizes[g]`` rows, and its rows start at
+    ``first_row[g]``.  Row ``p`` of the layout therefore belongs to the
+    class :meth:`classes` gives, the one
+    ``np.repeat(np.arange(D), class_sizes)[p]`` names.  A uniform sample
+    of row positions has the same class counts under any fixed layout,
+    so this stands in for the column's rows wherever only class
+    membership matters.
+    """
+
+    sizes: npt.NDArray[np.int64]
+    first_class: npt.NDArray[np.int64]
+    first_row: npt.NDArray[np.int64]
+
+    def classes(self, positions: npt.NDArray[np.int64]) -> npt.NDArray[np.int64]:
+        """The class of each row position (ascending for sorted positions)."""
+        run = np.searchsorted(self.first_row, positions, side="right") - 1
+        offset = positions - self.first_row[run]
+        return self.first_class[run] + offset // self.sizes[run]
 
 
 class Column:
     """A named column of values with cached ground-truth statistics.
 
     ``values`` may be omitted only when ``_class_sizes`` is given: the
-    column then holds its class sizes and no rows (see
-    :meth:`from_class_sizes`).
+    column then holds its class sizes, in ascending order, and no rows
+    (see :meth:`from_class_sizes`).
     """
 
     def __init__(
@@ -43,12 +67,15 @@ class Column:
         self.name = name
         self._class_sizes = _class_sizes
         self._population_profile: FrequencyProfile | None = None
-        self._class_layout: npt.NDArray[np.int32] | None = None
+        self._size_runs: SizeRuns | None = None
         self._values: npt.NDArray[Any] | None = None
         if values is None:
-            sizes = np.asarray(_class_sizes)
+            if _class_sizes is None:
+                raise DataGenerationError("a column needs its values or class sizes")
+            sizes = np.sort(np.asarray(_class_sizes, dtype=np.int64))
             if sizes.ndim != 1 or sizes.size == 0 or not (sizes > 0).all():
                 raise DataGenerationError("class sizes must be positive and non-empty")
+            self._class_sizes = sizes
             self._n_rows = int(sizes.sum())
             return
         array = np.asarray(values)
@@ -64,7 +91,7 @@ class Column:
     @classmethod
     def from_class_sizes(cls, class_sizes: npt.ArrayLike, name: str) -> Column:
         """A column that holds only its class sizes: no rows, no random stream."""
-        return cls(name, _class_sizes=np.sort(np.asarray(class_sizes, dtype=np.int64)))
+        return cls(name, _class_sizes=np.asarray(class_sizes, dtype=np.int64))
 
     @property
     def size_only(self) -> bool:
@@ -99,20 +126,24 @@ class Column:
         """The exact number of distinct values ``D``."""
         return int(self.class_sizes.size)
 
-    def class_layout(self) -> npt.NDArray[np.int32]:
-        """Class id of every row, classes laid out one after another.
+    def size_runs(self) -> SizeRuns:
+        """The column's classes in runs of equal size, built once.
 
-        ``np.repeat(np.arange(D), class_sizes)``, built once and never
-        shuffled: a uniform sample of row positions has the same law
-        under any fixed layout, so this stands in for the column's rows
-        wherever only class membership matters.
+        On a size-only column the sizes ascend, so there is one run per
+        distinct size: a handful of entries where the class layout
+        ``np.repeat(np.arange(D), class_sizes)`` would take ``n``.
         """
-        if self._class_layout is None:
+        if self._size_runs is None:
             sizes = self.class_sizes
-            self._class_layout = np.repeat(
-                np.arange(sizes.size, dtype=np.int32), sizes
+            first_class = np.flatnonzero(np.diff(sizes, prepend=0))
+            run_sizes = sizes[first_class]
+            rows = run_sizes * np.diff(first_class, append=sizes.size)
+            self._size_runs = SizeRuns(
+                sizes=run_sizes,
+                first_class=first_class,
+                first_row=np.cumsum(rows) - rows,
             )
-        return self._class_layout
+        return self._size_runs
 
     def population_profile(self) -> FrequencyProfile:
         """Frequency profile of the *entire* column (ground truth spectrum).

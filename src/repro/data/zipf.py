@@ -31,19 +31,29 @@ from repro.obs.recorder import OBS
 __all__ = ["zipf_class_sizes", "zipf_column", "shuffled_from_class_sizes"]
 
 
-def _sizes_for_scale(scale: float, z: float, max_classes: int) -> np.ndarray:
-    """Rounded class sizes ``round(scale / i^z)`` for ranks with >= 1 row."""
-    if scale <= 0.0:
-        return np.zeros(0, dtype=np.int64)
+def _rank_limit(scale: float, z: float, max_classes: int) -> int:
+    """The last rank ``round(scale / i^z)`` can give a row, at most ``max_classes``."""
     # Ranks beyond (2*scale)^(1/z) round to zero rows; computed in log
     # space so tiny z cannot overflow the power.
     if z > 0 and z * np.log(max_classes + 1.0) > np.log(max(2.0 * scale, 1e-300)):
         rank_limit = int(np.floor((2.0 * scale) ** (1.0 / z)))
     else:
         rank_limit = max_classes
-    rank_limit = max(1, min(rank_limit, max_classes))
-    ranks = np.arange(1, rank_limit + 1, dtype=np.float64)
-    sizes = np.round(scale / ranks**z).astype(np.int64)
+    return max(1, min(rank_limit, max_classes))
+
+
+def _sizes_for_scale(
+    scale: float, z: float, max_classes: int, powers: np.ndarray
+) -> np.ndarray:
+    """Rounded class sizes ``round(scale / i^z)`` for ranks with >= 1 row.
+
+    ``powers`` holds ``i^z`` for ranks ``1, 2, ...`` up to at least the
+    rank limit of ``scale``.
+    """
+    if scale <= 0.0:
+        return np.zeros(0, dtype=np.int64)
+    rank_limit = _rank_limit(scale, z, max_classes)
+    sizes = np.round(scale / powers[:rank_limit]).astype(np.int64)
     return sizes[sizes > 0]
 
 
@@ -51,10 +61,11 @@ def zipf_class_sizes(total_rows: int, z: float) -> np.ndarray:
     """Class sizes (descending) of a generalized Zipfian column.
 
     The scale solve (a 64-iteration binary search over O(D)-sized
-    arrays) is deterministic, so repeated ``(total_rows, z)`` requests —
-    a sweep regenerating the same column spec per grid point, or the
-    error and variance exhibits of one workload — hit an in-process
-    memo; callers always receive a fresh, writable copy.
+    arrays, with the powers ``i^z`` computed once) is deterministic, so
+    repeated ``(total_rows, z)`` requests — a sweep regenerating the
+    same column spec per grid point, or the error and variance exhibits
+    of one workload — hit an in-process memo; callers always receive a
+    fresh, writable copy.
 
     Parameters
     ----------
@@ -80,17 +91,19 @@ def zipf_class_sizes(total_rows: int, z: float) -> np.ndarray:
 def _solved_class_sizes(total_rows: int, z: float) -> np.ndarray:
     """The (cached, read-only) scale solve behind :func:`zipf_class_sizes`."""
     # Binary-search the scale C so that sum_i round(C / i^z) ~ total_rows.
+    # C = total_rows already covers it (rank 1 alone gets every row), and
+    # the rank limit grows with C, so the powers i^z up to that scale's
+    # limit serve every step.
     lo, hi = 0.0, float(total_rows)
-    while _sizes_for_scale(hi, z, total_rows).sum() < total_rows:
-        lo = hi
-        hi *= 2.0
+    ranks = np.arange(1, _rank_limit(hi, z, total_rows) + 1, dtype=np.float64)
+    powers = ranks**z
     for _ in range(64):
         mid = (lo + hi) / 2.0
-        if _sizes_for_scale(mid, z, total_rows).sum() < total_rows:
+        if _sizes_for_scale(mid, z, total_rows, powers).sum() < total_rows:
             lo = mid
         else:
             hi = mid
-    sizes = _sizes_for_scale(hi, z, total_rows)
+    sizes = _sizes_for_scale(hi, z, total_rows, powers)
     # Absorb the rounding residual into the head class.
     residual = int(total_rows - sizes.sum())
     if residual != 0:

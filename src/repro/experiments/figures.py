@@ -181,28 +181,29 @@ def _column_sweep(
     again: estimators are pure functions of the shared trial profiles,
     so leaving some out changes no byte of the others' summaries.
     """
-    frozen = tuple((spec, tuple(samplings)) for spec, samplings in grid)
-    evaluated: dict[tuple[str, ...], Sequence[EvaluationResult]] = executor.memoized(
-        ("column sweep", frozen, runs, seed), dict
-    )
-    names = [e.name for e in make_estimators(estimators)]
-    for cached in evaluated.values():
-        if cached and set(names) <= set(cached[0].summaries):
-            return [
-                replace(result, summaries={name: result[name] for name in names})
-                for result in cached
-            ]
-    results = executor.run_sweep(
-        _evaluate_point,
-        [
-            _EvalTask(spec, tuple(estimators), runs, fraction=fraction, size=size)
-            for spec, samplings in frozen
-            for fraction, size in samplings
-        ],
-        seed=seed,
-    )
-    evaluated[tuple(estimators)] = results
-    return results
+    with OBS.span("sweep.grid"):
+        frozen = tuple((spec, tuple(samplings)) for spec, samplings in grid)
+        evaluated: dict[tuple[str, ...], Sequence[EvaluationResult]] = (
+            executor.memoized(("column sweep", frozen, runs, seed), dict)
+        )
+        names = [e.name for e in make_estimators(estimators)]
+        for cached in evaluated.values():
+            if cached and set(names) <= set(cached[0].summaries):
+                return [
+                    replace(result, summaries={name: result[name] for name in names})
+                    for result in cached
+                ]
+        results = executor.run_sweep(
+            _evaluate_point,
+            [
+                _EvalTask(spec, tuple(estimators), runs, fraction=fraction, size=size)
+                for spec, samplings in frozen
+                for fraction, size in samplings
+            ],
+            seed=seed,
+        )
+        evaluated[tuple(estimators)] = results
+        return results
 
 
 @dataclass(frozen=True)
@@ -283,17 +284,18 @@ def _dataset_sweep(
 ) -> Sequence[_DatasetOutcome]:
     """One surrogate dataset evaluated at every fraction, memoized per process."""
     scale_ppm = _scale_ppm()
-    return executor.memoized(
-        ("dataset sweep", dataset_name, scale_ppm, fractions, estimators, runs, seed),
-        lambda: executor.run_sweep(
-            _evaluate_dataset_point,
-            [
-                _DatasetTask(dataset_name, scale_ppm, estimators, runs, f)
-                for f in fractions
-            ],
-            seed=seed,
-        ),
-    )
+    with OBS.span("sweep.grid"):
+        return executor.memoized(
+            ("dataset sweep", dataset_name, scale_ppm, fractions, estimators, runs, seed),
+            lambda: executor.run_sweep(
+                _evaluate_dataset_point,
+                [
+                    _DatasetTask(dataset_name, scale_ppm, estimators, runs, f)
+                    for f in fractions
+                ],
+                seed=seed,
+            ),
+        )
 
 
 # ----------------------------------------------------------------------
@@ -319,20 +321,21 @@ def error_vs_sampling_rate(
         [(_ColumnSpec(_KIND_ZIPF, n, z, duplication), [(f, None) for f in fractions])],
         estimators, _trials(trials), seed,
     )
-    distinct = results[0].true_distinct if results else 0
-    label = "mean ratio error" if metric == "error" else "stddev / D"
-    table = SeriesTable(
-        title=(
-            f"{label} vs sampling rate "
-            f"(Z={z:g}, dup={duplication}, n={n:,}, D={distinct:,})"
-        ),
-        x_name="rate",
-        x_values=[f"{f:.1%}" for f in fractions],
-    )
-    for name in _series_names(results, estimators):
-        table.add_series(
-            name, [_metric_value(result[name], metric) for result in results]
+    with OBS.span("report.table"):
+        distinct = results[0].true_distinct if results else 0
+        label = "mean ratio error" if metric == "error" else "stddev / D"
+        table = SeriesTable(
+            title=(
+                f"{label} vs sampling rate "
+                f"(Z={z:g}, dup={duplication}, n={n:,}, D={distinct:,})"
+            ),
+            x_name="rate",
+            x_values=[f"{f:.1%}" for f in fractions],
         )
+        for name in _series_names(results, estimators):
+            table.add_series(
+                name, [_metric_value(result[name], metric) for result in results]
+            )
     return table
 
 
@@ -360,16 +363,17 @@ def error_vs_skew(
         [(_ColumnSpec(_KIND_ZIPF, n, z, duplication), [(fraction, None)]) for z in skews],
         estimators, _trials(trials), seed,
     )
-    table = SeriesTable(
-        title=(
-            f"mean ratio error vs skew "
-            f"(rate={fraction:.1%}, dup={duplication}, n={n:,})"
-        ),
-        x_name="Z",
-        x_values=[f"{z:g}" for z in skews],
-    )
-    for name in _series_names(results, estimators):
-        table.add_series(name, [result[name].mean_ratio_error for result in results])
+    with OBS.span("report.table"):
+        table = SeriesTable(
+            title=(
+                f"mean ratio error vs skew "
+                f"(rate={fraction:.1%}, dup={duplication}, n={n:,})"
+            ),
+            x_name="Z",
+            x_values=[f"{z:g}" for z in skews],
+        )
+        for name in _series_names(results, estimators):
+            table.add_series(name, [result[name].mean_ratio_error for result in results])
     return table
 
 
@@ -396,13 +400,14 @@ def error_vs_duplication(
         ],
         estimators, _trials(trials), seed,
     )
-    table = SeriesTable(
-        title=f"mean ratio error vs duplication (rate={fraction:.1%}, Z={z:g})",
-        x_name="dup",
-        x_values=[str(dup) for dup in duplications],
-    )
-    for name in _series_names(results, estimators):
-        table.add_series(name, [result[name].mean_ratio_error for result in results])
+    with OBS.span("report.table"):
+        table = SeriesTable(
+            title=f"mean ratio error vs duplication (rate={fraction:.1%}, Z={z:g})",
+            x_name="dup",
+            x_values=[str(dup) for dup in duplications],
+        )
+        for name in _series_names(results, estimators):
+            table.add_series(name, [result[name].mean_ratio_error for result in results])
     return table
 
 
@@ -426,19 +431,20 @@ def gee_interval_table(
         [(_ColumnSpec(_KIND_ZIPF, n, z, duplication), [(f, None) for f in fractions])],
         ("GEE",), _trials(trials), seed,
     )
-    table = SeriesTable(
-        title=(
-            f"GEE error guarantee (Z={z:g}, dup={duplication}, n={n:,})"
-        ),
-        x_name="rate",
-        x_values=[f"{f:.1%}" for f in fractions],
-        notes="ACTUAL must always lie within [LOWER, UPPER]",
-    )
-    summaries = [result["GEE"] for result in results]
-    table.add_series("ACTUAL", [float(result.true_distinct) for result in results])
-    table.add_series("LOWER", [summary.mean_lower for summary in summaries])
-    table.add_series("UPPER", [summary.mean_upper for summary in summaries])
-    table.add_series("GEE", [summary.mean_estimate for summary in summaries])
+    with OBS.span("report.table"):
+        table = SeriesTable(
+            title=(
+                f"GEE error guarantee (Z={z:g}, dup={duplication}, n={n:,})"
+            ),
+            x_name="rate",
+            x_values=[f"{f:.1%}" for f in fractions],
+            notes="ACTUAL must always lie within [LOWER, UPPER]",
+        )
+        summaries = [result["GEE"] for result in results]
+        table.add_series("ACTUAL", [float(result.true_distinct) for result in results])
+        table.add_series("LOWER", [summary.mean_lower for summary in summaries])
+        table.add_series("UPPER", [summary.mean_upper for summary in summaries])
+        table.add_series("GEE", [summary.mean_estimate for summary in summaries])
     return table
 
 
@@ -468,16 +474,17 @@ def scaleup_bounded(
         ],
         estimators, _trials(trials), seed,
     )
-    table = SeriesTable(
-        title=(
-            f"bounded-domain scaleup (Z={z:g}, base={base_rows}, "
-            f"sample={sample_size:,} rows fixed)"
-        ),
-        x_name="n",
-        x_values=[f"{n:,}" for n in row_counts],
-    )
-    for name in _series_names(results, estimators):
-        table.add_series(name, [result[name].mean_ratio_error for result in results])
+    with OBS.span("report.table"):
+        table = SeriesTable(
+            title=(
+                f"bounded-domain scaleup (Z={z:g}, base={base_rows}, "
+                f"sample={sample_size:,} rows fixed)"
+            ),
+            x_name="n",
+            x_values=[f"{n:,}" for n in row_counts],
+        )
+        for name in _series_names(results, estimators):
+            table.add_series(name, [result[name].mean_ratio_error for result in results])
     return table
 
 
@@ -505,16 +512,17 @@ def scaleup_unbounded(
         ],
         estimators, _trials(trials), seed,
     )
-    table = SeriesTable(
-        title=(
-            f"unbounded-domain scaleup (Z={z:g}, dup={duplication}, "
-            f"rate={fraction:.1%})"
-        ),
-        x_name="n",
-        x_values=[f"{n:,}" for n in row_counts],
-    )
-    for name in _series_names(results, estimators):
-        table.add_series(name, [result[name].mean_ratio_error for result in results])
+    with OBS.span("report.table"):
+        table = SeriesTable(
+            title=(
+                f"unbounded-domain scaleup (Z={z:g}, dup={duplication}, "
+                f"rate={fraction:.1%})"
+            ),
+            x_name="n",
+            x_values=[f"{n:,}" for n in row_counts],
+        )
+        for name in _series_names(results, estimators):
+            table.add_series(name, [result[name].mean_ratio_error for result in results])
     return table
 
 
@@ -554,17 +562,18 @@ def real_dataset_metric(
         names = [e.name for e in make_estimators(estimators)]
         n_columns, n_rows_label = len(shared), shared.n_rows
         dataset_label = shared.name
-    label = "mean ratio error" if metric == "error" else "stddev / D"
-    table = SeriesTable(
-        title=(
-            f"{label} over all {n_columns} columns of {dataset_label} "
-            f"(n={n_rows_label:,})"
-        ),
-        x_name="rate",
-        x_values=[f"{f:.1%}" for f in fractions],
-    )
-    for name in names:
-        table.add_series(name, [outcome.means[metric][name] for outcome in outcomes])
+    with OBS.span("report.table"):
+        label = "mean ratio error" if metric == "error" else "stddev / D"
+        table = SeriesTable(
+            title=(
+                f"{label} over all {n_columns} columns of {dataset_label} "
+                f"(n={n_rows_label:,})"
+            ),
+            x_name="rate",
+            x_values=[f"{f:.1%}" for f in fractions],
+        )
+        for name in names:
+            table.add_series(name, [outcome.means[metric][name] for outcome in outcomes])
     return table
 
 

@@ -30,7 +30,6 @@ from repro.data.column import Column
 from repro.errors import InvalidParameterError
 from repro.frequency.profile import FrequencyProfile
 from repro.sampling.base import RowSampler
-from repro.sampling.batch import profiles_from_samples
 
 __all__ = [
     "UniformWithoutReplacement",
@@ -100,8 +99,10 @@ class UniformWithoutReplacement(RowSampler):
         row (``_ROWS_PER_CLASS * D <= r``) the draw is one
         hypergeometric per class (``method="marginals"``, O(D) per
         trial).  Otherwise it draws ``r`` row positions, as a row sample
-        would, and maps them to classes through the column's unshuffled
-        :meth:`~repro.data.column.Column.class_layout` (O(r) per trial).
+        would, sorts them and maps them to classes through the column's
+        :meth:`~repro.data.column.Column.size_runs` (O(r log r) per
+        trial); the sorted class ids run class by class, so the run
+        lengths are the counts.
         """
         sizes = column.class_sizes
         if _ROWS_PER_CLASS * sizes.size <= r:
@@ -109,13 +110,13 @@ class UniformWithoutReplacement(RowSampler):
                 _profile_of_counts(rng.multivariate_hypergeometric(sizes, r))
                 for _ in range(trials)
             ]
-        layout = column.class_layout()
-        return "index", profiles_from_samples(
-            [
-                layout[rng.choice(layout.size, size=r, replace=False)]
-                for _ in range(trials)
-            ]
-        )
+        runs = column.size_runs()
+        profiles: list[FrequencyProfile] = []
+        for _ in range(trials):
+            positions = np.sort(rng.choice(column.n_rows, size=r, replace=False))
+            starts = np.flatnonzero(np.diff(runs.classes(positions), prepend=-1))
+            profiles.append(_profile_of_counts(np.diff(starts, append=r)))
+        return "index", profiles
 
 
 class UniformWithReplacement(RowSampler):

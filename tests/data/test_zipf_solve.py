@@ -1,0 +1,76 @@
+"""The Zipf scale solve returns the sizes it returned before, bit for bit.
+
+The solve computes the rank powers ``i^z`` once and slices them at each
+bisection step.  The oracle below is the solve as it was before, which
+recomputed the powers at every step.  Every sweep column's sizes, and
+through them the sweep goldens and the stability digest, rest on these
+sizes, so any difference fails here first.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro.data import zipf
+from repro.experiments.figures import _KIND_BOUNDED
+
+from tests.experiments.sweep_inputs import sweep_inputs
+
+
+def _oracle_sizes_for_scale(scale: float, z: float, max_classes: int) -> np.ndarray:
+    if scale <= 0.0:
+        return np.zeros(0, dtype=np.int64)
+    if z > 0 and z * np.log(max_classes + 1.0) > np.log(max(2.0 * scale, 1e-300)):
+        rank_limit = int(np.floor((2.0 * scale) ** (1.0 / z)))
+    else:
+        rank_limit = max_classes
+    rank_limit = max(1, min(rank_limit, max_classes))
+    ranks = np.arange(1, rank_limit + 1, dtype=np.float64)
+    sizes = np.round(scale / ranks**z).astype(np.int64)
+    return sizes[sizes > 0]
+
+
+def _oracle_solve(total_rows: int, z: float) -> np.ndarray:
+    lo, hi = 0.0, float(total_rows)
+    while _oracle_sizes_for_scale(hi, z, total_rows).sum() < total_rows:
+        lo = hi
+        hi *= 2.0
+    for _ in range(64):
+        mid = (lo + hi) / 2.0
+        if _oracle_sizes_for_scale(mid, z, total_rows).sum() < total_rows:
+            lo = mid
+        else:
+            hi = mid
+    sizes = _oracle_sizes_for_scale(hi, z, total_rows)
+    residual = int(total_rows - sizes.sum())
+    if residual != 0:
+        sizes = sizes.copy()
+        sizes[0] += residual
+    return np.ascontiguousarray(np.sort(sizes)[::-1])
+
+
+def _assert_same_solve(total_rows: int, z: float) -> None:
+    solved = zipf._solved_class_sizes.__wrapped__(total_rows, z)
+    expected = _oracle_solve(total_rows, z)
+    assert solved.dtype == expected.dtype
+    assert solved.tobytes() == expected.tobytes(), (total_rows, z)
+
+
+@pytest.mark.parametrize("scale", [1, 20], ids=["paper", "smoke"])
+def test_every_sweep_column_gets_the_same_sizes(monkeypatch, scale):
+    specs, _ = sweep_inputs(monkeypatch, scale)
+    solves = {
+        (spec.factor if spec.kind == _KIND_BOUNDED else spec.n_rows // spec.factor, spec.z)
+        for spec in specs
+        if spec.z > 0
+    }
+    assert len(solves) >= 8
+    for total_rows, z in sorted(solves):
+        _assert_same_solve(total_rows, z)
+
+
+@pytest.mark.parametrize("z", [0.05, 0.3, 0.5, 0.8, 1.0, 1.3, 2.0, 2.7, 3.0, 4.0, 7.5])
+@pytest.mark.parametrize("total_rows", [1, 2, 3, 10, 99, 1000, 4321, 10_000, 77_777])
+def test_a_grid_of_solves_gets_the_same_sizes(total_rows, z):
+    _assert_same_solve(total_rows, z)

@@ -16,12 +16,15 @@ and reading one must draw no samples.
 from __future__ import annotations
 
 import hashlib
+import sys
 
+import numpy as np
 import pytest
 
 from repro.experiments import EXPERIMENTS, executor, figures, run_experiment
 from repro.experiments.executor import clear_memo
 from repro.obs import OBS, attributed_fraction, build_tree
+from repro.sampling import batch
 
 GOLDEN_SHA256 = {
     "fig1": "4c88826b912ad3300e6c3fa980c74cd5f7cb0465441f6982e39c920749823f38",
@@ -174,6 +177,67 @@ def test_a_sweep_samples_without_laying_out_rows(smoke_scale, exhibit_id):
         "sample.path.index", 0
     )
     assert paths == counters["sample.trials"]
+
+
+def _arrays(value, seen=None):
+    """Every numpy array reachable from ``value``'s attributes and items."""
+    seen = set() if seen is None else seen
+    if id(value) in seen:
+        return
+    seen.add(id(value))
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _arrays(item, seen)
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from _arrays(item, seen)
+    elif hasattr(value, "__dict__"):
+        yield from _arrays(vars(value), seen)
+
+
+@pytest.mark.parametrize("exhibit_id", SWEEP_EXHIBITS)
+def test_a_sweep_draws_trial_by_trial_and_holds_no_row_array(
+    smoke_scale, monkeypatch, exhibit_id
+):
+    # The count-domain index path reads each trial's profile off its own
+    # sorted draw: no sweep reduces trials in a batch, and no sweep
+    # column keeps an array as long as its rows (a class layout).
+    batched = []
+    original = batch.profiles_from_samples
+
+    def spy(samples):
+        batched.append(len(samples))
+        return original(samples)
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] != "repro":
+            continue
+        if getattr(module, "profiles_from_samples", None) is original:
+            monkeypatch.setattr(module, "profiles_from_samples", spy)
+    built = []
+    build_column = figures._build_column_traced
+    build_dataset = figures._build_dataset_traced
+
+    def spy_column(spec):
+        built.append(build_column(spec))
+        return built[-1]
+
+    def spy_dataset(name, scale_ppm):
+        dataset = build_dataset(name, scale_ppm)
+        built.extend(dataset)
+        return dataset
+
+    monkeypatch.setattr(figures, "_build_column_traced", spy_column)
+    monkeypatch.setattr(figures, "_build_dataset_traced", spy_dataset)
+    _csv(exhibit_id)
+    assert batched == []
+    assert built
+    for column in built:
+        assert column.size_only
+        longest = max(array.size for array in _arrays(column))
+        assert longest <= column.distinct_count, column.name
 
 
 def _attributed(exhibit_id: str) -> float:

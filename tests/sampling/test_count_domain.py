@@ -46,7 +46,10 @@ from repro.sampling import (
     Reservoir,
     UniformWithoutReplacement,
     UniformWithReplacement,
+    profiles_from_samples,
 )
+
+from tests.experiments.sweep_inputs import sweep_inputs
 
 #: Smallest p-value a seeded goodness-of-fit test may report.
 P_FLOOR = 1e-3
@@ -154,6 +157,44 @@ def test_joint_law_of_d_f1_f2_matches_the_row_sampler(r):
     assert chi_squared_p_value(statistic, len(exp) - 1) >= P_FLOOR
 
 
+def _class_layout(column: Column) -> np.ndarray:
+    """Class id of every row, classes laid out one after another."""
+    return np.repeat(np.arange(column.distinct_count), column.class_sizes)
+
+
+def _layout_gather(column, r, rng, trials):
+    """The index path before the size-run table: a gather, reduced in one batch."""
+    layout = _class_layout(column).astype(np.int32)
+    return profiles_from_samples(
+        [layout[rng.choice(layout.size, size=r, replace=False)] for _ in range(trials)]
+    )
+
+
+#: ``(class sizes, r)`` on the index path (``r < 2*D``).
+INDEX_CASES = {
+    "all-sizes-equal": (np.full(400, 7), 300),
+    "all-sizes-distinct": (np.arange(1, 301), 500),
+    "one-row-classes": (np.concatenate([np.ones(500, dtype=int), [60, 9, 9]]), 400),
+    "all-one-row": (np.ones(800, dtype=int), 640),
+    "r=1": (distinct_class_sizes(5000, 700, z=1.2), 1),
+    "r=2D-1": (np.random.default_rng(4).integers(1, 6, size=200), 399),
+}
+
+
+@pytest.mark.parametrize("sizes, r", INDEX_CASES.values(), ids=list(INDEX_CASES))
+def test_index_path_returns_the_layout_gathers_profiles(sizes, r):
+    column = Column.from_class_sizes(sizes, name="index")
+    assert 2 * column.distinct_count > r
+    for seed in range(3):
+        expected = _layout_gather(column, r, np.random.default_rng(seed), 6)
+        drawn = UniformWithoutReplacement().profile_batch(
+            column, np.random.default_rng(seed), 6, size=r
+        )
+        assert [list(p.counts.items()) for p in drawn] == [
+            list(p.counts.items()) for p in expected
+        ]
+
+
 class TestSizeOnlyColumn:
     SIZES = np.array([7, 1, 3, 3, 12, 1, 2])
 
@@ -176,14 +217,24 @@ class TestSizeOnlyColumn:
         with pytest.raises(DataGenerationError):
             Column.from_class_sizes(np.array(sizes, dtype=np.int64), name="s")
 
-    def test_class_layout_is_unshuffled_and_built_once(self):
-        sized = Column.from_class_sizes(self.SIZES, name="s")
-        layout = sized.class_layout()
-        assert layout.dtype == np.int32
-        assert layout.tolist() == np.repeat(
-            np.arange(self.SIZES.size), np.sort(self.SIZES)
-        ).tolist()
-        assert sized.class_layout() is layout
+    def test_size_runs_map_rows_like_the_class_layout(self):
+        gen = np.random.default_rng(11)
+        cases = [self.SIZES] + [
+            gen.integers(1, 9, size=gen.integers(1, 60)) for _ in range(50)
+        ]
+        for sizes in cases:
+            sized = Column.from_class_sizes(sizes, name="s")
+            runs = sized.size_runs()
+            assert np.array_equal(
+                runs.classes(np.arange(sized.n_rows)), _class_layout(sized)
+            )
+            assert runs.sizes.tolist() == np.unique(sizes).tolist()
+            assert sized.size_runs() is runs
+
+    def test_a_size_only_column_holds_its_sizes_ascending(self):
+        direct = Column("s", _class_sizes=self.SIZES)
+        assert direct.class_sizes.tolist() == sorted(self.SIZES.tolist())
+        assert direct.size_runs().sizes.tolist() == [1, 2, 3, 7, 12]
 
     @pytest.mark.parametrize("r", [4, 14, 29], ids=["index", "hypergeometric", "all"])
     def test_profile_batch_returns_a_list_of_size_r(self, r):
@@ -262,6 +313,23 @@ class TestSweepInputs:
         for a, b in zip(sized, built):
             assert a.size_only
             assert a.class_sizes.tolist() == b.class_sizes.tolist()
+
+    def test_size_runs_map_every_sweep_column_like_its_class_layout(
+        self, monkeypatch
+    ):
+        specs, datasets = sweep_inputs(monkeypatch, scale=20)
+        columns = [spec.build() for spec in specs] + [
+            column
+            for name, scale in datasets
+            for column in class_size_dataset(name, scale=scale)
+        ]
+        assert len(columns) > 60
+        for column in columns:
+            runs = column.size_runs()
+            assert np.array_equal(
+                runs.classes(np.arange(column.n_rows)), _class_layout(column)
+            ), column.name
+            assert runs.sizes.tolist() == np.unique(column.class_sizes).tolist()
 
     def test_unknown_dataset(self):
         with pytest.raises(DataGenerationError, match="unknown dataset"):
