@@ -24,14 +24,25 @@ is the central ``confidence`` quantile range of the replicates, clamped
 to the sanity range ``[d, n]``.  Use it to compare estimator stability
 (the paper's §5.2 instability argument against HYBSKEW), not as a
 coverage interval.
+
+A replicate costs one multinomial draw and one count, both in C.
+:func:`bootstrap_estimate` computes the sample's class shares once and
+draws all its count vectors in one
+``rng.multinomial(r, shares, size=replicates)``, which consumes the
+generator exactly as that many successive draws would; each vector's
+nonzero counts become a profile through
+:meth:`~repro.frequency.FrequencyProfile.from_multiplicities`, which
+counts them with :class:`collections.Counter`.  So it sees the same
+replicates, in the same order, as one :func:`bootstrap_profile` call
+per replicate would give.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.typing as npt
 
 from repro.core.base import ConfidenceInterval, DistinctValueEstimator
 from repro.errors import InvalidParameterError
@@ -56,6 +67,26 @@ class BootstrapSummary:
     confidence: float
 
 
+def _class_shares(profile: FrequencyProfile) -> tuple[int, npt.NDArray[np.float64]]:
+    """``(r, c_j / r)``: the sample size and each observed class's share.
+
+    Classes come in ascending frequency order (``profile.to_arrays()``),
+    whatever the profile's insertion order: the draws depend on it.
+    """
+    r = profile.sample_size
+    if r == 0:
+        raise InvalidParameterError("cannot bootstrap an empty sample")
+    frequencies, counts = profile.to_arrays()
+    # The per-class counts sum to exactly r (sum_i i * f_i), so divide by
+    # the validated sample size directly.
+    return r, np.repeat(frequencies, counts).astype(np.float64) / r
+
+
+def _replicate(draw: npt.NDArray[np.int64]) -> FrequencyProfile:
+    """The profile of one drawn count vector, dropping unsampled classes."""
+    return FrequencyProfile.from_multiplicities(draw[draw > 0].tolist())
+
+
 def bootstrap_profile(
     profile: FrequencyProfile, rng: np.random.Generator
 ) -> FrequencyProfile:
@@ -65,18 +96,8 @@ def bootstrap_profile(
     resampling ``r`` rows with replacement draws new class counts from
     ``Multinomial(r, c_j / r)`` and drops classes that receive zero.
     """
-    r = profile.sample_size
-    if r == 0:
-        raise InvalidParameterError("cannot bootstrap an empty sample")
-    counts = np.repeat(
-        [i for i, _ in profile], [c for _, c in profile]
-    ).astype(np.float64)
-    # The per-class counts sum to exactly r (sum_i i * f_i), so divide by
-    # the validated sample size directly.
-    draws = rng.multinomial(r, counts / r)
-    return FrequencyProfile.from_multiplicities(
-        draws[draws > 0].tolist()
-    )
+    r, shares = _class_shares(profile)
+    return _replicate(rng.multinomial(r, shares))
 
 
 def bootstrap_estimate(
@@ -107,10 +128,11 @@ def bootstrap_estimate(
             f"confidence must be in (0, 1), got {confidence}"
         )
     point = estimator.estimate(profile, population_size).value
+    r, shares = _class_shares(profile)
+    draws = rng.multinomial(r, shares, size=replicates)
     values = np.empty(replicates)
-    for index in range(replicates):
-        replicate = bootstrap_profile(profile, rng)
-        values[index] = estimator.estimate(replicate, population_size).value
+    for index, draw in enumerate(draws):
+        values[index] = estimator.estimate(_replicate(draw), population_size).value
     tail = (1.0 - confidence) / 2.0
     q_lo, q_hi = np.quantile(values, [tail, 1.0 - tail])
     # Variability band: replicate-quantile width, centred on the point

@@ -597,43 +597,48 @@ def theorem1_comparison(
     rng = np.random.default_rng(seed)
     n = n_rows if n_rows is not None else config.scaled_rows(100_000)
     r = max(1, int(round(fraction * n)))
-    pair = adversarial_pair(n, r, gamma=gamma, rng=rng)
-    suite = make_estimators(estimators)
-    sampler = UniformWithoutReplacement()
-    table = SeriesTable(
-        title=(
-            f"Theorem 1 adversarial pair (n={n:,}, r={r:,}, gamma={gamma}, "
-            f"k={pair.k})"
-        ),
-        x_name="estimator",
-        x_values=[e.name for e in suite],
-        notes=(
-            "worst = max(mean error on Scenario A, mean error on Scenario B); "
-            "Theorem 1 floor applies to worst"
-        ),
-    )
-    floor = lower_bound_error(n, r, gamma=gamma)
+    with OBS.span("data.adversarial_pair", n_rows=n, sample_size=r):
+        pair = adversarial_pair(n, r, gamma=gamma, rng=rng)
     runs = _trials(trials)
-    errors_a, errors_b, worst = [], [], []
-    for estimator in suite:
-        per_scenario = []
-        for data, truth in (
-            (pair.scenario_a, pair.distinct_a),
-            (pair.scenario_b, pair.distinct_b),
-        ):
-            profiles = sampler.profile_batch(data, rng, runs, size=r)
-            total = 0.0
-            for profile in profiles:
-                value = estimator.estimate(profile, n).value
-                total += ratio_error(value, truth)
-            per_scenario.append(total / runs)
-        errors_a.append(per_scenario[0])
-        errors_b.append(per_scenario[1])
-        worst.append(max(per_scenario))
-    table.add_series("scenario_A", errors_a)
-    table.add_series("scenario_B", errors_b)
-    table.add_series("worst", worst)
-    table.add_series("theorem1_floor", [floor] * len(suite))
+    with OBS.span("theorem1.scenarios", trials=runs):
+        suite = make_estimators(estimators)
+        sampler = UniformWithoutReplacement()
+        errors_a, errors_b, worst = [], [], []
+        for estimator in suite:
+            per_scenario = []
+            for data, truth in (
+                (pair.scenario_a, pair.distinct_a),
+                (pair.scenario_b, pair.distinct_b),
+            ):
+                profiles = sampler.profile_batch(data, rng, runs, size=r)
+                with OBS.span("theorem1.estimate", estimator=estimator.name):
+                    total = 0.0
+                    for profile in profiles:
+                        value = estimator.estimate(profile, n).value
+                        total += ratio_error(value, truth)
+                per_scenario.append(total / runs)
+            errors_a.append(per_scenario[0])
+            errors_b.append(per_scenario[1])
+            worst.append(max(per_scenario))
+    with OBS.span("report.table"):
+        table = SeriesTable(
+            title=(
+                f"Theorem 1 adversarial pair (n={n:,}, r={r:,}, gamma={gamma}, "
+                f"k={pair.k})"
+            ),
+            x_name="estimator",
+            x_values=[e.name for e in suite],
+            notes=(
+                "worst = max(mean error on Scenario A, mean error on Scenario B); "
+                "Theorem 1 floor applies to worst"
+            ),
+        )
+        table.add_series("scenario_A", errors_a)
+        table.add_series("scenario_B", errors_b)
+        table.add_series("worst", worst)
+        table.add_series(
+            "theorem1_floor", [lower_bound_error(n, r, gamma=gamma)] * len(suite)
+        )
     return table
 
 
@@ -660,27 +665,17 @@ def stability_comparison(
     the 12.5 cut at every scale), so replicates genuinely flip branches.
     The hybrids score markedly worse than the smooth estimators.
     """
-    from repro.core.uncertainty import bootstrap_estimate
+    from repro.core.uncertainty import bootstrap_estimate, bootstrap_profile
     from repro.data.synthetic import bounded_scaleup_column
 
     rng = np.random.default_rng(seed)
     n = n_rows if n_rows is not None else config.scaled_rows(
         config.PAPER_ROWS, keep_divisible_by=1000
     )
-    column = bounded_scaleup_column(n, base_rows=1000, z=2.0, rng=rng)
+    with OBS.span("data.build_column", n_rows=n, z=2.0):
+        column = bounded_scaleup_column(n, base_rows=1000, z=2.0, rng=rng)
     suite = make_estimators(estimators)
     sampler = UniformWithoutReplacement()
-    table = SeriesTable(
-        title=(
-            f"bootstrap instability on branch-boundary data "
-            f"(bounded-scaleup Z=2, n={n:,}, rate={fraction:.1%})"
-        ),
-        x_name="estimator",
-        x_values=[e.name for e in suite],
-        notes="cv = bootstrap replicate std / estimate, averaged over samples",
-    )
-    from repro.core.uncertainty import bootstrap_profile
-
     runs = _trials(trials)
     cvs, errors, flip_rates = [], [], []
     for estimator in suite:
@@ -688,28 +683,40 @@ def stability_comparison(
         flips, branch_observations = 0, 0
         for _ in range(runs):
             profile = sampler.profile(column.values, rng, fraction=fraction)
-            summary = bootstrap_estimate(
-                estimator, profile, n, rng, replicates=replicates
-            )
+            with OBS.span("bootstrap.estimate", estimator=estimator.name):
+                summary = bootstrap_estimate(
+                    estimator, profile, n, rng, replicates=replicates
+                )
             cv_total += summary.std / max(summary.estimate, 1.0)
             err_total += ratio_error(summary.estimate, column.distinct_count)
             # Branch-flip rate: how often a resampled profile routes a
             # hybrid to a different branch than the original sample did.
-            original = estimator.estimate(profile, n).details.get("branch")
-            if original is not None:
-                for _ in range(20):
-                    replicate = bootstrap_profile(profile, rng)
-                    branch = estimator.estimate(replicate, n).details.get("branch")
-                    branch_observations += 1
-                    flips += branch != original
+            with OBS.span("bootstrap.branch_flips", estimator=estimator.name):
+                original = estimator.estimate(profile, n).details.get("branch")
+                if original is not None:
+                    for _ in range(20):
+                        replicate = bootstrap_profile(profile, rng)
+                        branch = estimator.estimate(replicate, n).details.get("branch")
+                        branch_observations += 1
+                        flips += branch != original
         cvs.append(cv_total / runs)
         errors.append(err_total / runs)
         flip_rates.append(
             flips / branch_observations if branch_observations else 0.0
         )
-    table.add_series("bootstrap_cv", cvs)
-    table.add_series("branch_flip_rate", flip_rates)
-    table.add_series("mean_ratio_error", errors)
+    with OBS.span("report.table"):
+        table = SeriesTable(
+            title=(
+                f"bootstrap instability on branch-boundary data "
+                f"(bounded-scaleup Z=2, n={n:,}, rate={fraction:.1%})"
+            ),
+            x_name="estimator",
+            x_values=[e.name for e in suite],
+            notes="cv = bootstrap replicate std / estimate, averaged over samples",
+        )
+        table.add_series("bootstrap_cv", cvs)
+        table.add_series("branch_flip_rate", flip_rates)
+        table.add_series("mean_ratio_error", errors)
     return table
 
 

@@ -29,18 +29,22 @@ __all__ = ["FrequencyProfile"]
 
 
 def _validated_counts(counts: Mapping[int, int]) -> dict[int, int]:
-    """Copy ``counts`` into a plain dict, dropping zeros and validating."""
+    """Copy ``counts`` into a plain dict, dropping zeros and validating.
+
+    A frequency or count that is not integral is rejected, not truncated;
+    integral floats, numpy integers and bools pass as their ``int``.
+    """
     clean: dict[int, int] = {}
     for frequency, count in counts.items():
         freq = int(frequency)
         cnt = int(count)
-        if freq <= 0:
+        if freq <= 0 or freq != frequency:
             raise InvalidSampleError(
                 f"frequencies must be positive integers, got {frequency!r}"
             )
-        if cnt < 0:
+        if cnt < 0 or cnt != count:
             raise InvalidSampleError(
-                f"f_{freq} must be non-negative, got {count!r}"
+                f"f_{freq} must be a non-negative integer, got {count!r}"
             )
         if cnt > 0:
             clean[freq] = clean.get(freq, 0) + cnt
@@ -106,16 +110,23 @@ class FrequencyProfile:
 
         Example: ``from_multiplicities([3, 1, 1])`` describes a sample with
         one value occurring 3 times and two singletons, i.e.
-        ``f_1 = 2, f_3 = 1``.
+        ``f_1 = 2, f_3 = 1``.  The counting runs in C
+        (:class:`~collections.Counter`), so only the distinct
+        multiplicities are validated here, in the order they first occur:
+        the error names the input's first offender, and the profile's
+        frequencies keep that order.
         """
-        counter: Counter[int] = Counter()
-        for multiplicity in multiplicities:
+        counter: Counter[int] = Counter(multiplicities)
+        for multiplicity in counter:
             mult = int(multiplicity)
             if mult <= 0:
                 raise InvalidSampleError(
                     f"multiplicities must be positive, got {multiplicity!r}"
                 )
-            counter[mult] += 1
+            if mult != multiplicity:
+                raise InvalidSampleError(
+                    f"multiplicities must be integers, got {multiplicity!r}"
+                )
         return cls(counter)
 
     @classmethod

@@ -255,8 +255,7 @@ def _attributed(exhibit_id: str) -> float:
     return attributed_fraction(root)
 
 
-@pytest.mark.parametrize("exhibit_id", SWEEP_EXHIBITS)
-def test_sweep_exhibit_time_is_attributed_to_child_spans(smoke_scale, exhibit_id):
+def _best_attributed(exhibit_id: str) -> float:
     # A smoke-scale exhibit takes milliseconds, and its own code ~2% of
     # that, so one preemption landing there can sink a run.  An
     # unspanned stage sinks every run, so the best of three still
@@ -266,4 +265,17 @@ def test_sweep_exhibit_time_is_attributed_to_child_spans(smoke_scale, exhibit_id
         best = max(best, _attributed(exhibit_id))
         if best >= 0.95:
             break
-    assert best >= 0.95
+    return best
+
+
+@pytest.mark.parametrize("exhibit_id", SWEEP_EXHIBITS)
+def test_sweep_exhibit_time_is_attributed_to_child_spans(smoke_scale, exhibit_id):
+    assert _best_attributed(exhibit_id) >= 0.95
+
+
+@pytest.mark.parametrize("exhibit_id", ["theorem1", "stability"])
+def test_non_sweep_exhibit_time_is_attributed_to_child_spans(smoke_scale, exhibit_id):
+    # The two exhibits that draw and estimate in their own loops: the
+    # column or pair build, each bootstrap, branch-flip or estimate loop
+    # and the table assembly carry their time.
+    assert _best_attributed(exhibit_id) >= 0.95

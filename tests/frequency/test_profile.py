@@ -59,6 +59,29 @@ class TestConstruction:
         with pytest.raises(InvalidSampleError):
             FrequencyProfile({2: -1})
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: FrequencyProfile({1.5: 2}),
+            lambda: FrequencyProfile({2: 0.5}),
+            lambda: FrequencyProfile.from_multiplicities([1.7, 2.2]),
+        ],
+        ids=["fractional-frequency", "fractional-count", "fractional-multiplicities"],
+    )
+    def test_rejects_non_integral_input(self, build):
+        # int() would truncate these: 1.5 -> 1, and a 0.5 count -> a
+        # class that silently vanishes.
+        with pytest.raises(InvalidSampleError):
+            build()
+
+    def test_integral_floats_numpy_ints_and_bools_are_accepted(self):
+        profile = FrequencyProfile({3.0: np.int64(2), np.int32(1): True, 2: 4.0})
+        assert list(profile.counts.items()) == [(3, 2), (1, 1), (2, 4)]
+        assert all(type(i) is int and type(c) is int for i, c in profile.counts.items())
+        multiplicities = [np.int64(2), 1.0, True, 2, np.float64(4.0)]
+        profile = FrequencyProfile.from_multiplicities(multiplicities)
+        assert list(profile.counts.items()) == [(2, 2), (1, 2), (4, 1)]
+
 
 class TestAccessors:
     def test_basic_quantities(self, small_profile):
