@@ -161,6 +161,17 @@ def clustered_column(
     )
 
 
+#: Ranks per chunk when :func:`distinct_class_sizes` writes its sizes.
+_RANK_CHUNK = 1 << 16
+
+
+def _weights(first: int, stop: int, z: float) -> np.ndarray:
+    """The Zipf weights ``1 / i^z`` of ranks ``first`` up to ``stop - 1``, in place."""
+    weights = np.arange(first, stop, dtype=np.float64)
+    weights **= z
+    return np.divide(1.0, weights, out=weights)
+
+
 def distinct_class_sizes(n_rows: int, distinct: int, z: float = 1.0) -> np.ndarray:
     """Zipf-shaped class sizes with an exact distinct count (descending).
 
@@ -175,9 +186,17 @@ def distinct_class_sizes(n_rows: int, distinct: int, z: float = 1.0) -> np.ndarr
         )
     if z < 0:
         raise DataGenerationError(f"z must be >= 0, got {z}")
-    ranks = np.arange(1, distinct + 1, dtype=np.float64)
-    weights = 1.0 / ranks**z
-    sizes = np.maximum(1, np.floor(n_rows * weights / weights.sum())).astype(np.int64)
+    # One float pass over every rank gives the pairwise sum of the
+    # weights; the sizes are then written a chunk of ranks at a time,
+    # each chunk's weights recomputed by the same ufuncs.
+    total = _weights(1, distinct + 1, z).sum()
+    sizes = np.empty(distinct, dtype=np.int64)
+    for start in range(0, distinct, _RANK_CHUNK):
+        stop = min(start + _RANK_CHUNK, distinct)
+        scaled = _weights(start + 1, stop + 1, z)
+        np.multiply(n_rows, scaled, out=scaled)
+        np.divide(scaled, total, out=scaled)
+        sizes[start:stop] = np.maximum(1, np.floor(scaled, out=scaled), out=scaled)
     residual = int(n_rows - sizes.sum())
     if residual < 0:
         # Floors overshot (possible when many sizes hit the 1-row floor):

@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from repro.data.column import Column
+from repro.data.column import Column, validated_class_sizes
 from repro.errors import DataGenerationError
 from repro.obs.recorder import OBS
 
@@ -42,26 +42,27 @@ def _rank_limit(scale: float, z: float, max_classes: int) -> int:
     return max(1, min(rank_limit, max_classes))
 
 
-def _sizes_for_scale(
-    scale: float, z: float, max_classes: int, powers: np.ndarray
+def _rounded_sizes(
+    scale: float, z: float, max_classes: int, powers: np.ndarray, out: np.ndarray
 ) -> np.ndarray:
-    """Rounded class sizes ``round(scale / i^z)`` for ranks with >= 1 row.
+    """``round(scale / i^z)`` for the ranks up to the rank limit of ``scale``.
 
-    ``powers`` holds ``i^z`` for ranks ``1, 2, ...`` up to at least the
-    rank limit of ``scale``.
+    ``powers`` holds ``i^z`` for ranks ``1, 2, ...`` up to at least that
+    limit.  The sizes are written, as floats, into the front of the
+    scratch buffer ``out`` (as long as ``powers``), and that view is
+    returned; ranks that round to zero rows are kept.
     """
-    if scale <= 0.0:
-        return np.zeros(0, dtype=np.int64)
-    rank_limit = _rank_limit(scale, z, max_classes)
-    sizes = np.round(scale / powers[:rank_limit]).astype(np.int64)
-    return sizes[sizes > 0]
+    sizes = out[: _rank_limit(scale, z, max_classes)]
+    np.divide(scale, powers[: sizes.size], out=sizes)
+    return np.round(sizes, out=sizes)
 
 
 def zipf_class_sizes(total_rows: int, z: float) -> np.ndarray:
     """Class sizes (descending) of a generalized Zipfian column.
 
     The scale solve (a 64-iteration binary search over O(D)-sized
-    arrays, with the powers ``i^z`` computed once) is deterministic, so
+    arrays, with the powers ``i^z`` computed once and each step's sizes
+    rounded into one reused buffer) is deterministic, so
     repeated ``(total_rows, z)`` requests — a sweep regenerating the
     same column spec per grid point, or the error and variance exhibits
     of one workload — hit an in-process memo; callers always receive a
@@ -93,17 +94,25 @@ def _solved_class_sizes(total_rows: int, z: float) -> np.ndarray:
     # Binary-search the scale C so that sum_i round(C / i^z) ~ total_rows.
     # C = total_rows already covers it (rank 1 alone gets every row), and
     # the rank limit grows with C, so the powers i^z up to that scale's
-    # limit serve every step.
+    # limit serve every step.  The ranks they are computed from then
+    # serve as every step's scratch buffer.
     lo, hi = 0.0, float(total_rows)
-    ranks = np.arange(1, _rank_limit(hi, z, total_rows) + 1, dtype=np.float64)
-    powers = ranks**z
+    scratch = np.arange(1, _rank_limit(hi, z, total_rows) + 1, dtype=np.float64)
+    powers = scratch**z
     for _ in range(64):
         mid = (lo + hi) / 2.0
-        if _sizes_for_scale(mid, z, total_rows, powers).sum() < total_rows:
+        # Integral values far below 2**53: the float sum is exact.
+        if _rounded_sizes(mid, z, total_rows, powers, scratch).sum() < total_rows:
             lo = mid
         else:
             hi = mid
-    sizes = _sizes_for_scale(hi, z, total_rows, powers)
+    # Each float array is dropped as soon as it is read, so at most two
+    # rank-length arrays are alive at once.
+    rounded = _rounded_sizes(hi, z, total_rows, powers, scratch)
+    del powers
+    sizes = rounded.astype(np.int64)
+    del rounded, scratch
+    sizes = sizes[sizes > 0]
     # Absorb the rounding residual into the head class.
     residual = int(total_rows - sizes.sum())
     if residual != 0:
@@ -112,10 +121,10 @@ def _solved_class_sizes(total_rows: int, z: float) -> np.ndarray:
                 f"cannot absorb rounding residual {residual} for "
                 f"total_rows={total_rows}, z={z}"
             )
-        sizes = sizes.copy()
         sizes[0] += residual
     # Keep the (descending) invariant even after head adjustment.
-    sizes = np.ascontiguousarray(np.sort(sizes)[::-1])
+    sizes.sort()
+    sizes = sizes[::-1].copy()
     sizes.flags.writeable = False
     return sizes
 
@@ -133,9 +142,7 @@ def shuffled_from_class_sizes(
     each column was random", §6).  Every builder that lays out rows goes
     through here, so the ``data.rows_generated`` counter counts them all.
     """
-    sizes = np.asarray(class_sizes, dtype=np.int64)
-    if sizes.size == 0 or (sizes <= 0).any():
-        raise DataGenerationError("class sizes must be positive and non-empty")
+    sizes = validated_class_sizes(class_sizes)
     values = np.repeat(
         np.arange(value_offset, value_offset + sizes.size, dtype=np.int64), sizes
     )

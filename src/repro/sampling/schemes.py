@@ -47,14 +47,13 @@ __all__ = [
 _ROWS_PER_CLASS = 2
 
 
-def _profile_of_counts(counts: npt.NDArray[np.int64]) -> FrequencyProfile:
-    """The profile of per-class sample counts, in ascending frequency.
+def _profile_of_histogram(histogram: npt.NDArray[np.intp]) -> FrequencyProfile:
+    """The profile whose ``f_k`` is ``histogram[k]`` for ``k >= 1``, in ascending ``k``.
 
     Ascending frequency is the insertion order of
-    :meth:`FrequencyProfile.from_sample`; classes with no sampled row
-    (count 0) are not part of the sample.
+    :meth:`FrequencyProfile.from_sample`; entry 0 (classes with no
+    sampled row) is not part of the sample.
     """
-    histogram = np.bincount(counts)
     frequencies = np.flatnonzero(histogram[1:]) + 1
     return FrequencyProfile(
         dict(zip(frequencies.tolist(), histogram[frequencies].tolist()))
@@ -99,23 +98,23 @@ class UniformWithoutReplacement(RowSampler):
         row (``_ROWS_PER_CLASS * D <= r``) the draw is one
         hypergeometric per class (``method="marginals"``, O(D) per
         trial).  Otherwise it draws ``r`` row positions, as a row sample
-        would, sorts them and maps them to classes through the column's
+        would, sorts them and counts them per class through the column's
         :meth:`~repro.data.column.Column.size_runs` (O(r log r) per
-        trial); the sorted class ids run class by class, so the run
-        lengths are the counts.
+        trial, :meth:`~repro.data.column.SizeRuns.sample_histogram`).
         """
-        sizes = column.class_sizes
-        if _ROWS_PER_CLASS * sizes.size <= r:
+        if _ROWS_PER_CLASS * column.distinct_count <= r:
+            sizes = column.class_sizes
             return "hypergeometric", [
-                _profile_of_counts(rng.multivariate_hypergeometric(sizes, r))
+                _profile_of_histogram(
+                    np.bincount(rng.multivariate_hypergeometric(sizes, r))
+                )
                 for _ in range(trials)
             ]
         runs = column.size_runs()
         profiles: list[FrequencyProfile] = []
         for _ in range(trials):
             positions = np.sort(rng.choice(column.n_rows, size=r, replace=False))
-            starts = np.flatnonzero(np.diff(runs.classes(positions), prepend=-1))
-            profiles.append(_profile_of_counts(np.diff(starts, append=r)))
+            profiles.append(_profile_of_histogram(runs.sample_histogram(positions)))
         return "index", profiles
 
 

@@ -8,7 +8,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import AE, ae_estimate, ratio_error, solve_low_frequency_count
+from repro.core import (
+    AE,
+    GEE,
+    PAPER_ESTIMATORS,
+    ae_estimate,
+    make_estimators,
+    ratio_error,
+    solve_low_frequency_count,
+)
+from repro.core.ae import (
+    _BRACKET_CAP_FACTOR,
+    _fixed_point_residual_approx,
+    _high_frequency_sums_approx,
+)
 from repro.data import uniform_column, zipf_column
 from repro.errors import InvalidParameterError
 from repro.frequency import FrequencyProfile
@@ -94,10 +107,68 @@ class TestFixedPoint:
         assert m <= g * n / r + 1e-6
 
 
+class TestKnownHardInput:
+    """A documented AE limit: one root, solved right, far from the truth.
+
+    The Z=2, dup=100 column with n = 50,000 rows and D = 24 classes,
+    sampled at r = 400 (the count-domain draw at seed 878), gives
+    d = 19 with nine singletons and no doubletons.  The §5.3 fixed point
+    has a single root, m ~ 192.77, so AE answers d + m - f1 - f2 ~ 202.8,
+    8.45 times the truth: the equation, not the solver, is what fails.
+    GEE stays inside its Theorem 2 envelope on the same sample.  This
+    input is the AE limit behind the perf-smoke fig4 shape failure.
+    """
+
+    PROFILE = FrequencyProfile(
+        {1: 9, 3: 2, 4: 1, 5: 1, 6: 1, 7: 1, 14: 1, 20: 1, 76: 1, 253: 1}
+    )
+    N, D = 50_000, 24
+
+    def test_the_profile(self):
+        p = self.PROFILE
+        assert (p.sample_size, p.distinct, p.f1, p.f2) == (400, 19, 9, 0)
+
+    def test_the_residual_changes_sign_once_over_the_bracket(self):
+        # With f2 = 0, f1, the rare classes f1 + f2 and the rare rows
+        # f1 + 2 f2 are all 9; the bracket runs from 9 to AE's cap.
+        a0, b0 = _high_frequency_sums_approx(self.PROFILE, rare_cutoff=2)
+        lo, cap = 9.0, _BRACKET_CAP_FACTOR * self.N
+        grid = [lo * (cap / lo) ** (k / 20_000) for k in range(20_001)]
+        signs = [
+            _fixed_point_residual_approx(m, 9, 9, 9, a0, b0) > 0.0 for m in grid
+        ]
+        flips = [k for k in range(len(grid) - 1) if signs[k] != signs[k + 1]]
+        assert len(flips) == 1
+        (k,) = flips
+        assert grid[k] < 192.77 < grid[k + 1]
+        m = solve_low_frequency_count(self.PROFILE, population_size=self.N)
+        assert m == pytest.approx(192.77, abs=0.01)
+
+    def test_ae_lands_8_45_times_above_the_truth(self):
+        result = AE().estimate(self.PROFILE, self.N)
+        m = result.details["m"]
+        assert result.value == pytest.approx(19 + m - 9 - 0)
+        assert result.value == pytest.approx(202.77, abs=0.01)
+        assert ratio_error(result.value, self.D) == pytest.approx(8.45, abs=0.005)
+
+    def test_gee_stays_inside_its_theorem_2_envelope(self):
+        value = GEE().estimate(self.PROFILE, self.N).value
+        envelope = math.e * math.sqrt(self.N / self.PROFILE.sample_size)
+        assert value == pytest.approx(110.62, abs=0.01)
+        assert ratio_error(value, self.D) == pytest.approx(4.61, abs=0.005)
+        assert envelope == pytest.approx(30.39, abs=0.01)
+        assert ratio_error(value, self.D) <= envelope
+
+    def test_every_paper_estimator_stays_within_the_sanity_bounds(self):
+        suite = make_estimators(PAPER_ESTIMATORS)
+        assert len(suite) == 6
+        for estimator in suite:
+            value = estimator.estimate(self.PROFILE, self.N).value
+            assert self.PROFILE.distinct <= value <= self.N, estimator.name
+
+
 class TestAccuracy:
     def test_low_skew_beats_gee(self, rng):
-        from repro.core import GEE
-
         column = uniform_column(500_000, 5000, rng=rng)
         sampler = UniformWithoutReplacement()
         ae_errors, gee_errors = [], []

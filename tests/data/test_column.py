@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.data import Column
-from repro.errors import InvalidParameterError
+from repro.errors import DataGenerationError, InvalidParameterError
 from repro.frequency import FrequencyProfile
 
 
@@ -46,3 +46,32 @@ class TestGroundTruth:
         column = Column("x", np.array([0, 0, 1, 1, 1, 1]), _class_sizes=sizes)
         assert column.class_sizes is sizes
         assert column.distinct_count == 2
+
+
+class TestSizeOnlySizes:
+    @pytest.mark.parametrize(
+        "sizes", [[2.5, 1.7, 3], [4, 0.25], [np.nan], [1.0, -np.inf]]
+    )
+    def test_rejects_non_integral_sizes(self, sizes):
+        with pytest.raises(DataGenerationError, match="integers"):
+            Column.from_class_sizes(sizes, name="x")
+
+    @pytest.mark.parametrize(
+        "sizes",
+        [[2.0, 1.0, 3.0], np.array([2, 1, 3], dtype=np.int16), [np.int64(2), 1, 3]],
+        ids=["integral-floats", "int16", "numpy-ints"],
+    )
+    def test_integral_sizes_of_any_type_pass(self, sizes):
+        column = Column.from_class_sizes(sizes, name="x")
+        assert column.n_rows == 6 and column.distinct_count == 3
+        assert column.class_sizes.tolist() == [1, 2, 3]
+
+    def test_holds_one_entry_per_distinct_size(self):
+        column = Column.from_class_sizes([5, 1, 5, 2, 1, 1], name="x")
+        runs = column.size_runs()
+        assert runs.sizes.tolist() == [1, 2, 5]
+        assert runs.counts.tolist() == [3, 1, 2]
+        assert runs.first_class.tolist() == [0, 3, 4]
+        assert runs.first_row.tolist() == [0, 3, 5]
+        assert column.population_profile().counts == {1: 3, 2: 1, 5: 2}
+        assert list(column.population_profile().counts) == [1, 2, 5]

@@ -1,0 +1,65 @@
+"""Memory-peak gate: the sweep inputs' builds stay within fixed tracemalloc peaks.
+
+tracemalloc counts the bytes Python and numpy allocate, whatever the
+machine, so these bounds hold on any runner where wall time or RSS
+would not.  A size-only surrogate grows with its distinct class sizes,
+not its classes: building all of MSSales at paper scale once peaked at
+70.3 MiB and kept 29.3 MiB of per-class sizes alive, and the n = 1M,
+Z = 1 Zipf scale solve peaked at 31.5 MiB.
+"""
+
+from __future__ import annotations
+
+import gc
+import tracemalloc
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
+
+from repro.data import class_size_dataset, zipf
+from repro.data.surrogates import MSSALES_ROWS
+
+MIB = 1 << 20
+
+
+@contextmanager
+def _traced() -> Iterator[Callable[[], tuple[int, int]]]:
+    """Trace allocations; yields a reader of ``(held, peak)`` bytes since entry.
+
+    A tracemalloc already running (``REPRO_TELEMETRY_MEM``) is left
+    running; one started here is stopped on exit, since a trace left on
+    slows every later test.
+    """
+    gc.collect()
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base, _ = tracemalloc.get_traced_memory()
+
+        def read() -> tuple[int, int]:
+            held, peak = tracemalloc.get_traced_memory()
+            return held - base, peak - base
+
+        yield read
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+def test_the_paper_scale_mssales_build_peaks_below_24_mib():
+    with _traced() as read:
+        dataset = class_size_dataset("MSSales")
+        held, peak = read()
+    assert dataset.n_rows == MSSALES_ROWS and len(dataset) == 20
+    assert peak <= 24 * MIB, f"peak {peak / MIB:.1f} MiB"
+    assert held <= 1 * MIB, f"held {held / MIB:.2f} MiB"
+
+
+def test_the_1m_row_zipf_solve_peaks_below_24_mib():
+    zipf._solved_class_sizes.cache_clear()
+    with _traced() as read:
+        sizes = zipf.zipf_class_sizes(1_000_000, 1.0)
+        _, peak = read()
+    assert sizes.sum() == 1_000_000
+    assert peak <= 24 * MIB, f"peak {peak / MIB:.1f} MiB"

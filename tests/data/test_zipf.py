@@ -106,3 +106,20 @@ class TestShuffledFromClassSizes:
             shuffled_from_class_sizes(np.array([]), rng)
         with pytest.raises(DataGenerationError):
             shuffled_from_class_sizes(np.array([2, 0]), rng)
+
+    @pytest.mark.parametrize(
+        "sizes", [[2.9, 1.2], [3.0, 0.5], [2.0, np.nan], [np.inf, 1.0]]
+    )
+    def test_rejects_non_integral_sizes(self, rng, sizes):
+        with pytest.raises(DataGenerationError, match="integers"):
+            shuffled_from_class_sizes(np.array(sizes), rng)
+
+    @pytest.mark.parametrize(
+        "sizes",
+        [np.array([3.0, 2.0]), np.array([3, 2], dtype=np.uint8), [np.int32(3), 2]],
+        ids=["integral-floats", "uint8", "numpy-ints"],
+    )
+    def test_integral_sizes_of_any_type_pass(self, rng, sizes):
+        column = shuffled_from_class_sizes(sizes, rng)
+        assert column.n_rows == 5
+        assert column.class_sizes.tolist() == [2, 3]

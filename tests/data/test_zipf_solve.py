@@ -1,8 +1,12 @@
-"""The Zipf scale solve returns the sizes it returned before, bit for bit.
+"""The size builders return the sizes they returned before, bit for bit.
 
-The solve computes the rank powers ``i^z`` once and slices them at each
-bisection step.  The oracle below is the solve as it was before, which
-recomputed the powers at every step.  Every sweep column's sizes, and
+The Zipf scale solve computes the rank powers ``i^z`` once and rounds
+each bisection step's sizes into one reused float buffer, comparing
+their float sum.  ``distinct_class_sizes`` sums its weights in one float
+pass and writes its sizes a chunk of ranks at a time.  The oracles below
+are both builders as they were before: a solve that recomputed the
+powers and summed integer sizes at every step, and one whole-array
+expression for the surrogate sizes.  Every sweep column's sizes, and
 through them the sweep goldens and the stability digest, rest on these
 sizes, so any difference fails here first.
 """
@@ -12,7 +16,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.data import zipf
+from repro.data import distinct_class_sizes, zipf
+from repro.data.surrogates import _TABLES, _scaled_columns
+from repro.errors import DataGenerationError
 from repro.experiments.figures import _KIND_BOUNDED
 
 from tests.experiments.sweep_inputs import sweep_inputs
@@ -74,3 +80,67 @@ def test_every_sweep_column_gets_the_same_sizes(monkeypatch, scale):
 @pytest.mark.parametrize("total_rows", [1, 2, 3, 10, 99, 1000, 4321, 10_000, 77_777])
 def test_a_grid_of_solves_gets_the_same_sizes(total_rows, z):
     _assert_same_solve(total_rows, z)
+
+
+def _oracle_distinct_class_sizes(n_rows: int, distinct: int, z: float) -> np.ndarray:
+    ranks = np.arange(1, distinct + 1, dtype=np.float64)
+    weights = 1.0 / ranks**z
+    sizes = np.maximum(1, np.floor(n_rows * weights / weights.sum())).astype(np.int64)
+    residual = int(n_rows - sizes.sum())
+    if residual < 0:
+        for idx in range(sizes.size):
+            if residual == 0:
+                break
+            take = min(-residual, int(sizes[idx]) - 1)
+            sizes[idx] -= take
+            residual += take
+        if residual != 0:
+            raise DataGenerationError("cannot fit")
+    elif residual > 0:
+        head = min(sizes.size, max(1, residual))
+        per, extra = divmod(residual, head)
+        sizes[:head] += per
+        sizes[:extra] += 1
+    return sizes
+
+
+def _assert_same_distinct_sizes(n_rows: int, distinct: int, z: float) -> None:
+    built = distinct_class_sizes(n_rows, distinct, z)
+    expected = _oracle_distinct_class_sizes(n_rows, distinct, z)
+    assert built.dtype == expected.dtype
+    assert built.tobytes() == expected.tobytes(), (n_rows, distinct, z)
+
+
+@pytest.mark.parametrize("scale", [1, 20], ids=["paper", "smoke"])
+def test_every_surrogate_column_gets_the_same_sizes(monkeypatch, scale):
+    _, datasets = sweep_inputs(monkeypatch, scale)
+    assert {name for name, _ in datasets} == set(_TABLES)
+    for name, dataset_scale in datasets:
+        n_rows, specs = _TABLES[name]
+        for spec, rows, distinct in _scaled_columns(n_rows, specs, dataset_scale):
+            _assert_same_distinct_sizes(rows, distinct, spec.skew)
+
+
+@pytest.mark.parametrize("z", [0.0, 0.02, 0.3, 1.0, 1.8, 2.0, 4.0])
+@pytest.mark.parametrize(
+    "n_rows, distinct",
+    [
+        (1, 1),
+        (2, 1),
+        (7, 7),
+        (100, 3),
+        (1000, 999),
+        (65_536, 65_536),
+        (70_000, 65_537),
+        (140_000, 131_073),
+        (300_000, 250_000),
+        (1_000_000, 70_000),
+        # A size lands within an ulp of an integer here (at z = 2 and
+        # z = 1): another order of the float operations or of the sum
+        # floors it differently.
+        (147, 3),
+        (154_007, 6),
+    ],
+)
+def test_a_grid_of_surrogate_sizes_gets_the_same_sizes(n_rows, distinct, z):
+    _assert_same_distinct_sizes(n_rows, distinct, z)

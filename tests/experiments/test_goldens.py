@@ -203,7 +203,8 @@ def test_a_sweep_draws_trial_by_trial_and_holds_no_row_array(
 ):
     # The count-domain index path reads each trial's profile off its own
     # sorted draw: no sweep reduces trials in a batch, and no sweep
-    # column keeps an array as long as its rows (a class layout).
+    # column keeps an array longer than its G size runs (no class
+    # layout, and no per-class sizes either).
     batched = []
     original = batch.profiles_from_samples
 
@@ -237,7 +238,7 @@ def test_a_sweep_draws_trial_by_trial_and_holds_no_row_array(
     for column in built:
         assert column.size_only
         longest = max(array.size for array in _arrays(column))
-        assert longest <= column.distinct_count, column.name
+        assert longest <= column.size_runs().sizes.size, column.name
 
 
 def _attributed(exhibit_id: str) -> float:

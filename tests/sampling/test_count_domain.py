@@ -38,6 +38,7 @@ from repro.experiments.figures import (
     _KIND_ZIPF,
     _ColumnSpec,
 )
+from repro.frequency import FrequencyProfile
 from repro.frequency.skew import chi_squared_p_value
 from repro.obs import OBS
 from repro.sampling import (
@@ -49,7 +50,7 @@ from repro.sampling import (
     profiles_from_samples,
 )
 
-from tests.experiments.sweep_inputs import sweep_inputs
+from tests.experiments.sweep_inputs import sweep_inputs, sweep_sample_sizes
 
 #: Smallest p-value a seeded goodness-of-fit test may report.
 P_FLOOR = 1e-3
@@ -170,9 +171,40 @@ def _layout_gather(column, r, rng, trials):
     )
 
 
+def _run_classes(runs, positions):
+    """The class of each row position, mapped one position at a time."""
+    run = np.searchsorted(runs.first_row, positions, side="right") - 1
+    offset = positions - runs.first_row[run]
+    return runs.first_class[run] + offset // runs.sizes[run]
+
+
+def _profile_of_counts(counts):
+    histogram = np.bincount(counts)
+    frequencies = np.flatnonzero(histogram[1:]) + 1
+    return FrequencyProfile(
+        dict(zip(frequencies.tolist(), histogram[frequencies].tolist()))
+    )
+
+
+def _per_row_reduction(column, r, rng, trials):
+    """The index path before per-run counting: every position mapped to its class."""
+    runs = column.size_runs()
+    profiles = []
+    for _ in range(trials):
+        positions = np.sort(rng.choice(column.n_rows, size=r, replace=False))
+        starts = np.flatnonzero(np.diff(_run_classes(runs, positions), prepend=-1))
+        profiles.append(_profile_of_counts(np.diff(starts, append=r)))
+    return profiles
+
+
+def _items(profiles):
+    return [list(p.counts.items()) for p in profiles]
+
+
 #: ``(class sizes, r)`` on the index path (``r < 2*D``).
 INDEX_CASES = {
     "all-sizes-equal": (np.full(400, 7), 300),
+    "one-run-of-dup-100": (np.full(600, 100), 1000),
     "all-sizes-distinct": (np.arange(1, 301), 500),
     "one-row-classes": (np.concatenate([np.ones(500, dtype=int), [60, 9, 9]]), 400),
     "all-one-row": (np.ones(800, dtype=int), 640),
@@ -190,9 +222,36 @@ def test_index_path_returns_the_layout_gathers_profiles(sizes, r):
         drawn = UniformWithoutReplacement().profile_batch(
             column, np.random.default_rng(seed), 6, size=r
         )
-        assert [list(p.counts.items()) for p in drawn] == [
-            list(p.counts.items()) for p in expected
-        ]
+        assert _items(drawn) == _items(expected)
+
+
+@pytest.mark.parametrize("sizes, r", INDEX_CASES.values(), ids=list(INDEX_CASES))
+def test_per_run_counts_match_the_per_row_reduction(sizes, r):
+    column = Column.from_class_sizes(sizes, name="index")
+    for seed in range(3):
+        expected = _per_row_reduction(column, r, np.random.default_rng(seed), 6)
+        drawn = UniformWithoutReplacement().profile_batch(
+            column, np.random.default_rng(seed), 6, size=r
+        )
+        assert _items(drawn) == _items(expected)
+
+
+@pytest.mark.parametrize("scale", [1, 20], ids=["paper", "smoke"])
+def test_every_index_path_sweep_draw_matches_the_per_row_reduction(
+    monkeypatch, scale
+):
+    drawn = 0
+    for column, sizes in sweep_sample_sizes(monkeypatch, scale):
+        for r in sorted(set(sizes)):
+            if 2 * column.distinct_count <= r:
+                continue
+            expected = _per_row_reduction(column, r, np.random.default_rng(r), 2)
+            profiles = UniformWithoutReplacement().profile_batch(
+                column, np.random.default_rng(r), 2, size=r
+            )
+            assert _items(profiles) == _items(expected), (column.name, r)
+            drawn += 1
+    assert drawn >= 50
 
 
 class TestSizeOnlyColumn:
@@ -226,15 +285,18 @@ class TestSizeOnlyColumn:
             sized = Column.from_class_sizes(sizes, name="s")
             runs = sized.size_runs()
             assert np.array_equal(
-                runs.classes(np.arange(sized.n_rows)), _class_layout(sized)
+                _run_classes(runs, np.arange(sized.n_rows)), _class_layout(sized)
             )
             assert runs.sizes.tolist() == np.unique(sizes).tolist()
             assert sized.size_runs() is runs
 
     def test_a_size_only_column_holds_its_sizes_ascending(self):
-        direct = Column("s", _class_sizes=self.SIZES)
-        assert direct.class_sizes.tolist() == sorted(self.SIZES.tolist())
-        assert direct.size_runs().sizes.tolist() == [1, 2, 3, 7, 12]
+        # Unordered, ascending and descending input give the same runs.
+        for sizes in (self.SIZES, np.sort(self.SIZES), np.sort(self.SIZES)[::-1]):
+            direct = Column("s", _class_sizes=sizes)
+            assert direct.class_sizes.tolist() == sorted(self.SIZES.tolist())
+            assert direct.size_runs().sizes.tolist() == [1, 2, 3, 7, 12]
+            assert direct.size_runs().counts.tolist() == [2, 1, 2, 1, 1]
 
     @pytest.mark.parametrize("r", [4, 14, 29], ids=["index", "hypergeometric", "all"])
     def test_profile_batch_returns_a_list_of_size_r(self, r):
@@ -327,7 +389,7 @@ class TestSweepInputs:
         for column in columns:
             runs = column.size_runs()
             assert np.array_equal(
-                runs.classes(np.arange(column.n_rows)), _class_layout(column)
+                _run_classes(runs, np.arange(column.n_rows)), _class_layout(column)
             ), column.name
             assert runs.sizes.tolist() == np.unique(column.class_sizes).tolist()
 
