@@ -21,6 +21,9 @@ The layers:
   refinement, class-attribute facts, contract-clause seeding, and the
   :class:`~repro.analysis.dataflow.engine.ModuleIntervals` facade the
   rules query;
+* :mod:`repro.analysis.dataflow.contract_lookup` — resolves the calls
+  a module cannot resolve itself and answers each with the callee's
+  contract;
 * :mod:`repro.analysis.dataflow.taint` /
   :mod:`repro.analysis.dataflow.taintflow` — the second lattice: a
   finite powerset of nondeterminism labels with an *interprocedural*
@@ -46,11 +49,11 @@ from repro.analysis.dataflow.engine import (
 from repro.analysis.dataflow.intervals import Interval
 from repro.analysis.dataflow.taint import CLEAN, Taint
 
-# NOTE: ``taintflow`` is deliberately *not* re-exported here.  It imports
-# :mod:`repro.analysis.effects` (for source classification), and effects
-# imports the taint lattice from this package — re-exporting taintflow
-# from the package ``__init__`` would close that cycle.  Consumers import
-# ``repro.analysis.dataflow.taintflow`` directly.
+# NOTE: ``taintflow`` and ``contract_lookup`` are deliberately *not*
+# re-exported here.  Both import :mod:`repro.analysis.effects` (for
+# source classification and call keys), and effects imports the taint
+# lattice from this package — re-exporting either from the package
+# ``__init__`` would close that cycle.  Consumers import them directly.
 
 __all__ = [
     "CLEAN",

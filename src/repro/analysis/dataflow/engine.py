@@ -16,7 +16,9 @@ Internally it:
   those facts seeded at entry;
 * seeds parameters from ``@requires`` contract clauses and binds call
   results from the callee's ``@ensures`` clauses (including the
-  ``result[i]`` form for tuple-unpacked returns);
+  ``result[i]`` form for tuple-unpacked returns), for callees in other
+  modules too when a call lookup resolves them
+  (:mod:`repro.analysis.dataflow.contract_lookup`);
 * verifies each function's own ``@ensures`` clauses at every return
   site, classifying them ``proved`` / ``runtime`` / ``violated``.
 
@@ -33,7 +35,7 @@ import ast
 import copy
 import math
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Callable, Iterator
 
 from repro.analysis.dataflow.cfg import ControlFlowGraph, build_cfg
 from repro.analysis.dataflow.intervals import TOP, Interval
@@ -146,27 +148,26 @@ class ClauseVerdict:
     lineno: int
     #: ``assumed`` (requires), ``proved``, ``runtime``, or ``violated``.
     verdict: str
-    #: Provenance of a ``proved`` verdict: ``contract`` when only explicit
-    #: contracts and local reasoning were needed, ``summary`` when an
-    #: inferred interprocedural summary contributed to the proof.
-    via: str = "contract"
 
 
 @dataclass(frozen=True)
 class RemoteCallee:
-    """A cross-module callee handed to the engine by a summary oracle.
+    """A contracted callee as a call site binds it.
 
-    ``contract`` carries the callee's explicit ``@requires``/``@ensures``
-    clauses (these always win); ``summary``/``summary_elements`` carry the
-    inferred return interval for uncontracted functions.
+    ``contract`` carries the callee's ``@requires``/``@ensures`` clauses;
+    ``self_attrs`` the ``self.<attr>`` facts of its class, which hold
+    for the receiver of a method call.
     """
 
     qualname: str
     param_names: tuple[str, ...]
     contract: FunctionContract
     self_attrs: dict[str, Interval] = field(default_factory=dict)
-    summary: Interval | None = None
-    summary_elements: dict[int, Interval] = field(default_factory=dict)
+
+
+#: Resolves a call the module cannot resolve itself to its callee's
+#: contract (:meth:`repro.analysis.dataflow.contract_lookup.ContractLookup.lookup`).
+CallLookup = Callable[[SourceModule, ast.Call], "RemoteCallee | None"]
 
 
 @dataclass
@@ -195,8 +196,6 @@ class FunctionAnalysis:
     relational_facts: list[tuple[str, type[ast.cmpop], str]] = field(
         default_factory=list
     )
-    #: True when an inferred (non-contract) summary fed this analysis.
-    used_summary: bool = False
     #: True when the body (nested scopes included) contains a ``:=``.
     has_walrus: bool = False
 
@@ -355,13 +354,11 @@ def _widen_envs(old: Env, new: Env) -> Env:
 class ModuleIntervals:
     """Interval facts for every function of one source module."""
 
-    def __init__(self, module: SourceModule, oracle: object | None = None) -> None:
+    def __init__(self, module: SourceModule, lookup: CallLookup | None = None) -> None:
         self.module = module
-        #: Optional interprocedural summary oracle (duck-typed): an object
-        #: with ``lookup(module, call) -> RemoteCallee | None`` resolving
-        #: calls the local module cannot.  Installed by
-        #: ``repro.analysis.dataflow.boundsflow.ProjectBounds``.
-        self.oracle = oracle
+        #: Answers the calls this module cannot resolve; None keeps the
+        #: analysis module-local.
+        self.lookup = lookup
         self.module_env: Env = dict(_WELL_KNOWN)
         self._functions: list[FunctionAnalysis] = []
         self._by_name: dict[str, FunctionAnalysis] = {}
@@ -415,44 +412,6 @@ class ModuleIntervals:
         """``self.<attr>`` intervals derived for one class (or empty)."""
         return dict(self._attr_facts.get(class_name, {}))
 
-    def return_bounds(
-        self, analysis: FunctionAnalysis
-    ) -> tuple[Interval, dict[int, Interval]]:
-        """Join of the return-value interval over all reachable returns.
-
-        The scalar side runs through the symbolic evaluator (definition
-        chasing, quotient rules, callee ``@ensures``), so a summary can
-        be sharper than a plain interval walk; tuple elements keep only
-        the positions every return site agrees on.
-        """
-        if analysis.abandoned:
-            return TOP, {}
-        result: Interval | None = None
-        elements: dict[int, Interval] | None = None
-        for return_stmt, env in analysis.returns:
-            if return_stmt.value is None:
-                return TOP, {}
-            value = self._sym_eval(return_stmt.value, env, analysis, 0)
-            _plain, parts = self._eval_with_elements(
-                return_stmt.value, env, analysis
-            )
-            result = value if result is None else result.join(value)
-            if elements is None:
-                elements = dict(parts)
-            else:
-                elements = {
-                    position: interval.join(parts[position])
-                    for position, interval in elements.items()
-                    if position in parts
-                }
-        if result is None:
-            return TOP, {}
-        return result, {
-            position: interval
-            for position, interval in (elements or {}).items()
-            if not interval.is_top
-        }
-
     def contract_verdicts(self) -> list[ClauseVerdict]:
         """Static status of every contract clause declared in this module."""
         verdicts: list[ClauseVerdict] = []
@@ -467,15 +426,8 @@ class ModuleIntervals:
                 )
             for clause in contract.ensures:
                 verdict = self._ensures_verdict(analysis, clause)
-                via = (
-                    "summary"
-                    if verdict == "proved" and analysis.used_summary
-                    else "contract"
-                )
                 verdicts.append(
-                    ClauseVerdict(
-                        analysis.qualname, "ensures", clause, lineno, verdict, via
-                    )
+                    ClauseVerdict(analysis.qualname, "ensures", clause, lineno, verdict)
                 )
         return verdicts
 
@@ -1198,7 +1150,7 @@ class ModuleIntervals:
     def _resolve_call_view(
         self, call: ast.Call, analysis: FunctionAnalysis | None
     ) -> RemoteCallee | None:
-        """Local callee (contract-bearing) or oracle-resolved remote callee."""
+        """Contract of the local callee, or of the one the lookup resolves."""
         callee = self._resolve_callee(call.func, analysis)
         if callee is not None and callee.contract.ensures:
             attrs: dict[str, Interval] = {}
@@ -1210,12 +1162,8 @@ class ModuleIntervals:
                 contract=callee.contract,
                 self_attrs=attrs,
             )
-        if self.oracle is not None:
-            lookup = getattr(self.oracle, "lookup", None)
-            if lookup is not None:
-                remote = lookup(self.module, call)
-                if remote is not None:
-                    return remote
+        if self.lookup is not None:
+            return self.lookup(self.module, call)
         return None
 
     def _project_call(
@@ -1226,49 +1174,38 @@ class ModuleIntervals:
         scope_locals: set[str] | None,
     ) -> tuple[Interval, dict[int, Interval]]:
         view = self._resolve_call_view(call, analysis)
-        if view is None:
+        if view is None or view.qualname in self._ensures_stack:
             return TOP, {}
-        if view.contract.ensures:
-            # Explicit contracts always win over inferred summaries.
-            if view.qualname in self._ensures_stack:
-                return TOP, {}
-            self._ensures_stack.add(view.qualname)
-            try:
-                argenv = self._bind_arguments(call, view, env, analysis, scope_locals)
-                result, elements = TOP, {}
-                for clause in view.contract.ensures:
-                    clause_ast = _parse_clause(clause)
-                    if not isinstance(clause_ast, ast.Compare) or len(clause_ast.ops) != 1:
-                        continue
-                    left_key = key_of(clause_ast.left)
-                    if left_key is None or not left_key.startswith("result"):
-                        continue
-                    op = type(clause_ast.ops[0])
-                    assume = _ASSUME.get(op)
-                    if assume is None:
-                        continue
-                    bound = self._eval(
-                        clause_ast.comparators[0], argenv, None, set(view.param_names)
-                    )
-                    if left_key == "result":
-                        refined = assume(result, bound)
-                        if refined is not None:
-                            result = refined
-                    elif left_key.startswith("result["):
-                        position = int(left_key[len("result[") : -1])
-                        refined = assume(elements.get(position, TOP), bound)
-                        if refined is not None:
-                            elements[position] = refined
-                return result, elements
-            finally:
-                self._ensures_stack.discard(view.qualname)
-        if view.summary is not None:
-            if analysis is not None and not (
-                view.summary.is_top and not view.summary_elements
-            ):
-                analysis.used_summary = True
-            return view.summary, dict(view.summary_elements)
-        return TOP, {}
+        self._ensures_stack.add(view.qualname)
+        try:
+            argenv = self._bind_arguments(call, view, env, analysis, scope_locals)
+            result, elements = TOP, {}
+            for clause in view.contract.ensures:
+                clause_ast = _parse_clause(clause)
+                if not isinstance(clause_ast, ast.Compare) or len(clause_ast.ops) != 1:
+                    continue
+                left_key = key_of(clause_ast.left)
+                if left_key is None or not left_key.startswith("result"):
+                    continue
+                op = type(clause_ast.ops[0])
+                assume = _ASSUME.get(op)
+                if assume is None:
+                    continue
+                bound = self._eval(
+                    clause_ast.comparators[0], argenv, None, set(view.param_names)
+                )
+                if left_key == "result":
+                    refined = assume(result, bound)
+                    if refined is not None:
+                        result = refined
+                elif left_key.startswith("result["):
+                    position = int(left_key[len("result[") : -1])
+                    refined = assume(elements.get(position, TOP), bound)
+                    if refined is not None:
+                        elements[position] = refined
+            return result, elements
+        finally:
+            self._ensures_stack.discard(view.qualname)
 
     def _bind_arguments(
         self,
@@ -1753,9 +1690,7 @@ class ModuleIntervals:
         if not isinstance(target, ast.Call):
             return TOP
         view = self._resolve_call_view(target, analysis)
-        if view is None or not view.contract.ensures:
-            return TOP
-        if view.qualname in self._ensures_stack:
+        if view is None or view.qualname in self._ensures_stack:
             return TOP
         want_key = "result" if attr is None else f"result.{attr}"
         lo, hi = -float("inf"), float("inf")
@@ -2152,11 +2087,17 @@ def _compare_proved(op: type[ast.cmpop], left: Interval, right: Interval) -> boo
     return False
 
 
-def module_intervals(module: SourceModule) -> ModuleIntervals:
-    """Build (or fetch the cached) interval analysis for a module."""
+def module_intervals(
+    module: SourceModule, lookup: CallLookup | None = None
+) -> ModuleIntervals:
+    """Build (or fetch the cached) interval analysis for a module.
+
+    The analysis is cached on the module, so ``lookup`` only matters to
+    the call that builds it.
+    """
     cached = getattr(module, "_interval_analysis", None)
     if isinstance(cached, ModuleIntervals):
         return cached
-    analysis = ModuleIntervals(module)
+    analysis = ModuleIntervals(module, lookup)
     module._interval_analysis = analysis  # type: ignore[attr-defined]
     return analysis

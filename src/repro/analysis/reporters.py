@@ -141,38 +141,18 @@ def render_prove(report: LintReport) -> str:
     followed by a verdict tally.  ``requires`` clauses are *assumed*
     (they seed the analysis); ``ensures`` clauses are ``proved``,
     ``runtime`` (left to the optional runtime check), or ``violated``.
-    Proofs that leaned on an inferred interprocedural summary (rather
-    than explicit contracts alone) are marked ``[via inferred summary]``
-    and tallied separately — they hold for the *current* bodies of the
-    callees, not for everything their contracts admit.
     """
     lines = []
     tally: dict[str, int] = {}
-    proved_via: dict[str, int] = {}
     for path, verdict in report.contract_verdicts:
         tally[verdict.verdict] = tally.get(verdict.verdict, 0) + 1
-        suffix = ""
-        if verdict.verdict == "proved":
-            proved_via[verdict.via] = proved_via.get(verdict.via, 0) + 1
-            if verdict.via == "summary":
-                suffix = "  [via inferred summary]"
         lines.append(
             f"{path}:{verdict.lineno}: {verdict.kind:8s} "
             f"{verdict.verdict:8s} {verdict.qualname}: {verdict.clause}"
-            f"{suffix}"
         )
     if not lines:
         return "no contract clauses found"
-
-    def label(kind: str) -> str:
-        if kind != "proved" or not proved_via:
-            return f"{kind}: {tally[kind]}"
-        detail = ", ".join(
-            f"{via}: {proved_via[via]}" for via in sorted(proved_via)
-        )
-        return f"proved: {tally['proved']} [{detail}]"
-
-    summary = ", ".join(label(k) for k in sorted(tally))
+    summary = ", ".join(f"{kind}: {tally[kind]}" for kind in sorted(tally))
     lines.append("")
     lines.append(f"{len(report.contract_verdicts)} clause(s) ({summary})")
     return "\n".join(lines)

@@ -5,10 +5,12 @@ Where R101/R102 guard against *exceptions* (``ZeroDivisionError``,
 modes of IEEE-754 float arithmetic: divisions and domain violations
 that produce ``inf``/``nan`` without a traceback, overflows in
 ``exp``-family calls, and NaN values propagating into results and
-artifacts.  All four lean on the interval prover — now interprocedural
-through :mod:`repro.analysis.dataflow.boundsflow` — so a site whose
-safety *can* be proved (from guards, contracts, or inferred callee
-summaries) is never reported.
+artifacts.  The first three lean on the interval prover, which reads
+callees in other modules through their contracts
+(:mod:`repro.analysis.dataflow.contract_lookup`), so a site whose
+safety *can* be proved from guards or contracts is never reported.
+R1304 follows NaN producers syntactically, through any chain of
+project calls.
 
 Scopes are deliberate:
 
@@ -30,11 +32,9 @@ import ast
 import math
 from typing import Iterator
 
+from repro.analysis.callgraph import module_name
 from repro.analysis.dataflow import ModuleIntervals, module_intervals
-from repro.analysis.dataflow.boundsflow import (
-    nan_producer_reason,
-    project_bounds,
-)
+from repro.analysis.dataflow.contract_lookup import ContractLookup, contract_lookup
 from repro.analysis.effects import _callee_key
 from repro.analysis.findings import Finding
 from repro.analysis.project import ProjectContext
@@ -49,6 +49,8 @@ __all__ = [
     "FloatDomainViolation",
     "ExpOverflowHazard",
     "NanToSink",
+    "nan_producer_reason",
+    "nan_returns",
 ]
 
 #: ``math.exp`` overflows (and ``np.exp`` saturates to ``inf``) once the
@@ -68,6 +70,10 @@ _NUMERIC_RECEIVERS = frozenset({"math", "np", "numpy"})
 
 #: Log-family callables audited by R1302 (argument must be positive).
 _LOG_CALLS = frozenset({"log", "log2", "log10"})
+
+#: Calls that *sanitize* NaN: their result is NaN-free (or the call is
+#: itself the guard a NaN check hangs off).
+_NAN_SANITIZERS = frozenset({"isnan", "isfinite", "nan_to_num", "isclose"})
 
 
 def _numeric_call(node: ast.Call) -> tuple[str, str] | None:
@@ -109,8 +115,8 @@ class UnprovenNonzeroDivision(Rule):
         'raise) on degenerate input is vacuous exactly where it matters\n'
         '— the all-singleton and empty-tail profiles.  Unlike R101, a\n'
         'syntactic guard is not enough here: the divisor must be\n'
-        '*proved* nonzero, locally or through an interprocedural\n'
-        'summary.'
+        '*proved* nonzero, locally or through the @requires/@ensures\n'
+        'contracts of the functions it calls.'
     )
     example = (
         '@ensures("result >= 0.0")\n'
@@ -329,10 +335,10 @@ class NanToSink(ProjectRule):
     Reuses R1001's sink definitions — estimation-method returns and
     artifact payload writes — with NaN producers in place of
     nondeterminism sources: ``float("nan")``/``np.nan`` literals,
-    ``0/0``-shaped divisions, and calls to project functions whose
-    inferred bounds summary carries the NaN flag.  Expressions passed
-    through ``np.nan_to_num``/``isnan``/``isfinite`` checks in the
-    same scope are treated as sanitized.
+    ``0/0``-shaped divisions, and calls to project functions that may
+    return NaN (:func:`nan_returns`).  Expressions passed through
+    ``np.nan_to_num``/``isnan``/``isfinite`` checks in the same scope
+    are treated as sanitized.
     """
 
     code = "R1304"
@@ -348,7 +354,7 @@ class NanToSink(ProjectRule):
         'through, aggregations turn entire sweeps into NaN, and the\n'
         'corruption is only noticed at plot time.  Producers are few\n'
         'and syntactically recognisable — nan literals, 0/0 shapes,\n'
-        'and calls whose interprocedural summary says "may be NaN" —\n'
+        'and calls to project functions that return one of them —\n'
         'so the flow to a sink is worth a hard error.'
     )
     example = (
@@ -368,37 +374,33 @@ class NanToSink(ProjectRule):
     def check_project(
         self, modules: list[SourceModule], context: ProjectContext
     ) -> Iterator[Finding]:
-        bounds = project_bounds(modules, context)
-        for key in sorted(bounds.summaries):
-            summary = bounds.summaries[key]
-            if not summary.may_nan:
-                continue
+        lookup = contract_lookup(modules, context)
+        reasons = nan_returns(modules, lookup)
+        for key in sorted(reasons):
             if not self._is_result_sink(key, context):
                 continue
-            chain = "; ".join(bounds.evidence(key)) or "see return sites"
+            module, _qualname, node = lookup.functions[key]
             yield self.finding(
-                summary.module,
-                summary.node.lineno,
-                summary.node.col_offset,
+                module,
+                node.lineno,
+                node.col_offset,
                 f"{key} is an estimation method but may return NaN "
-                f"({chain}); return inf or raise instead",
+                f"({reasons[key]}); return inf or raise instead",
             )
         for module in modules:
-            yield from self._payload_sinks(module, bounds)
+            yield from self._payload_sinks(module, lookup, reasons)
 
     @staticmethod
     def _is_result_sink(key: str, context: ProjectContext) -> bool:
-        parts = key.split(".")
-        if len(parts) < 2 or "<locals>" in parts:
-            return False
-        class_name, method = parts[-2], parts[-1]
+        # Keys are ``module.qualname`` of non-nested functions.
+        class_name, method = key.split(".")[-2:]
         return (
             method in ESTIMATION_METHODS
             and class_name in context.estimator_classes
         )
 
     def _payload_sinks(
-        self, module: SourceModule, bounds: object
+        self, module: SourceModule, lookup: ContractLookup, reasons: dict[str, str]
     ) -> Iterator[Finding]:
         intervals = module_intervals(module)
         for analysis in intervals.function_analyses():
@@ -413,6 +415,8 @@ class NanToSink(ProjectRule):
                 if self._roots(payload) & sanitized:
                     continue
                 reason = nan_producer_reason(payload, analysis.defs)
+                if reason is None:
+                    reason = _nan_call(lookup, module, payload, reasons)
                 if reason is None:
                     continue
                 target = _callee_key(node.func) or "write"
@@ -432,12 +436,7 @@ class NanToSink(ProjectRule):
         for node in scope:
             if not isinstance(node, ast.Call):
                 continue
-            attr = (
-                node.func.attr
-                if isinstance(node.func, ast.Attribute)
-                else getattr(node.func, "id", None)
-            )
-            if attr in ("isnan", "isfinite", "nan_to_num", "isclose"):
+            if _call_name(node) in _NAN_SANITIZERS:
                 for arg in node.args:
                     for inner in ast.walk(arg):
                         if isinstance(inner, ast.Name):
@@ -449,3 +448,160 @@ class NanToSink(ProjectRule):
         return {
             node.id for node in ast.walk(expr) if isinstance(node, ast.Name)
         }
+
+
+def nan_returns(
+    modules: list[SourceModule], lookup: ContractLookup
+) -> dict[str, str]:
+    """Why each project function that may return NaN does, by key.
+
+    A function may return NaN when one of its ``return`` expressions
+    holds a NaN producer (:func:`nan_producer_reason`) or an unsanitized
+    call to a function that may return NaN.  The reason names the
+    producer, through the chain of calls that reaches it.  Passes repeat
+    until one adds no function, so each adds a link to the chains.
+    """
+    returns = []
+    for module in modules:
+        modname = module_name(module.path)
+        for function in module_intervals(module).function_analyses():
+            key = f"{modname}.{function.qualname}"
+            if key in lookup.functions:
+                values = [
+                    stmt.value
+                    for stmt in module.index.walk(function.node)
+                    if isinstance(stmt, ast.Return) and stmt.value is not None
+                ]
+                returns.append((key, module, function.defs, values))
+    reasons: dict[str, str] = {}
+    added = True
+    while added:
+        added = False
+        for key, module, defs, values in returns:
+            if key in reasons:
+                continue
+            for value in values:
+                reason = nan_producer_reason(value, defs)
+                if reason is not None:
+                    reason = f"{reason} (line {value.lineno}, {module.path})"
+                else:
+                    reason = _nan_call(lookup, module, value, reasons)
+                if reason is not None:
+                    reasons[key] = reason
+                    added = True
+                    break
+    return reasons
+
+
+def _nan_call(
+    lookup: ContractLookup, module: SourceModule, expr: ast.expr, reasons: dict[str, str]
+) -> str | None:
+    """The chain of the first unsanitized call in ``expr`` that may be NaN."""
+    calls = [node for node in ast.walk(expr) if isinstance(node, ast.Call)]
+    sanitized = {
+        id(inner)
+        for call in calls
+        if _call_name(call) in _NAN_SANITIZERS
+        for inner in ast.walk(call)
+    }
+    for call in calls:
+        if id(call) in sanitized:
+            continue
+        target = lookup.resolve(module, call)
+        if target in reasons:
+            return (
+                f"calls {target} which may return NaN (line {call.lineno}); "
+                f"{reasons[target]}"
+            )
+    return None
+
+
+def _call_name(call: ast.Call) -> str | None:
+    func = call.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
+def nan_producer_reason(
+    expr: ast.expr, defs: dict[str, ast.expr], depth: int = 0
+) -> str | None:
+    """Why ``expr`` may evaluate to NaN, or None when no producer found.
+
+    Syntactic, with a bounded chase through single-assignment
+    definitions (the engine's ``defs`` table): ``float("nan")`` /
+    ``np.nan`` / ``math.nan`` literals, and ``0/0``-shaped constant
+    divisions.  Sanitized expressions — anything passed through
+    ``nan_to_num`` or compared via ``isnan`` / ``isfinite`` — are the
+    *callers'* job to suppress, keeping this predicate pure.
+    """
+    if depth > 6:
+        return None
+    if isinstance(expr, ast.Call):
+        if _call_name(expr) in _NAN_SANITIZERS:
+            return None
+        func = expr.func
+        if (
+            isinstance(func, ast.Name)
+            and func.id == "float"
+            and expr.args
+            and isinstance(expr.args[0], ast.Constant)
+            and isinstance(expr.args[0].value, str)
+            and expr.args[0].value.lower() in ("nan", "-nan")
+        ):
+            return 'float("nan") literal'
+        for arg in expr.args:
+            reason = nan_producer_reason(arg, defs, depth + 1)
+            if reason is not None:
+                return reason
+        return None
+    if isinstance(expr, ast.Attribute):
+        root = expr.value
+        if (
+            expr.attr == "nan"
+            and isinstance(root, ast.Name)
+            and root.id in ("np", "numpy", "math")
+        ):
+            return f"{root.id}.nan literal"
+        return None
+    if isinstance(expr, ast.Name):
+        defined = defs.get(expr.id)
+        if defined is not None:
+            reason = nan_producer_reason(defined, defs, depth + 1)
+            if reason is not None:
+                return f"{expr.id!r} = {reason}"
+        return None
+    if isinstance(expr, ast.BinOp):
+        if isinstance(expr.op, ast.Div) and _is_zero(expr.left, defs) and _is_zero(
+            expr.right, defs
+        ):
+            return "0/0 division"
+        for side in (expr.left, expr.right):
+            reason = nan_producer_reason(side, defs, depth + 1)
+            if reason is not None:
+                return reason
+        return None
+    if isinstance(expr, (ast.Tuple, ast.List)):
+        for element in expr.elts:
+            reason = nan_producer_reason(element, defs, depth + 1)
+            if reason is not None:
+                return reason
+        return None
+    if isinstance(expr, ast.IfExp):
+        for branch in (expr.body, expr.orelse):
+            reason = nan_producer_reason(branch, defs, depth + 1)
+            if reason is not None:
+                return reason
+        return None
+    if isinstance(expr, ast.UnaryOp):
+        return nan_producer_reason(expr.operand, defs, depth + 1)
+    return None
+
+
+def _is_zero(expr: ast.expr, defs: dict[str, ast.expr], depth: int = 0) -> bool:
+    if depth > 6:
+        return False
+    if isinstance(expr, ast.Constant):
+        return isinstance(expr.value, (int, float)) and float(expr.value) == 0.0  # reprolint: disable=R201 - detecting a literal 0.0 token, not comparing computed floats
+    if isinstance(expr, ast.Name):
+        defined = defs.get(expr.id)
+        return defined is not None and _is_zero(defined, defs, depth + 1)
+    return False

@@ -15,6 +15,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+from repro.analysis.dataflow.contract_lookup import contract_lookup
 from repro.analysis.findings import PARSE_ERROR_CODE, Finding
 from repro.analysis.project import ProjectContext, build_context
 from repro.analysis.rules import ProjectRule, Rule, all_rules, resolve_rules
@@ -29,7 +30,8 @@ from repro.errors import InvalidParameterError
 __all__ = ["LintReport", "collect_files", "lint_paths"]
 
 #: Rules whose findings depend on the interval engine; a run selecting
-#: any of them builds the whole-program bounds summaries first.
+#: any of them builds every module's analysis with the contract lookup
+#: first.
 _INTERVAL_RULES = frozenset(
     {"R101", "R102", "R702", "R1301", "R1302", "R1303", "R1304"}
 )
@@ -163,13 +165,10 @@ def lint_paths(
     if modules and (
         prove or any(rule.code in _INTERVAL_RULES for rule in rules)
     ):
-        # Converge the interprocedural bounds summaries *before* any rule
-        # queries intervals: project_bounds installs its oracle-equipped
-        # analyses into the per-module cache, so R101/R102/R13xx and
-        # --prove all resolve cross-module calls.
-        from repro.analysis.dataflow.boundsflow import project_bounds
-
-        project_bounds(modules, context)
+        # Build every interval analysis with the cross-module contract
+        # lookup *before* any rule queries intervals, so R101/R102/R13xx
+        # and --prove all resolve calls into other modules.
+        contract_lookup(modules, context)
 
     raw: list[Finding] = list(parse_findings)
     for module in modules:

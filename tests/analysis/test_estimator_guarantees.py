@@ -44,9 +44,6 @@ _KNOWN_RUNTIME = {("_validated", "result[1] >= 1.0")}
 def prove_report(src_lint):
     report = src_lint.report
     verdicts = Counter(v.verdict for _, v in report.contract_verdicts)
-    via = Counter(
-        v.via for _, v in report.contract_verdicts if v.verdict == "proved"
-    )
     _BENCH_OUT.write_text(
         json.dumps(
             {
@@ -56,10 +53,6 @@ def prove_report(src_lint):
                 "clauses": len(report.contract_verdicts),
                 "assumed": verdicts.get("assumed", 0),
                 "proved": verdicts.get("proved", 0),
-                "proved_via": {
-                    "contract": via.get("contract", 0),
-                    "summary": via.get("summary", 0),
-                },
                 "runtime": verdicts.get("runtime", 0),
                 "violated": verdicts.get("violated", 0),
             },

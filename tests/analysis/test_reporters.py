@@ -139,29 +139,7 @@ class TestProveReporter:
         assert lines[0].startswith("src/repro/core/gee.py:12: ensures ")
         assert "proved" in lines[0]
         assert lines[0].endswith("gee_coefficient: result > 0.0")
-        assert lines[-1] == "2 clause(s) (assumed: 1, proved: 1 [contract: 1])"
-
-    def test_summary_proofs_carry_their_provenance(self):
-        report = self._report_with_verdicts()
-        report.contract_verdicts.append(
-            (
-                "src/repro/core/gee.py",
-                ClauseVerdict(
-                    qualname="gee_scale",
-                    kind="ensures",
-                    clause="result >= 0.0",
-                    lineno=30,
-                    verdict="proved",
-                    via="summary",
-                ),
-            )
-        )
-        text = render_prove(report)
-        lines = text.splitlines()
-        assert lines[2].endswith("gee_scale: result >= 0.0  [via inferred summary]")
-        assert lines[-1] == (
-            "3 clause(s) (assumed: 1, proved: 2 [contract: 1, summary: 1])"
-        )
+        assert lines[-1] == "2 clause(s) (assumed: 1, proved: 1)"
 
     def test_empty_report(self):
         assert render_prove(LintReport()) == "no contract clauses found"

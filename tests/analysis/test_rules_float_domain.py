@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+from repro.analysis.dataflow.contract_lookup import contract_lookup
+from repro.analysis.project import build_context
+from repro.analysis.rules.float_domain import nan_returns
+from repro.analysis.source import SourceModule
 from tests.analysis.conftest import lint_fixture, lint_text
 
 
@@ -131,3 +135,81 @@ class TestNanToSink:
         assert len(findings) == 1
         assert "Relay._estimate_raw" in findings[0].message
         assert "degenerate" in findings[0].message
+
+    def test_payload_from_a_nan_returning_call_is_flagged(self):
+        text = (
+            "from repro.db.artifacts import atomic_write\n"
+            "import numpy as np\n"
+            "def degenerate():\n"
+            "    return float('nan')\n"
+            "def relay():\n"
+            "    return degenerate()\n"
+            "def bad_call(path):\n"
+            "    atomic_write(path, degenerate())\n"
+            "def bad_chain(path):\n"
+            "    atomic_write(path, [relay(), 1.0])\n"
+            "def good_sanitized(path):\n"
+            "    atomic_write(path, np.nan_to_num(degenerate()))\n"
+        )
+        findings = lint_text(text, ["R1304"], "repro/core/demo.py")
+        assert [f.message.split(" ", 1)[0] for f in findings] == [
+            "bad_call",
+            "bad_chain",
+        ]
+        assert "calls repro.core.demo.degenerate which may return NaN" in (
+            findings[0].message
+        )
+        assert (
+            "calls repro.core.demo.relay which may return NaN (line 10); "
+            "calls repro.core.demo.degenerate which may return NaN (line 6)"
+        ) in findings[1].message
+
+
+def _nan_returns(text: str) -> dict[str, str]:
+    modules = [SourceModule.from_source(text, path="repro/core/demo.py")]
+    return nan_returns(modules, contract_lookup(modules, build_context(modules)))
+
+
+class TestNanReturns:
+    def test_nan_flag_from_literal_and_through_callees(self):
+        # Callers come first, so the chain needs more than one pass.
+        reasons = _nan_returns(
+            "def relay_twice():\n"
+            "    return relay() + 1.0\n"
+            "def relay():\n"
+            "    return degenerate()\n"
+            "def sanitized():\n"
+            "    import numpy as np\n"
+            "    return np.nan_to_num(degenerate())\n"
+            "def degenerate():\n"
+            "    return float('nan')\n"
+        )
+        assert sorted(reasons) == [
+            "repro.core.demo.degenerate",
+            "repro.core.demo.relay",
+            "repro.core.demo.relay_twice",
+        ]
+
+    def test_reason_names_the_call_chain(self):
+        reasons = _nan_returns(
+            "def degenerate():\n"
+            "    return float('nan')\n"
+            "def relay():\n"
+            "    return degenerate()\n"
+        )
+        assert reasons["repro.core.demo.relay"] == (
+            "calls repro.core.demo.degenerate which may return NaN (line 4); "
+            'float("nan") literal (line 2, repro/core/demo.py)'
+        )
+
+    def test_mutual_recursion_terminates(self):
+        reasons = _nan_returns(
+            "def ping(n):\n"
+            "    return pong(n - 1) if n else float('nan')\n"
+            "def pong(n):\n"
+            "    return ping(n - 1)\n"
+        )
+        assert reasons["repro.core.demo.pong"] == (
+            "calls repro.core.demo.ping which may return NaN (line 4); "
+            'float("nan") literal (line 2, repro/core/demo.py)'
+        )

@@ -3,15 +3,16 @@
 Wall time on a shared machine is too noisy to gate the analyzer's
 traversal cost, but the amount of traversal is exact.  This test lints
 a real subtree with counting spies on ``ast.walk``, on the call graph's
-import-map and base-table builders, and on the scope walker, then
-asserts that every pass read the shared :class:`ModuleIndex` instead of
-walking again.
+import-map and base-table builders, on the scope walker and on the
+interval analysis, then asserts that every pass read the shared
+:class:`ModuleIndex` instead of walking again, and that each module's
+interval analysis was built once.
 
 ``repro/sampling`` is estimator-stack code with ``@requires`` contracts,
 ``repro/estimators`` holds estimator classes and ``repro/experiments``
 submits worker tasks, so the run reaches the numeric, purity and
-float-domain rules, the bounds and taint fixpoints and the task-root
-resolution of R1001, R1002 and R1101.
+float-domain rules, the cross-module contract lookup, the taint
+fixpoint and the task-root resolution of R1001, R1002 and R1101.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import callgraph, source
+from repro.analysis.dataflow import ModuleIntervals
 from repro.analysis.runner import LintReport, lint_paths
 from repro.analysis.source import SourceModule
 
@@ -43,6 +45,8 @@ class WorkCounts:
     bases: Counter
     #: ``id(scope node)`` -> scope walks computed for it.
     scope_walks: Counter
+    #: module path -> interval analyses built for it.
+    interval_analyses: Counter
 
 
 def _patch_everywhere(
@@ -64,12 +68,14 @@ def count_work(paths: list[Path]) -> WorkCounts:
     imports: Counter = Counter()
     bases: Counter = Counter()
     scope_walks: Counter = Counter()
+    interval_analyses: Counter = Counter()
 
     parse = SourceModule.from_source.__func__  # type: ignore[attr-defined]
     walk = ast.walk
     import_map = callgraph._import_map
     in_module_bases = callgraph._in_module_bases
     walk_scope = source._walk_scope
+    analyze = ModuleIntervals.__init__
 
     def spy_parse(cls, text, path="<memory>"):
         module = parse(cls, text, path)
@@ -93,14 +99,21 @@ def count_work(paths: list[Path]) -> WorkCounts:
         scope_walks[id(node)] += 1
         return walk_scope(node)
 
+    def spy_analyze(self, module, *args, **kwargs):
+        interval_analyses[module.path] += 1
+        analyze(self, module, *args, **kwargs)
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(SourceModule, "from_source", classmethod(spy_parse))
         patch.setattr(ast, "walk", spy_walk)
         _patch_everywhere(patch, import_map, spy_imports)
         _patch_everywhere(patch, in_module_bases, spy_bases)
         _patch_everywhere(patch, walk_scope, spy_scope)
+        patch.setattr(ModuleIntervals, "__init__", spy_analyze)
         report = lint_paths([str(path) for path in paths])
-    return WorkCounts(report, modules, tree_walks, imports, bases, scope_walks)
+    return WorkCounts(
+        report, modules, tree_walks, imports, bases, scope_walks, interval_analyses
+    )
 
 
 @pytest.fixture(scope="module")
@@ -131,3 +144,8 @@ def test_each_import_map_and_base_table_is_built_once(counts):
 def test_no_scope_walk_is_computed_twice(counts):
     repeated = sum(1 for calls in counts.scope_walks.values() if calls > 1)
     assert repeated == 0, f"{repeated} scopes were walked more than once"
+
+
+def test_each_module_is_analyzed_once(counts):
+    paths = sorted(module.path for module in counts.modules)
+    assert sorted(counts.interval_analyses.elements()) == paths
