@@ -1,20 +1,17 @@
-"""Before/after microbenchmarks of the native-speed kernel tier.
+"""Before/after microbenchmark of the harness estimate stage.
 
-Each test times the *same* workload twice — once through a per-trial
-reference and once through the path the sweeps run — asserts the two
+The test times the *same* workload twice — once through a per-trial
+reference and once through the path the harness runs — asserts the two
 produce identical results, and records both timings into
 ``BENCH_perf.json``'s ``kernels`` section (the reference under
 ``legacy_seconds``):
 
-* ``reduction``: ``FrequencyProfile.from_sample`` of each sample vs the
-  single-pass ``profiles_from_samples``;
 * ``harness.estimate``: drawing, profiling and estimating one trial at a
   time vs ``evaluate_column``.
 
-``repro perfdiff --gate`` (``scripts/check_perf_baseline.py`` wraps it)
-compares the recorded speedups against the committed
-``BENCH_perf.baseline.json`` and fails CI when any tracked speedup
-regresses by more than 25%.
+``repro perfdiff --gate`` compares the recorded speedups against the
+committed ``BENCH_perf.baseline.json`` and fails CI when any tracked
+speedup regresses by more than 25%.
 
 Speedups (ratios on one machine, one process) are what the baseline
 pins, not absolute seconds, so the gate is robust to runner hardware.
@@ -34,7 +31,7 @@ from repro.data import zipf_column
 from repro.experiments import config
 from repro.experiments.harness import evaluate_column
 from repro.frequency import FrequencyProfile
-from repro.sampling import UniformWithoutReplacement, profiles_from_samples
+from repro.sampling import UniformWithoutReplacement
 
 _REPEATS = 3
 
@@ -49,38 +46,14 @@ def _best_of(fn, repeats: int = _REPEATS) -> tuple[float, object]:
     return best, result
 
 
-def _trial_samples(trials: int = 10):
-    rng = np.random.default_rng(21)
-    n = config.scaled_rows(1_000_000, keep_divisible_by=10)
-    column = zipf_column(n, z=1.0, duplication=10, rng=rng)
-    sampler = UniformWithoutReplacement()
-    return [
-        sampler.sample(column.values, rng, fraction=0.01) for _ in range(trials)
-    ]
-
-
-def test_reduction_kernel(benchmark):
-    """Single-pass bincount reduction vs ``from_sample`` of each trial."""
-    samples = _trial_samples()
-    reference_seconds, reference = _best_of(
-        lambda: [FrequencyProfile.from_sample(sample) for sample in samples]
-    )
-    fast_seconds, fast = _best_of(lambda: profiles_from_samples(samples))
-    assert fast == reference
-    record_kernel_times("reduction", reference_seconds, fast_seconds)
-    benchmark.pedantic(
-        lambda: profiles_from_samples(samples), rounds=1, iterations=1
-    )
-
-
 def test_harness_estimate_stage(benchmark):
     """The harness inner loop end to end: per-trial reference vs ``evaluate_column``.
 
     This is the ``sweep.point`` self-time driver: one column, the full
     paper estimator suite, shared trial profiles.  The reference draws,
     profiles and estimates one trial at a time; ``evaluate_column``
-    draws and reduces the trials in one batched pass, then estimates
-    each profile.
+    draws and profiles every trial through ``profile_batch``, then
+    estimates each profile.
     """
     rng = np.random.default_rng(27)
     n = config.scaled_rows(1_000_000, keep_divisible_by=10)

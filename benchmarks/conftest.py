@@ -56,10 +56,10 @@ _TEST_TIMES: dict[str, float] = {}
 _POINT_SPAN = "sweep.point"
 _EXHIBIT_POINT_HISTS: dict[str, LogHistogram] = {}
 
-# Before/after timings of the kernel-tier microbenchmarks
-# (``bench_perf_kernels.py``): name -> {"legacy_seconds", "fast_seconds",
-# "speedup"}.  The committed ``BENCH_perf.baseline.json`` pins the
-# speedup column; ``scripts/check_perf_baseline.py`` gates on it.
+# Before/after timings of the microbenchmarks in ``bench_perf_kernels.py``:
+# name -> {"legacy_seconds", "fast_seconds", "speedup"}.  The committed
+# ``BENCH_perf.baseline.json`` pins the speedup column;
+# ``repro perfdiff --gate`` gates on it.
 _KERNEL_TIMES: dict[str, dict[str, float]] = {}
 
 

@@ -107,27 +107,7 @@ def _run_point(
     return fn(point, np.random.default_rng(task_seed(seed, index)))
 
 
-def _run_point_traced(
-    fn: Callable[[_PointT, np.random.Generator], _ResultT],
-    point: _PointT,
-    seed: int,
-    index: int,
-) -> tuple[_ResultT, dict[str, Any]]:
-    """Worker-side traced variant: result plus the drained telemetry buffer.
-
-    Submitted instead of :func:`_run_point` when the parent's recorder is
-    enabled.  The capture is reset first — pool workers may be forked
-    with the parent's buffer in memory and are re-used across points —
-    so the payload contains exactly this point's spans and counters,
-    rooted at its ``sweep.point`` span.
-    """
-    OBS.begin_capture()
-    with OBS.span("sweep.point", index=index):
-        result = _run_point(fn, point, seed, index)
-    return result, OBS.drain()
-
-
-def _run_point_supervised(
+def _run_point_in_worker(
     fn: Callable[[_PointT, np.random.Generator], _ResultT],
     point: _PointT,
     seed: int,
@@ -135,12 +115,19 @@ def _run_point_supervised(
     attempt: int,
     traced: bool,
 ) -> tuple[_ResultT, dict[str, Any] | None]:
-    """Worker-side supervised task: fault consult, then the point.
+    """Worker-side task of every pooled sweep: fault consult, then the point.
+
+    Returns the result and, when ``traced`` (the parent's recorder is
+    enabled), the drained telemetry buffer.  The capture is reset first
+    — pool workers may be forked with the parent's buffer in memory and
+    are re-used across points — so the payload contains exactly this
+    point's spans and counters, rooted at its ``sweep.point`` span.
 
     The fault consult is keyed by ``(index, attempt)``, so an injected
     crash that fired on attempt 0 draws fresh on the retry and a retried
     task can succeed — on exactly the same spawn-key seed, hence with a
-    bit-identical result.
+    bit-identical result.  An enabled fault plan always makes a sweep
+    supervised, so on the unsupervised path the consult is a no-op.
     """
     faults.fault_plan().consult("sweep.point", key=index, attempt=attempt)
     if not traced:
@@ -265,24 +252,19 @@ def _run_fast(
                     results.append(_run_point(fn, point, seed, i))
             return results
         with ProcessPoolExecutor(max_workers=realized) as pool:
-            if not OBS.enabled:
-                futures = [
-                    pool.submit(_run_point, fn, point, seed, i)
-                    for i, point in enumerate(todo)
-                ]
-                return [future.result() for future in futures]
-            traced = [
-                pool.submit(_run_point_traced, fn, point, seed, i)
+            futures = [
+                pool.submit(_run_point_in_worker, fn, point, seed, i, 0, OBS.enabled)
                 for i, point in enumerate(todo)
             ]
-            outcomes = [future.result() for future in traced]
+            outcomes = [future.result() for future in futures]
         # Absorb worker buffers in submission order once every point is
         # in, so the merged span sequence is deterministic regardless of
         # pool scheduling.  Each payload gets its own track so trace
         # exports keep worker timelines in separate lanes (worker clocks
         # restart at begin_capture and only order within one payload).
         for track, (_, payload) in enumerate(outcomes, start=1):
-            OBS.absorb(payload, parent_id=sweep_span.id, track=track)
+            if payload is not None:
+                OBS.absorb(payload, parent_id=sweep_span.id, track=track)
         return [result for result, _ in outcomes]
 
 
@@ -457,7 +439,7 @@ def _supervised_pool(
 
     def submit(index: int) -> None:
         future = pool.submit(
-            _run_point_supervised, fn, todo[index], seed, index,
+            _run_point_in_worker, fn, todo[index], seed, index,
             attempts[index], traced,
         )
         active[future] = index

@@ -6,18 +6,18 @@ profile once and feed the *same* profile to every estimator; report per
 estimator the mean ratio error over trials and the standard deviation of
 its estimates as a fraction of the true distinct count.
 
-The trial samples are drawn through the sampler's batched fast path
-(:meth:`~repro.sampling.base.RowSampler.profile_batch`), which reduces
-all ``T`` trials to profiles in one vectorized pass while consuming the
-random stream exactly as a one-trial-at-a-time loop would; each
-estimator then estimates the ``T`` profiles one at a time.  Estimators
-are pure functions of the profile, so the result equals drawing,
-profiling and estimating one trial at a time, bit for bit.  Custom
-samplers without a batch path fall back to the serial loop.
+All ``T`` trial profiles come from one
+:meth:`~repro.sampling.base.RowSampler.profile_batch` call, which
+consumes the random stream exactly as a one-trial-at-a-time loop would;
+each estimator then estimates the ``T`` profiles one at a time.
+Estimators are pure functions of the profile, so the result equals
+drawing, profiling and estimating one trial at a time, bit for bit.
 
 The harness hands the sampler the column itself.  A column with rows is
-sampled row by row; a size-only column (every sweep column) has its
-profiles drawn from its class sizes, with the same law and no rows.
+sampled row by row, one ``_draw`` and one
+:meth:`~repro.frequency.profile.FrequencyProfile.from_sample` per
+trial; a size-only column (every sweep column) has its profiles drawn
+from its class sizes, with the same law and no rows.
 """
 
 from __future__ import annotations

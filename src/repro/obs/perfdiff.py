@@ -10,12 +10,10 @@ telemetry JSONL runs:
   ``kernels.<name>.speedup`` ratios regress downward.  The CLI exits
   nonzero when regressions remain, so two artifact files from different
   CI runs can gate a merge directly.
-* **gate** — the kernel-speedup floor check that
-  ``scripts/check_perf_baseline.py`` historically implemented
-  (:func:`gate_report`): every kernel tracked by the committed
-  ``BENCH_perf.baseline.json`` must be measured and must keep at least
-  ``baseline * (1 - tolerance)`` of its speedup.  The script now
-  delegates here; CI calls ``repro perfdiff --gate``.
+* **gate** — the kernel-speedup floor check CI runs as ``repro
+  perfdiff --gate`` (:func:`gate_report`): every kernel tracked by the
+  committed ``BENCH_perf.baseline.json`` must be measured and must keep
+  at least ``baseline * (1 - tolerance)`` of its speedup.
 
 Pure functions end to end — loading, flattening, diffing, rendering all
 return values; printing and exit codes belong to the CLI layer.

@@ -20,7 +20,6 @@ experiments are reproducible bit-for-bit.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections.abc import Sequence
 from typing import Any
 
 import numpy as np
@@ -59,14 +58,22 @@ def resolve_sample_size(
 
     Exactly one of ``size`` and ``fraction`` must be given.  Fractions
     are rounded to the nearest row and clamped into ``[1, n]``.  A
-    ``size`` above ``n`` is allowed only when ``allow_oversample`` is
-    set (with-replacement schemes can legitimately draw more rows than
-    the table holds).
+    ``size`` is a row count: a fractional or non-finite one is an error,
+    not a size to truncate, while integral floats and numpy integers
+    pass.  A ``size`` above ``n`` is allowed only when
+    ``allow_oversample`` is set (with-replacement schemes can
+    legitimately draw more rows than the table holds).
     """
     if (size is None) == (fraction is None):
         raise InvalidParameterError("specify exactly one of size= or fraction=")
     if size is not None:
-        r = int(size)
+        message = f"sample size must be an integer, got {size}"
+        try:
+            r = int(size)
+        except (OverflowError, ValueError):  # inf, nan
+            raise InvalidParameterError(message) from None
+        if r != size:
+            raise InvalidParameterError(message)
         upper = None if allow_oversample else population_size
         if r < 1 or (upper is not None and r > upper):
             raise InvalidParameterError(
@@ -136,13 +143,12 @@ class RowSampler(ABC):
     ) -> list[FrequencyProfile]:
         """Draw ``trials`` independent samples and return their profiles.
 
-        Semantically identical to calling :meth:`profile` ``trials``
-        times with the same generator — including the order in which the
-        random stream is consumed, so the batched and serial paths
-        produce bit-for-bit equal profiles — but samplers that implement
-        :meth:`_draw_batch` amortize the per-trial reduction into a
-        single vectorized pass over all trials.  Samplers that do not
-        (any custom subclass) fall back to the serial loop.
+        A column with rows is sampled by ``trials`` :meth:`_draw` calls,
+        each reduced by :meth:`FrequencyProfile.from_sample`
+        (:func:`~repro.sampling.batch.profiles_from_samples`): the same
+        profiles, and the same position of the random stream, as
+        calling :meth:`profile` ``trials`` times with the same
+        generator.
 
         A size-only :class:`~repro.data.column.Column` is sampled in the
         count domain when the scheme supports it (``count_domain``):
@@ -166,19 +172,10 @@ class RowSampler(ABC):
         else:
             data = as_column(column)
             r = self._sample_size(data.size, size, fraction)
-            with OBS.span(
-                f"sample.{self.name}", trials=trials, requested_size=r
-            ) as span:
-                batch = self._draw_batch(data, r, rng, trials)
-                if batch is None:
-                    if span.id is not None:
-                        span.attrs["path"] = "serial"
-                    profiles = [
-                        FrequencyProfile.from_sample(self._draw(data, r, rng))
-                        for _ in range(trials)
-                    ]
-                else:
-                    profiles = profiles_from_samples(batch)
+            with OBS.span(f"sample.{self.name}", trials=trials, requested_size=r):
+                profiles = profiles_from_samples(
+                    [self._draw(data, r, rng) for _ in range(trials)]
+                )
         if OBS.enabled:
             OBS.add("sample.trials", trials)
             OBS.add("sample.rows_sampled", sum(p.sample_size for p in profiles))
@@ -199,23 +196,6 @@ class RowSampler(ABC):
         self, column: npt.NDArray[Any], r: int, rng: np.random.Generator
     ) -> npt.NDArray[Any]:
         """Draw exactly ``r`` rows (or approximately, for Bernoulli) from ``column``."""
-
-    def _draw_batch(
-        self,
-        column: npt.NDArray[Any],
-        r: int,
-        rng: np.random.Generator,
-        trials: int,
-    ) -> Sequence[npt.NDArray[Any]] | None:
-        """Draw ``trials`` samples for the batched profile reduction.
-
-        Returns one array of sampled values per trial, or ``None`` to
-        request the serial fallback.  Implementations MUST consume
-        ``rng`` exactly as ``trials`` successive :meth:`_draw` calls
-        would, so that batched and serial runs stay interchangeable bit
-        for bit under a fixed seed.
-        """
-        return None
 
     def _profiles_from_sizes(
         self, column: Column, r: int, rng: np.random.Generator, trials: int

@@ -1,16 +1,13 @@
-"""Vectorized reduction of many sampling trials to frequency profiles.
+"""Reduction of a row column's sampling trials to frequency profiles.
 
-The measurement harness draws ``T`` independent samples per
-configuration and needs one :class:`~repro.frequency.profile.FrequencyProfile`
-per trial.  Reducing each sample separately costs ``T`` sorts plus ``T``
-rounds of Python dict handling; this module validates the batch once and
-hands the actual counting to the single-pass reduction kernel of
-:mod:`repro.sampling.kernels`.
-
-The result is exactly ``[FrequencyProfile.from_sample(s) for s in
-samples]``: all counting is integer-exact and the kernel emits histogram
-keys in the same ascending ``(trial, frequency)`` order, so the batched
-reduction is interchangeable with the serial one bit for bit.
+:meth:`~repro.sampling.base.RowSampler.profile_batch` draws a row
+column's trials one :meth:`~repro.sampling.base.RowSampler._draw` at a
+time and reduces them here, one :meth:`FrequencyProfile.from_sample`
+per trial.  A single batched pass over all trials measured slower at
+every sample size the exhibits draw but the smallest
+(docs/performance.md, "Row samples").  The reduction is its own
+function because the benchmark's tracer (bench/tracer.py) times it as
+the ``sampling.reduce`` layer.
 """
 
 from __future__ import annotations
@@ -21,9 +18,7 @@ from typing import Any
 import numpy as np
 import numpy.typing as npt
 
-from repro.errors import InvalidSampleError
 from repro.frequency.profile import FrequencyProfile
-from repro.sampling.kernels import reduce_samples
 
 __all__ = ["profiles_from_samples"]
 
@@ -31,23 +26,10 @@ __all__ = ["profiles_from_samples"]
 def profiles_from_samples(
     samples: Sequence[npt.NDArray[Any]],
 ) -> list[FrequencyProfile]:
-    """Reduce a batch of sample arrays to one profile per trial.
+    """One profile per trial: :meth:`FrequencyProfile.from_sample` of each array.
 
     ``samples`` holds one 1-D array of sampled values per trial; the
-    arrays may differ in length (Bernoulli trials do).  Returns the
-    trials' profiles in order, equal to calling
-    :meth:`FrequencyProfile.from_sample` on each array.
+    arrays may differ in length (Bernoulli trials do) and in dtype.  A
+    non-1-D array raises :class:`~repro.errors.InvalidSampleError`.
     """
-    arrays: list[npt.NDArray[Any]] = []
-    for sample in samples:
-        array = np.asarray(sample)
-        if array.ndim != 1:
-            raise InvalidSampleError(
-                f"sample arrays must be 1-D, got shape {array.shape}"
-            )
-        arrays.append(array)
-    if not arrays:
-        return []
-    if sum(a.size for a in arrays) == 0:
-        return [FrequencyProfile.empty() for _ in arrays]
-    return [FrequencyProfile(c) for c in reduce_samples(arrays)]
+    return [FrequencyProfile.from_sample(np.asarray(sample)) for sample in samples]

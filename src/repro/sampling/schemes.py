@@ -19,7 +19,6 @@
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from typing import Any
 
 import numpy as np
@@ -73,20 +72,6 @@ class UniformWithoutReplacement(RowSampler):
         indices = rng.choice(column.size, size=r, replace=False)
         return column[indices]
 
-    def _draw_batch(
-        self,
-        column: npt.NDArray[Any],
-        r: int,
-        rng: np.random.Generator,
-        trials: int,
-    ) -> Sequence[npt.NDArray[Any]]:
-        # The index draws stay per-trial: ``Generator.choice`` without
-        # replacement is O(r) and stream-dependent, whereas a batched
-        # Gumbel-key top-r would be O(n) per trial at the paper's rates
-        # (r/n <= 6.4%) *and* consume a different stream.  The batch win
-        # here is the shared profile reduction.
-        return [self._draw(column, r, rng) for _ in range(trials)]
-
     def _profiles_from_sizes(
         self, column: Column, r: int, rng: np.random.Generator, trials: int
     ) -> tuple[str, list[FrequencyProfile]]:
@@ -130,19 +115,6 @@ class UniformWithReplacement(RowSampler):
         indices = rng.integers(0, column.size, size=r)
         return column[indices]
 
-    def _draw_batch(
-        self,
-        column: npt.NDArray[Any],
-        r: int,
-        rng: np.random.Generator,
-        trials: int,
-    ) -> Sequence[npt.NDArray[Any]]:
-        # One (trials, r) draw fills the output buffer element by
-        # element from the same bit stream as ``trials`` successive
-        # size-r draws, so this is bit-identical to the serial loop.
-        indices = rng.integers(0, column.size, size=(trials, r))
-        return list(column[indices])
-
 
 class Bernoulli(RowSampler):
     """Independent per-row inclusion with probability ``r / n``.
@@ -165,19 +137,6 @@ class Bernoulli(RowSampler):
         if not mask.any():
             mask[rng.integers(0, column.size)] = True
         return column[mask]
-
-    def _draw_batch(
-        self,
-        column: npt.NDArray[Any],
-        r: int,
-        rng: np.random.Generator,
-        trials: int,
-    ) -> Sequence[npt.NDArray[Any]]:
-        # The coin flips are already one vectorized draw per trial; the
-        # draws stay in a per-trial loop so the rare empty-mask fallback
-        # consumes the stream at exactly the position the serial path
-        # would.  The batch win is the shared profile reduction.
-        return [self._draw(column, r, rng) for _ in range(trials)]
 
 
 class Reservoir(RowSampler):
@@ -215,15 +174,6 @@ class Reservoir(RowSampler):
             )
             reservoir[winner_slots] = column[tail[hits][::-1][winner_index]]
         return reservoir
-
-    def _draw_batch(
-        self,
-        column: npt.NDArray[Any],
-        r: int,
-        rng: np.random.Generator,
-        trials: int,
-    ) -> Sequence[npt.NDArray[Any]]:
-        return [self._draw(column, r, rng) for _ in range(trials)]
 
 
 class Block(RowSampler):
@@ -265,15 +215,6 @@ class Block(RowSampler):
         block_begins = np.repeat(cumulative[:needed] - sizes, sizes)
         rows = column[offsets + np.arange(offsets.size) - block_begins]
         return rows[:r]
-
-    def _draw_batch(
-        self,
-        column: npt.NDArray[Any],
-        r: int,
-        rng: np.random.Generator,
-        trials: int,
-    ) -> Sequence[npt.NDArray[Any]]:
-        return [self._draw(column, r, rng) for _ in range(trials)]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Block(block_size={self.block_size})"

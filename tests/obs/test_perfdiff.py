@@ -1,9 +1,9 @@
 """`repro perfdiff`: report flattening, diff directionality, the CI gate.
 
 The diff must regress in the right direction per metric family (seconds
-grow = bad, ``.speedup`` shrinks = bad), and ``--gate`` must reproduce
-the historical ``scripts/check_perf_baseline.py`` semantics: floor =
-baseline speedup × (1 − tolerance), a missing measurement is a failure.
+grow = bad, ``.speedup`` shrinks = bad), and ``--gate`` must hold every
+tracked speedup to its floor = baseline speedup × (1 − tolerance); a
+missing measurement is a failure.
 """
 
 from __future__ import annotations

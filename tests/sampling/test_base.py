@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.errors import InvalidParameterError
-from repro.sampling import as_column, resolve_sample_size
+from repro.sampling import UniformWithoutReplacement, as_column, resolve_sample_size
 
 
 class TestAsColumn:
@@ -30,6 +32,10 @@ class TestAsColumn:
 class TestResolveSampleSize:
     def test_explicit_size(self):
         assert resolve_sample_size(1000, size=100) == 100
+        # Integral floats and numpy integers are row counts too.
+        assert resolve_sample_size(1000, size=100.0) == 100
+        assert resolve_sample_size(1000, size=np.int64(100)) == 100
+        assert resolve_sample_size(1000, size=np.float64(100.0)) == 100
 
     def test_fraction(self):
         assert resolve_sample_size(1000, fraction=0.25) == 250
@@ -51,6 +57,16 @@ class TestResolveSampleSize:
             resolve_sample_size(1000, size=0)
         with pytest.raises(InvalidParameterError):
             resolve_sample_size(1000, size=1001)
+        # A fractional or non-finite size is rejected, not truncated,
+        # whether or not the scheme may oversample.
+        for bad in (10.7, np.float64(2.5), math.nan, math.inf, -math.inf):
+            for oversample in (False, True):
+                with pytest.raises(InvalidParameterError, match="integer"):
+                    resolve_sample_size(1000, size=bad, allow_oversample=oversample)
+        with pytest.raises(InvalidParameterError, match="integer"):
+            UniformWithoutReplacement().profile(
+                np.arange(100), np.random.default_rng(0), size=10.7
+            )
 
     def test_fraction_bounds(self):
         with pytest.raises(InvalidParameterError):

@@ -1,10 +1,11 @@
-"""Tests for the batched trial machinery: reduction, schemes, fallback.
+"""Tests for a row column's trials: reduction, schemes, custom samplers.
 
 The contract under test is strong: for every built-in scheme,
 ``profile_batch`` must be *bit-identical* to the serial
 one-``profile``-per-trial loop under the same seed — including the
 position the random stream is left at — because the experiment harness
-switched to the batch path while the historical results must not move.
+samples through ``profile_batch`` and the historical results must not
+move.
 """
 
 from __future__ import annotations
@@ -60,6 +61,23 @@ class TestProfilesFromSamples:
     def test_rejects_non_1d(self):
         with pytest.raises(InvalidSampleError):
             profiles_from_samples([np.zeros((2, 2))])
+
+    def test_trials_of_different_dtypes_are_reduced_apart(self):
+        # Each trial keeps its own dtype: concatenating the batch would
+        # promote the int64 trial to float64, where 2**53 and 2**53 + 1
+        # are the same value.
+        samples = [
+            np.array([2**53, 2**53 + 1], dtype=np.int64),
+            np.array([0.5], dtype=np.float64),
+        ]
+        batched = profiles_from_samples(samples)
+        serial = [FrequencyProfile.from_sample(s) for s in samples]
+        assert batched == serial == [
+            FrequencyProfile({1: 2}),
+            FrequencyProfile({1: 1}),
+        ]
+        for got, want in zip(batched, serial):
+            assert list(got.counts.items()) == list(want.counts.items())
 
     def test_single_value_many_trials(self):
         samples = [np.array([9] * k) for k in (1, 2, 3)]

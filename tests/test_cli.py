@@ -506,34 +506,6 @@ class TestPerfdiff:
         assert "REGRESSED" in captured.out
         assert "FAIL" in captured.err
 
-    def test_gate_script_delegates_to_the_same_check(self, tmp_path):
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        baseline = self._write(
-            tmp_path,
-            "baseline.json",
-            {"tolerance": 0.25, "kernels": {"reduction": {"speedup": 2.0}}},
-        )
-        bad = self._write(
-            tmp_path, "bad.json", {"kernels": {"reduction": {"speedup": 1.0}}}
-        )
-        proc = subprocess.run(
-            [
-                sys.executable,
-                "scripts/check_perf_baseline.py",
-                "--baseline", baseline,
-                "--report", bad,
-            ],
-            capture_output=True,
-            text=True,
-            cwd=str(Path(__file__).resolve().parent.parent),
-        )
-        assert proc.returncode == 1
-        assert "REGRESSED" in proc.stdout
-        assert "FAIL" in proc.stderr
-
 
 class TestReportManifest:
     def test_report_writes_a_manifest(self, tmp_path, capsys, monkeypatch):
