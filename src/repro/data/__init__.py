@@ -18,6 +18,7 @@ from repro.data.synthetic import (
     column_with_distinct,
     constant_column,
     distinct_class_sizes,
+    distinct_size_runs,
     needle_column,
     unbounded_scaleup_column,
     uniform_column,
@@ -41,6 +42,7 @@ __all__ = [
     "column_with_distinct",
     "constant_column",
     "distinct_class_sizes",
+    "distinct_size_runs",
     "needle_column",
     "unbounded_scaleup_column",
     "uniform_column",

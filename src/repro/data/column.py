@@ -69,26 +69,35 @@ class SizeRuns(NamedTuple):
     def of(cls, class_sizes: npt.NDArray[np.int64]) -> SizeRuns:
         """The runs of positive ``int64`` sizes, in any order.
 
-        Sizes that already ascend or descend are read in place (a
-        descending array through a reversed view); only unordered sizes
-        are sorted into a copy.
+        Each stretch of equal neighbours becomes one ``(size, count)``
+        pair, so ordered sizes are read in one pass and never sorted;
+        unordered sizes give more pairs, which :meth:`from_spectrum`
+        sorts and merges.
         """
-        ascending = class_sizes
-        if (class_sizes[1:] < class_sizes[:-1]).any():
-            if (class_sizes[1:] <= class_sizes[:-1]).all():
-                ascending = class_sizes[::-1]
-            else:
-                ascending = np.sort(class_sizes)
-        first_class = np.concatenate(
-            ([0], np.flatnonzero(ascending[1:] != ascending[:-1]) + 1)
+        starts = np.concatenate(
+            ([0], np.flatnonzero(class_sizes[1:] != class_sizes[:-1]) + 1)
         )
-        sizes = ascending[first_class]
-        counts = np.diff(first_class, append=ascending.size)
-        rows = sizes * counts
+        return cls.from_spectrum(
+            class_sizes[starts], np.diff(starts, append=class_sizes.size)
+        )
+
+    @classmethod
+    def from_spectrum(
+        cls, sizes: npt.NDArray[np.int64], counts: npt.NDArray[np.int64]
+    ) -> SizeRuns:
+        """The runs of ``counts[i]`` classes of ``sizes[i]`` rows each.
+
+        The pairs may come in any order and a size may repeat; the
+        counts of a repeated size add up.
+        """
+        distinct_sizes, owner = np.unique(sizes, return_inverse=True)
+        totals = np.zeros(distinct_sizes.size, dtype=np.int64)
+        np.add.at(totals, owner, counts)
+        rows = distinct_sizes * totals
         return cls(
-            sizes=sizes,
-            counts=counts,
-            first_class=first_class,
+            sizes=distinct_sizes,
+            counts=totals,
+            first_class=np.cumsum(totals) - totals,
             first_row=np.cumsum(rows) - rows,
         )
 
@@ -139,9 +148,10 @@ class SizeRuns(NamedTuple):
 class Column:
     """A named column of values with cached ground-truth statistics.
 
-    ``values`` may be omitted only when ``_class_sizes`` is given: the
-    column then holds the :class:`SizeRuns` of those sizes and no rows
-    (see :meth:`from_class_sizes`).
+    ``values`` may be omitted only when ``_class_sizes`` or
+    ``_size_runs`` is given: the column then holds those runs, or the
+    :class:`SizeRuns` of those sizes, and no rows (see
+    :meth:`from_class_sizes` and :meth:`from_size_runs`).
     """
 
     def __init__(
@@ -149,16 +159,21 @@ class Column:
         name: str,
         values: npt.ArrayLike | None = None,
         _class_sizes: npt.NDArray[np.int64] | None = None,
+        _size_runs: SizeRuns | None = None,
     ) -> None:
         self.name = name
         self._class_sizes: npt.NDArray[np.int64] | None = None
         self._size_runs: SizeRuns | None = None
         self._values: npt.NDArray[Any] | None = None
         if values is None:
-            if _class_sizes is None:
-                raise DataGenerationError("a column needs its values or class sizes")
-            self._size_runs = SizeRuns.of(validated_class_sizes(_class_sizes))
-            self._n_rows = self._size_runs.n_rows
+            if _size_runs is None:
+                if _class_sizes is None:
+                    raise DataGenerationError(
+                        "a column needs its values or class sizes"
+                    )
+                _size_runs = SizeRuns.of(validated_class_sizes(_class_sizes))
+            self._size_runs = _size_runs
+            self._n_rows = _size_runs.n_rows
             return
         array = np.asarray(values)
         if array.ndim != 1:
@@ -179,6 +194,15 @@ class Column:
         holds ``G`` entries (one per distinct size) whatever its ``D``.
         """
         return cls(name, _class_sizes=np.asarray(class_sizes))
+
+    @classmethod
+    def from_size_runs(cls, runs: SizeRuns, name: str) -> Column:
+        """A size-only column that holds ``runs`` as they are.
+
+        For a builder that never holds the class sizes themselves, as
+        :func:`~repro.data.synthetic.distinct_size_runs` does not.
+        """
+        return cls(name, _size_runs=runs)
 
     @property
     def size_only(self) -> bool:

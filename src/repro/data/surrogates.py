@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.data.column import Column
-from repro.data.synthetic import column_with_distinct, distinct_class_sizes
+from repro.data.synthetic import column_with_distinct, distinct_size_runs
 from repro.errors import DataGenerationError
 
 __all__ = [
@@ -223,6 +223,9 @@ def class_size_dataset(name: str, scale: float = 1.0) -> Dataset:
     ``DATASETS[name](rng, scale)``, but no rows: the experiment sweeps
     draw its sample profiles from the sizes alone, so they need no
     layout and no random stream (see :class:`~repro.data.column.Column`).
+    Each column's size runs are built a chunk of ranks at a time
+    (:func:`~repro.data.synthetic.distinct_size_runs`), without an
+    array of per-class sizes.
     """
     try:
         n_rows, specs = _TABLES[name]
@@ -233,8 +236,8 @@ def class_size_dataset(name: str, scale: float = 1.0) -> Dataset:
     return Dataset(
         name=name,
         columns=[
-            Column.from_class_sizes(
-                distinct_class_sizes(rows, distinct, z=spec.skew), name=spec.name
+            Column.from_size_runs(
+                distinct_size_runs(rows, distinct, z=spec.skew), name=spec.name
             )
             for spec, rows, distinct in _scaled_columns(n_rows, specs, scale)
         ],

@@ -14,9 +14,11 @@ Beyond the plain ``(n, Z, dup)`` Zipf columns, the experiments need:
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 import numpy as np
 
-from repro.data.column import Column
+from repro.data.column import Column, SizeRuns
 from repro.data.zipf import shuffled_from_class_sizes, zipf_class_sizes
 from repro.errors import DataGenerationError
 
@@ -29,6 +31,7 @@ __all__ = [
     "needle_column",
     "column_with_distinct",
     "distinct_class_sizes",
+    "distinct_size_runs",
     "clustered_column",
 ]
 
@@ -161,7 +164,8 @@ def clustered_column(
     )
 
 
-#: Ranks per chunk when :func:`distinct_class_sizes` writes its sizes.
+#: Ranks per chunk of the surrogate size rule, and the largest leaf of
+#: its weight sum.
 _RANK_CHUNK = 1 << 16
 
 
@@ -172,52 +176,124 @@ def _weights(first: int, stop: int, z: float) -> np.ndarray:
     return np.divide(1.0, weights, out=weights)
 
 
-def distinct_class_sizes(n_rows: int, distinct: int, z: float = 1.0) -> np.ndarray:
-    """Zipf-shaped class sizes with an exact distinct count (descending).
+def _weight_total(first: int, stop: int, z: float) -> float:
+    """``_weights(first, stop, z).sum()``, bit for bit, a leaf of ranks at a time.
 
-    Used by the real-dataset surrogates, where the published schema fixes
-    each column's cardinality: ranks get weight ``1 / i^z``, sizes are
-    scaled to ``n_rows`` with a one-row floor, and the rounding residual
-    is spread over the largest classes.
+    numpy sums a float64 array pairwise: an array of more than 128
+    elements is cut after half its length, rounded down to a multiple
+    of 8, and each part is summed the same way.  Cutting at the same
+    points down to leaves of at most ``_RANK_CHUNK`` ranks, and summing
+    each leaf with numpy, adds the same floats in the same order
+    (``tests/data/test_zipf_solve.py`` holds it to the whole-array sum).
     """
+    count = stop - first
+    if count <= _RANK_CHUNK:
+        return float(_weights(first, stop, z).sum())
+    half = count // 2
+    half -= half % 8
+    return _weight_total(first, first + half, z) + _weight_total(first + half, stop, z)
+
+
+def _check_size_rule(n_rows: int, distinct: int, z: float) -> None:
+    """Raise unless ``1 <= distinct <= n_rows`` and ``z >= 0``."""
     if not 1 <= distinct <= n_rows:
         raise DataGenerationError(
             f"distinct must be in [1, n_rows], got {distinct} for n={n_rows}"
         )
     if z < 0:
         raise DataGenerationError(f"z must be >= 0, got {z}")
-    # One float pass over every rank gives the pairwise sum of the
-    # weights; the sizes are then written a chunk of ranks at a time,
-    # each chunk's weights recomputed by the same ufuncs.
-    total = _weights(1, distinct + 1, z).sum()
-    sizes = np.empty(distinct, dtype=np.int64)
-    for start in range(0, distinct, _RANK_CHUNK):
-        stop = min(start + _RANK_CHUNK, distinct)
-        scaled = _weights(start + 1, stop + 1, z)
+
+
+def _size_chunks(
+    n_rows: int, distinct: int, z: float
+) -> Iterator[tuple[int, np.ndarray]]:
+    """The sizes of :func:`distinct_class_sizes` as ``(start, sizes)`` chunks of ranks.
+
+    Every chunk comes once with its floored sizes; then the chunks
+    that the rounding residual changes come again, settled.  A caller
+    that keeps the last sizes it got for each ``start`` ends with the
+    final sizes; the generator itself holds one chunk at a time.  The
+    caller checks the arguments (:func:`_check_size_rule`).
+    """
+    total = _weight_total(1, distinct + 1, z)
+    starts = range(0, distinct, _RANK_CHUNK)
+
+    def floored(start: int) -> np.ndarray:
+        scaled = _weights(start + 1, min(start + _RANK_CHUNK, distinct) + 1, z)
         np.multiply(n_rows, scaled, out=scaled)
         np.divide(scaled, total, out=scaled)
-        sizes[start:stop] = np.maximum(1, np.floor(scaled, out=scaled), out=scaled)
-    residual = int(n_rows - sizes.sum())
-    if residual < 0:
-        # Floors overshot (possible when many sizes hit the 1-row floor):
-        # shave the largest classes, never below one row.
-        for idx in range(sizes.size):
-            if residual == 0:
-                break
-            take = min(-residual, int(sizes[idx]) - 1)
-            sizes[idx] -= take
-            residual += take
-        if residual != 0:
-            raise DataGenerationError(
-                f"cannot fit {distinct} distinct values into {n_rows} rows"
-            )
-    elif residual > 0:
-        # Distribute leftover rows over the head, proportionally.
-        head = min(sizes.size, max(1, residual))
+        return np.maximum(1, np.floor(scaled, out=scaled), out=scaled).astype(np.int64)
+
+    # Rows above the one-row floor in the chunks before each chunk.
+    spare_before: list[int] = []
+    spare = 0
+    for start in starts:
+        sizes = floored(start)
+        spare_before.append(spare)
+        spare += int(sizes.sum()) - sizes.size
+        yield start, sizes
+    residual = n_rows - distinct - spare
+    if residual > 0:
+        # Spread the leftover rows over the head: `per` more rows for
+        # each of the first `head` ranks, and one more for the first `extra`.
+        head = min(distinct, residual)
         per, extra = divmod(residual, head)
-        sizes[:head] += per
-        sizes[:extra] += 1
+        for start in starts:
+            if start >= head:
+                break
+            sizes = floored(start)
+            sizes[: head - start] += per
+            sizes[: max(0, extra - start)] += 1
+            yield start, sizes
+    elif residual < 0:
+        # The floors overshot (many sizes hit the one-row floor): shave
+        # the ranks in rank order, none below one row, until the
+        # overshoot is spent.  D <= n classes of one row each always
+        # fit, so it always is.
+        for start, before in zip(starts, spare_before):
+            if before >= -residual:
+                break
+            sizes = floored(start)
+            above = sizes - 1
+            shaved_before = before + np.cumsum(above) - above
+            sizes -= np.clip(-residual - shaved_before, 0, above)
+            yield start, sizes
+
+
+def distinct_class_sizes(n_rows: int, distinct: int, z: float = 1.0) -> np.ndarray:
+    """Zipf-shaped class sizes with an exact distinct count, in rank order.
+
+    Used by the real-dataset surrogates, where the published schema fixes
+    each column's cardinality: rank ``i`` gets weight ``1 / i^z``, its
+    size is ``n_rows`` times its share of the weights, floored, with a
+    one-row floor, and the rounding residual is settled in rank order.
+    Leftover rows go to the largest classes.  When the one-row floor
+    overshoots, the head classes are shaved, down to one row if need
+    be, in rank order, so the sizes are then not in descending order:
+    ``distinct_class_sizes(936, 814, 2.0)`` starts ``[1, 1, 17, 35, 22]``.
+    """
+    _check_size_rule(n_rows, distinct, z)
+    sizes = np.empty(distinct, dtype=np.int64)
+    for start, chunk in _size_chunks(n_rows, distinct, z):
+        sizes[start : start + chunk.size] = chunk
     return sizes
+
+
+def distinct_size_runs(n_rows: int, distinct: int, z: float = 1.0) -> SizeRuns:
+    """``SizeRuns.of(distinct_class_sizes(n_rows, distinct, z))``, one chunk at a time.
+
+    Each chunk of ranks is reduced to its runs as it comes, so no
+    array longer than one chunk is built, whatever ``distinct``.
+    """
+    _check_size_rule(n_rows, distinct, z)
+    chunk_runs = {
+        start: SizeRuns.of(chunk)
+        for start, chunk in _size_chunks(n_rows, distinct, z)
+    }
+    return SizeRuns.from_spectrum(
+        np.concatenate([runs.sizes for runs in chunk_runs.values()]),
+        np.concatenate([runs.counts for runs in chunk_runs.values()]),
+    )
 
 
 def column_with_distinct(

@@ -556,11 +556,10 @@ def memoized(  # reprolint: disable=R1101 - per-process cache by contract: build
     — in a parallel sweep those counters are per-process tallies summed
     at merge, so they depend on how the pool scheduled points.
 
-    ``shared_input=True`` marks a sweep input (a column, a dataset, and
-    the class layout a column caches for sampling).  The memo holds one
-    of those at a time: building a new one first releases the previous
-    one, so a sweep over ten columns peaks at one column's memory, not
-    ten.  Grid points are submitted column
+    ``shared_input=True`` marks a sweep input: a size-only column or
+    dataset.  The memo holds one of those at a time: building a new one
+    first releases the previous one, so a sweep over ten columns peaks
+    at one column's memory, not ten.  Grid points are submitted column
     by column, so an inline sweep builds each input once.
     """
     global _MEMO_HITS, _MEMO_MISSES

@@ -45,6 +45,84 @@ __all__ = [
 #: ``_ROWS_PER_CLASS * D <= r``, and the index path otherwise.
 _ROWS_PER_CLASS = 2
 
+#: :func:`_tail_picks` packs a draw ``t`` and its step ``b``, both below
+#: ``n``, into the ``int64`` key ``t * n + b``: exact below this ``n``.
+_PACKED_ROWS = 1 << 31
+
+
+def _shuffles_tail(n: int, r: int) -> bool:
+    """Whether ``rng.choice(n, r, replace=False)`` shuffles a tail of ``arange(n)``.
+
+    numpy's own switch (with ``shuffle=True``): above 10,000 rows and
+    ``n // 50`` picks, ``choice`` shuffles the last ``r`` places of an
+    ``n``-entry permutation; otherwise it runs Floyd's algorithm in
+    O(r) memory.
+    """
+    return n > 10_000 and r > n // 50
+
+
+def _sorted_positions(
+    rng: np.random.Generator, n: int, r: int
+) -> npt.NDArray[np.int64]:
+    """``np.sort(rng.choice(n, r, replace=False))`` in O(r) memory.
+
+    The same values, and the same generator state after.  In Floyd's
+    regime this is ``choice`` itself.  In the tail-shuffle regime
+    ``choice`` swaps place ``b`` of ``arange(n)`` with place ``t_b``,
+    drawn uniformly from ``0..b``, for ``b = n - 1`` down to
+    ``m = n - r`` (down to 1 when ``m = 0``), and keeps places ``m``
+    onwards.  ``integers`` with the same bounds draws the same ``t_b``,
+    and :func:`_tail_picks` finds the kept set from them without the
+    ``n``-entry permutation.
+    """
+    if not _shuffles_tail(n, r) or n >= _PACKED_ROWS:
+        return np.sort(rng.choice(n, size=r, replace=False))
+    draws = rng.integers(0, np.arange(n, max(n - r, 1), -1))
+    if r == n:
+        return np.arange(n, dtype=np.int64)  # a whole shuffle keeps every place
+    return _tail_picks(draws, n)
+
+
+def _tail_picks(draws: npt.NDArray[np.int64], n: int) -> npt.NDArray[np.int64]:
+    """The sorted places a tail shuffle of ``arange(n)`` keeps, given its draws.
+
+    ``draws[k]`` is ``t_b``, the place swapped with place ``b = n - 1 - k``
+    (``0 <= t_b <= b``); there is one draw per kept place, so
+    ``m = n - len(draws)`` places are dropped.  Floyd's algorithm over
+    the same draws in the other order, ``b = m`` up to ``n - 1`` (pick
+    ``t_b``, or ``b`` when ``t_b`` is already picked), picks the same
+    set.  Step ``b`` picks itself when ``t_b`` is also the draw of a
+    lower step, or when ``t_b`` is itself a lower step
+    (``m <= t_b < b``) that picked itself; the set is those steps and
+    every other step's ``t_b``.  ``draws`` is overwritten.
+    """
+    r = draws.size
+    m = n - r
+    # One sort of the (t_b, b) pairs orders the draws and puts each
+    # repeated draw right after the lowest step that drew it.
+    steps = np.arange(n - 1, m - 1, -1)
+    keys = np.multiply(draws, n, out=draws)
+    keys += steps
+    keys.sort()
+    drawn, step = np.divmod(keys, n, out=(keys, steps))
+    step -= m
+    repeat = np.zeros(r, dtype=bool)
+    np.equal(drawn[1:], drawn[:-1], out=repeat[1:])
+    picks_itself = np.zeros(r, dtype=bool)
+    picks_itself[step[repeat]] = True
+    # A step whose draw is new but is a lower step picks itself iff
+    # that step did: follow these links until no step changes.
+    link = ~repeat & (drawn >= m) & (drawn - m < step)
+    linked, target = step[link], drawn[link] - m
+    while True:
+        grown = picks_itself[target] & ~picks_itself[linked]
+        if not grown.any():
+            break
+        picks_itself[linked[grown]] = True
+    kept = drawn[~picks_itself[step]]
+    own = np.flatnonzero(picks_itself) + m
+    return np.insert(kept, np.searchsorted(kept, own), own)
+
 
 def _profile_of_histogram(histogram: npt.NDArray[np.intp]) -> FrequencyProfile:
     """The profile whose ``f_k`` is ``histogram[k]`` for ``k >= 1``, in ascending ``k``.
@@ -86,6 +164,9 @@ class UniformWithoutReplacement(RowSampler):
         would, sorts them and counts them per class through the column's
         :meth:`~repro.data.column.Column.size_runs` (O(r log r) per
         trial, :meth:`~repro.data.column.SizeRuns.sample_histogram`).
+        The positions are those ``rng.choice`` draws, from the same
+        stream, but never through an ``n``-entry permutation
+        (:func:`_sorted_positions`).
         """
         if _ROWS_PER_CLASS * column.distinct_count <= r:
             sizes = column.class_sizes
@@ -98,7 +179,7 @@ class UniformWithoutReplacement(RowSampler):
         runs = column.size_runs()
         profiles: list[FrequencyProfile] = []
         for _ in range(trials):
-            positions = np.sort(rng.choice(column.n_rows, size=r, replace=False))
+            positions = _sorted_positions(rng, column.n_rows, r)
             profiles.append(_profile_of_histogram(runs.sample_histogram(positions)))
         return "index", profiles
 

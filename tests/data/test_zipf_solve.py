@@ -2,11 +2,13 @@
 
 The Zipf scale solve computes the rank powers ``i^z`` once and rounds
 each bisection step's sizes into one reused float buffer, comparing
-their float sum.  ``distinct_class_sizes`` sums its weights in one float
-pass and writes its sizes a chunk of ranks at a time.  The oracles below
-are both builders as they were before: a solve that recomputed the
-powers and summed integer sizes at every step, and one whole-array
-expression for the surrogate sizes.  Every sweep column's sizes, and
+their float sum.  ``distinct_class_sizes`` sums its weights leaf by
+leaf along numpy's pairwise split and computes its sizes a chunk of
+ranks at a time, and ``distinct_size_runs`` reduces those chunks to
+size runs as they come.  The oracles below are the builders as they
+were before: a solve that recomputed the powers and summed integer
+sizes at every step, and one whole-array expression for the surrogate
+sizes, reduced by ``SizeRuns.of``.  Every sweep column's sizes, and
 through them the sweep goldens and the stability digest, rest on these
 sizes, so any difference fails here first.
 """
@@ -16,7 +18,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.data import distinct_class_sizes, zipf
+from repro.data import distinct_class_sizes, distinct_size_runs, synthetic, zipf
+from repro.data.column import SizeRuns
 from repro.data.surrogates import _TABLES, _scaled_columns
 from repro.errors import DataGenerationError
 from repro.experiments.figures import _KIND_BOUNDED
@@ -105,10 +108,15 @@ def _oracle_distinct_class_sizes(n_rows: int, distinct: int, z: float) -> np.nda
 
 
 def _assert_same_distinct_sizes(n_rows: int, distinct: int, z: float) -> None:
+    """Both surrogate builders against the whole-array oracle."""
     built = distinct_class_sizes(n_rows, distinct, z)
     expected = _oracle_distinct_class_sizes(n_rows, distinct, z)
     assert built.dtype == expected.dtype
     assert built.tobytes() == expected.tobytes(), (n_rows, distinct, z)
+    runs = distinct_size_runs(n_rows, distinct, z)
+    for field, got, want in zip(SizeRuns._fields, runs, SizeRuns.of(built)):
+        assert got.dtype == want.dtype, field
+        assert got.tobytes() == want.tobytes(), (field, n_rows, distinct, z)
 
 
 @pytest.mark.parametrize("scale", [1, 20], ids=["paper", "smoke"])
@@ -144,3 +152,49 @@ def test_every_surrogate_column_gets_the_same_sizes(monkeypatch, scale):
 )
 def test_a_grid_of_surrogate_sizes_gets_the_same_sizes(n_rows, distinct, z):
     _assert_same_distinct_sizes(n_rows, distinct, z)
+
+
+#: Inputs whose one-row floor overshoots, so head classes are shaved in
+#: rank order and the sizes do not descend.
+OVERSHOOTS = [(936, 814, 2.0), (73_500, 70_000, 1.0), (204_000, 200_000, 0.4)]
+
+
+@pytest.mark.parametrize("n_rows, distinct, z", OVERSHOOTS)
+def test_overshooting_floors_shave_the_head_in_rank_order(n_rows, distinct, z):
+    sizes = distinct_class_sizes(n_rows, distinct, z)
+    assert (sizes[1:] > sizes[:-1]).any()
+    _assert_same_distinct_sizes(n_rows, distinct, z)
+
+
+def test_a_shaved_head_starts_with_one_row_classes():
+    sizes = distinct_class_sizes(936, 814, 2.0)
+    assert sizes[:5].tolist() == [1, 1, 17, 35, 22]
+    assert sizes.sum() == 936
+
+
+@pytest.mark.parametrize(
+    "n_rows, distinct, z",
+    # MSSales `invoice` at scale 0.1: a residual of 19,629 rows adds one
+    # row to each rank of a 154-chunk prefix.
+    OVERSHOOTS[1:] + [(199_629, 180_000, 0.02)],
+)
+def test_a_residual_spread_over_many_chunks_gets_the_same_sizes(
+    monkeypatch, n_rows, distinct, z
+):
+    # The smallest chunk the weight sum allows (numpy never cuts fewer
+    # than 129 elements), so the residual reaches past the first chunk.
+    monkeypatch.setattr(synthetic, "_RANK_CHUNK", 128)
+    chunks = sum(1 for _ in synthetic._size_chunks(n_rows, distinct, z))
+    assert chunks >= -(-distinct // 128) + 2
+    _assert_same_distinct_sizes(n_rows, distinct, z)
+
+
+@pytest.mark.parametrize(
+    "distinct",
+    [65_535, 65_536, 65_537, 131_073, 1_800_000]
+    + [8 * 2**k + d for k in range(14, 19) for d in (-1, 1)],
+)
+@pytest.mark.parametrize("z", [0.02, 0.9, 2.0])
+def test_the_leafwise_weight_total_is_the_whole_array_sum(distinct, z):
+    whole = synthetic._weights(1, distinct + 1, z).sum()
+    assert synthetic._weight_total(1, distinct + 1, z) == whole

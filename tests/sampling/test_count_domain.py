@@ -7,7 +7,11 @@ size-only column's profiles that way (one hypergeometric per class) or
 by sampling row positions of the unshuffled layout, by a fixed rule on
 ``(D, r)``.  These tests hold both paths to the exact law of the whole
 profile, enumerated over every ``r``-subset of tiny columns, and to the
-row sampler on a materialized column of the same sizes.
+row sampler on a materialized column of the same sizes.  The index
+path's row positions are held to ``np.sort(rng.choice(...))`` itself,
+value for value and generator state after, and the set it recovers
+from ``choice``'s tail-shuffle draws to literal Fisher-Yates and Floyd
+loops on every draw sequence of up to seven rows.
 
 Every chi-squared test runs on a fixed seed, so none can flake: a
 change that moves a p-value below the threshold fails every run.
@@ -49,6 +53,7 @@ from repro.sampling import (
     UniformWithReplacement,
     profiles_from_samples,
 )
+from repro.sampling.schemes import _shuffles_tail, _sorted_positions, _tail_picks
 
 from tests.experiments.sweep_inputs import sweep_inputs, sweep_sample_sizes
 
@@ -252,6 +257,81 @@ def test_every_index_path_sweep_draw_matches_the_per_row_reduction(
             assert _items(profiles) == _items(expected), (column.name, r)
             drawn += 1
     assert drawn >= 50
+
+
+def _fisher_yates_kept(draws: tuple[int, ...], n: int) -> list[int]:
+    """The places a top-down partial Fisher-Yates pass over ``range(n)`` keeps.
+
+    ``draws[k]`` is swapped with place ``n - 1 - k``; the last
+    ``len(draws)`` places are kept, as ``Generator.choice`` keeps them.
+    """
+    places = list(range(n))
+    for k, t in enumerate(draws):
+        b = n - 1 - k
+        places[b], places[t] = places[t], places[b]
+    return sorted(places[n - len(draws):])
+
+
+def _floyd_picked(draws: tuple[int, ...], n: int) -> list[int]:
+    """Floyd's algorithm over the same draws, from the lowest step up."""
+    picked: set[int] = set()
+    for b in range(n - len(draws), n):
+        t = draws[n - 1 - b]
+        picked.add(b if t in picked else t)
+    return sorted(picked)
+
+
+def test_tail_picks_are_fisher_yates_and_floyd_on_every_draw_sequence():
+    # Every sequence of draws t_b in 0..b, b = n-1 down to n-r, for
+    # n <= 7 and every r: the vectorized set against both loops.
+    sequences = 0
+    for n in range(1, 8):
+        for r in range(1, n + 1):
+            for draws in itertools.product(*(range(n - k) for k in range(r))):
+                kept = _fisher_yates_kept(draws, n)
+                assert _floyd_picked(draws, n) == kept, (n, draws)
+                picks = _tail_picks(np.array(draws, dtype=np.int64), n)
+                assert picks.tolist() == kept, (n, draws)
+                sequences += 1
+    assert sequences == 16_064
+
+
+def _assert_sorted_choice(n: int, r: int, seed: int) -> None:
+    """``_sorted_positions`` is ``np.sort(choice(...))``, with the same state after."""
+    chosen, drawn = np.random.default_rng(seed), np.random.default_rng(seed)
+    expected = np.sort(chosen.choice(n, size=r, replace=False))
+    positions = _sorted_positions(drawn, n, r)
+    assert positions.dtype == expected.dtype
+    assert np.array_equal(positions, expected), (n, r, seed)
+    assert drawn.bit_generator.state == chosen.bit_generator.state, (n, r, seed)
+
+
+#: Both sides of numpy's switch from Floyd's algorithm to a tail shuffle
+#: (n > 10,000 and r > n // 50), and the largest picks.
+CHOICE_GRID = [
+    (n, r)
+    for n in (10_000, 10_001, 20_000, 1_996_290)
+    for r in (n // 50, n // 50 + 1, n - 1, n)
+]
+
+
+@pytest.mark.parametrize("n, r", CHOICE_GRID, ids=lambda v: str(v))
+def test_sorted_positions_are_choice_sorted_with_the_same_end_state(n, r):
+    for seed in range(3):
+        _assert_sorted_choice(n, r, seed)
+
+
+@pytest.mark.parametrize("scale", [1, 20], ids=["paper", "smoke"])
+def test_every_index_path_sweep_draw_is_choice_sorted(monkeypatch, scale):
+    drawn = tail = 0
+    for column, sizes in sweep_sample_sizes(monkeypatch, scale):
+        for r in sorted(set(sizes)):
+            if 2 * column.distinct_count <= r:
+                continue
+            _assert_sorted_choice(column.n_rows, r, seed=r)
+            drawn += 1
+            tail += _shuffles_tail(column.n_rows, r)
+    assert drawn >= 50 and tail >= 5
 
 
 class TestSizeOnlyColumn:
