@@ -213,6 +213,10 @@ class DistinctValueEstimator(ABC):
             OBS.add(f"estimator.calls.{self.name}")
             OBS.add(f"estimator.seconds.{self.name}", elapsed)
             OBS.observe(f"estimator.seconds.{self.name}", elapsed)
+            # Hybrids (HYBSKEW, HYBGEE, HYBVAR) name the estimator they chose.
+            branch = details.get("branch")
+            if branch is not None:
+                OBS.add(f"estimator.branch.{self.name}.{branch}")
         return result
 
     def estimate_batch(

@@ -414,6 +414,28 @@ class TestTelemetryFlush:
         assert main(["trace", str(tdir / "generate.jsonl")]) == 0
         assert "data.zipf_column" in capsys.readouterr().out
 
+    def test_stats_shows_the_branch_each_hybrid_took(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        column = tmp_path / "col.npy"
+        assert main(
+            ["generate", "--rows", "20000", "--z", "2", "--out", str(column)]
+        ) == 0
+        hybrids = ["HYBSKEW", "HYBGEE", "HYBVAR"]
+        tdir = self._flush_run(
+            tmp_path,
+            monkeypatch,
+            ["estimate", str(column), "--fraction", "0.05", "--estimator", *hybrids],
+        )
+        capsys.readouterr()
+        assert main(["stats", str(tdir / "estimate.jsonl")]) == 0
+        out = capsys.readouterr().out
+        # Z = 2 is high skew: the chi-squared gate sends HYBSKEW to
+        # Shlosser and HYBGEE to GEE.
+        assert "estimator.branch.HYBSKEW.Shlosser" in out
+        assert "estimator.branch.HYBGEE.GEE" in out
+        assert "estimator.branch.HYBVAR." in out
+
     def test_flush_note_hidden_without_verbose(self, tmp_path, capsys, monkeypatch):
         out = tmp_path / "col.npy"
         self._flush_run(
