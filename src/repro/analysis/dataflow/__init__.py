@@ -1,11 +1,11 @@
 """Intraprocedural dataflow: CFG + sign/interval abstract interpretation.
 
-PR 1's guardedness heuristics (:mod:`repro.analysis.guards`) answer
-"did the author *consider* the zero case" — a textual question.  This
-package answers the stronger question the numeric rules actually care
-about: *can this expression be zero or negative at this program point*.
-It builds a control-flow graph per function, runs a standard interval
-abstract interpretation over locals, parameters, and ``self.<attr>``
+This package answers the question the numeric rules care about: *can
+this expression be zero or negative at this program point*.  Naming a
+variable in a comparison does not answer it (``if r > 100: return``
+leaves ``r == 0`` possible); the engine must prove it.  It builds a
+control-flow graph per function, runs a standard interval abstract
+interpretation over locals, parameters, and ``self.<attr>``
 pseudo-variables (with widening at loop heads), and refines intervals
 along branch edges from validation guards like ``if n < 1: raise`` or
 ``assert 0.0 < gamma < 1.0``.
@@ -31,12 +31,11 @@ The layers:
   determinism rules R1001/R1002.
 
 Soundness caveats (documented, deliberate): arithmetic is interpreted
-over the reals (float underflow/overflow to zero or inf is ignored, as
-the PR 1 heuristics already did); attribute facts trust encapsulation
-(no external writes to ``obj.attr``); ``@ensures`` clauses of called
-functions are assumed at call sites — each is verified at its own
-definition, statically where provable and at runtime under
-``REPRO_CONTRACTS=1`` otherwise.
+over the reals (float underflow/overflow to zero or inf is ignored);
+attribute facts trust encapsulation (no external writes to
+``obj.attr``); ``@ensures`` clauses of called functions are assumed at
+call sites — each is verified at its own definition, statically where
+provable and at runtime under ``REPRO_CONTRACTS=1`` otherwise.
 """
 
 from repro.analysis.dataflow.cfg import ControlFlowGraph, build_cfg

@@ -19,6 +19,12 @@ Internally it:
   ``result[i]`` form for tuple-unpacked returns), for callees in other
   modules too when a call lookup resolves them
   (:mod:`repro.analysis.dataflow.contract_lookup`);
+* starts an uncontracted function's estimator-contract parameters
+  (``population_size``, ``profile.sample_size``, ...) at ``>= 1``;
+* evaluates module-level expressions in the module env, masking the
+  names a class body, lambda or comprehension rebinds;
+* refines a conditional's branches, later ``and``/``or`` operands and a
+  comprehension's element by the tests that lead to them;
 * verifies each function's own ``@ensures`` clauses at every return
   site, classifying them ``proved`` / ``runtime`` / ``violated``.
 
@@ -101,6 +107,19 @@ _NEGATE = {
 }
 
 _CONTRACT_DECORATORS = ("requires", "ensures")
+
+#: Quantities ``DistinctValueEstimator.estimate`` validates (``>= 1``)
+#: before any estimator code runs, and the module-level helpers at
+#: entry.  An uncontracted function starts with those rooted at its
+#: parameters; a contracted one rests on its own clauses alone.
+_ESTIMATOR_CONTRACT = (
+    "population_size",
+    "sample_size",
+    "profile.sample_size",
+    "profile.distinct",
+    "self.population_size",
+    "self.sample_size",
+)
 
 
 def key_of(expr: ast.AST) -> str | None:
@@ -204,6 +223,13 @@ class FunctionAnalysis:
         return self.param_names | self.assigned_names
 
 
+#: Where an expression is evaluated: a statement's env in its analysis
+#: (the module env when None), with the masked names read as TOP and the
+#: ``(test, holds)`` refinements of the branch or operand it sits in.
+_Assumed = tuple[tuple[ast.expr, bool], ...]
+_Place = tuple[FunctionAnalysis | None, ast.stmt | None, frozenset[str], _Assumed]
+
+
 def _contract_of(func: ast.FunctionDef | ast.AsyncFunctionDef) -> FunctionContract:
     contract = FunctionContract()
     for decorator in func.decorator_list:
@@ -225,7 +251,7 @@ def _contract_of(func: ast.FunctionDef | ast.AsyncFunctionDef) -> FunctionContra
     return contract
 
 
-def _param_names(func: ast.FunctionDef | ast.AsyncFunctionDef) -> list[str]:
+def _param_names(func: ast.FunctionDef | ast.AsyncFunctionDef | ast.Lambda) -> list[str]:
     args = func.args
     names = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
     if args.vararg:
@@ -318,6 +344,29 @@ def _collect_defs(scoped: tuple[ast.AST, ...], analysis: FunctionAnalysis) -> No
                 analysis.relational_facts.append((left_key, type(op), right_key))
 
 
+def _bound_names(scope: tuple[ast.AST, ...], skip: set[int]) -> set[str]:
+    """Names the nodes of one scope bind, leaving out the targets whose
+    ``id`` is in ``skip`` and comprehension targets (their own scope)."""
+    excluded = skip | {
+        id(name)
+        for node in scope
+        if isinstance(node, ast.comprehension)
+        for name in ast.walk(node.target)
+    }
+    names: set[str] = set()
+    for node in scope:
+        if isinstance(node, ast.Name):
+            if not isinstance(node.ctx, ast.Load) and id(node) not in excluded:
+                names.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            names.add(node.name)
+    return names
+
+
 def _walrus_names(stmt: ast.stmt) -> set[str]:
     """Names bound by ``:=`` anywhere in the statement (dropped to TOP)."""
     names: set[str] = set()
@@ -364,9 +413,14 @@ class ModuleIntervals:
         self._by_name: dict[str, FunctionAnalysis] = {}
         self._methods: dict[tuple[str, str], FunctionAnalysis] = {}
         self._class_bases: dict[str, tuple[str, ...]] = {}
+        #: Names some function declares ``global``, so may rebind.
+        self._global_names: set[str] = set()
         self._attr_facts: dict[str, dict[str, Interval]] = {}
-        #: ``id(expr)`` -> (analysis, enclosing stmt, comprehension mask).
-        self._node_map: dict[int, tuple[FunctionAnalysis, ast.stmt, frozenset[str]]] = {}
+        #: Set for pass 2 only: pass 1 derives the attribute facts that
+        #: contracted methods read, which rest on contracts alone.
+        self._seed_contract = False
+        #: expr -> where it is evaluated, one tuple per statement.
+        self._node_map: dict[ast.AST, _Place] = {}
         self._ensures_stack: set[str] = set()
         self._build()
 
@@ -375,22 +429,26 @@ class ModuleIntervals:
     # ------------------------------------------------------------------
     def interval_of(self, expr: ast.AST) -> Interval:
         """Abstract value of an expression node of this module's tree."""
-        entry = self._node_map.get(id(expr))
+        entry = self._node_map.get(expr)
         if entry is None:
             return TOP
-        analysis, stmt, mask = entry
-        if analysis.abandoned:
-            return TOP
-        env = analysis.env_at.get(id(stmt))
-        if env is None:  # statically unreachable: nothing to prove
-            return TOP
-        if mask:
-            env = {
-                key: value
-                for key, value in env.items()
-                if key.split(".", 1)[0] not in mask
-            }
-        return self._eval(expr, env, analysis)
+        analysis, stmt, mask, assumed = entry
+        env: Env | None = {}
+        if analysis is not None:
+            env = None if analysis.abandoned else analysis.env_at.get(id(stmt))
+            if env is None:  # abandoned, or statically unreachable
+                return TOP
+            if mask:
+                env = {
+                    key: value
+                    for key, value in env.items()
+                    if key.split(".", 1)[0] not in mask
+                }
+        scope = set(mask)
+        for test, holds in assumed:
+            # None: the branch is infeasible, so keep the env unrefined.
+            env = self._refine(dict(env), test, holds, analysis, scope) or env
+        return self._eval(expr, env, analysis, scope)
 
     def proves_nonzero(self, expr: ast.AST) -> bool:
         """True when the engine proved ``expr != 0`` at its use site."""
@@ -435,8 +493,8 @@ class ModuleIntervals:
     # Construction
     # ------------------------------------------------------------------
     def _build(self) -> None:
-        self._build_module_env()
         collected = list(self._collect_functions(self.module.tree))
+        self._build_module_env()
         # Pass 1: analyze methods without attribute facts, then derive the
         # per-class ``self.<attr>`` joins from their recorded envs.
         draft: dict[tuple[str, str], FunctionAnalysis] = {}
@@ -445,6 +503,7 @@ class ModuleIntervals:
                 draft[(class_name, func.name)] = self._analyze(func, qualname, class_name)
         self._attr_facts = self._derive_attr_facts(draft)
         # Pass 2: the real analyses, with attribute facts seeded at entry.
+        self._seed_contract = True
         for func, qualname, class_name in collected:
             analysis = self._analyze(func, qualname, class_name)
             self._functions.append(analysis)
@@ -454,16 +513,22 @@ class ModuleIntervals:
                 self._methods.setdefault((class_name, func.name), analysis)
         for analysis in self._functions:
             self._map_function(analysis)
+        module_level: _Place = (None, None, frozenset(), ())
+        for stmt in self.module.tree.body:
+            self._map_node(stmt, module_level)
 
     def _build_module_env(self) -> None:
         """Fold straight-line top-level constant assignments into facts.
 
         Evaluation is sequential (later constants may reference earlier
         ones); a name assigned more than once keeps the join of all its
-        values, since functions may read it at any program point.
+        values, since functions may read it at any program point.  A name
+        also bound any other way (a loop, an import, ``global``) is dropped.
         """
+        tree = self.module.tree
+        folded_targets: set[int] = set()
         reassigned: set[str] = set()
-        for stmt in self.module.tree.body:
+        for stmt in tree.body:
             targets: list[ast.expr] = []
             value: ast.expr | None = None
             if isinstance(stmt, ast.Assign):
@@ -474,6 +539,7 @@ class ModuleIntervals:
                 continue
             interval = self._eval(value, self.module_env, None)
             for target in targets:
+                folded_targets.add(id(target))
                 if not isinstance(target, ast.Name):
                     continue
                 name = target.id
@@ -485,6 +551,9 @@ class ModuleIntervals:
                     self.module_env.pop(name, None)
                 else:
                     self.module_env[name] = folded
+        rebound = _bound_names(self.module.index.scope(tree), folded_targets)
+        for name in rebound | self._global_names:
+            self.module_env.pop(name, None)
 
     def _collect_functions(
         self, tree: ast.Module
@@ -497,6 +566,8 @@ class ModuleIntervals:
                     qualname = f"{prefix}{child.name}"
                     yield child, qualname, class_name
                     yield from visit(child, None, f"{qualname}.<locals>.")
+                elif isinstance(child, ast.Global):
+                    self._global_names.update(child.names)
                 elif isinstance(child, ast.ClassDef):
                     self._class_bases[child.name] = tuple(
                         base.id if isinstance(base, ast.Name) else base.attr
@@ -629,6 +700,10 @@ class ModuleIntervals:
             for attr, interval in self._attr_facts.get(class_name, {}).items():
                 env[f"self.{attr}"] = interval
         contract = _contract_of(func)
+        if self._seed_contract and not contract:
+            for key in _ESTIMATOR_CONTRACT:
+                if key.split(".", 1)[0] in params:
+                    env[key] = self._meet_best(env.get(key, TOP), Interval.at_least(1))
         scope_locals = set(params)
         for clause in contract.requires:
             clause_ast = _parse_clause(clause)
@@ -1993,35 +2068,67 @@ class ModuleIntervals:
             return
         for block in analysis.cfg.blocks:
             for stmt in block.statements:
+                place: _Place = (analysis, stmt, frozenset(), ())
                 for expr_root in _statement_expressions(stmt):
-                    self._map_node(expr_root, stmt, analysis, frozenset())
+                    self._map_node(expr_root, place)
 
-    def _map_node(
-        self,
-        node: ast.AST,
-        stmt: ast.stmt,
-        analysis: FunctionAnalysis,
-        mask: frozenset[str],
-    ) -> None:
+    def _map_node(self, node: ast.AST, place: _Place) -> None:
+        """Map ``node``'s expressions to ``place``, masking the names a class
+        body, lambda or comprehension rebinds, and assuming the tests that a
+        conditional, ``and``/``or`` or comprehension filter passed."""
+        analysis, stmt, mask, assumed = place
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            return  # nested scopes get their own analyses
-        self._node_map[id(node)] = (analysis, stmt, mask)
+            # Decorators, defaults and bases run here; a function body is
+            # its own analysis, a class body runs here with its names masked.
+            body: _Place | None = None
+            if isinstance(node, ast.ClassDef):
+                bound = _bound_names(self.module.index.scope(node), set())
+                body = (analysis, stmt, mask | bound, ())
+            for child in ast.iter_child_nodes(node):
+                if not isinstance(child, ast.stmt):
+                    self._map_node(child, place)
+                elif body is not None:
+                    self._map_node(child, body)
+            return
+        self._node_map[node] = place
         if isinstance(node, ast.Lambda):
-            # The body runs later, in an unknown environment.
-            for default in node.args.defaults + [
-                d for d in node.args.kw_defaults if d is not None
-            ]:
-                self._map_node(default, stmt, analysis, mask)
+            self._map_node(node.args, place)
+            if analysis is None:
+                # A module-level name has one interval for the whole run,
+                # so the body may read it whenever it is called; in a
+                # function the body runs later, in an unknown environment.
+                params = frozenset(_param_names(node))
+                self._map_node(node.body, (None, None, mask | params, ()))
+            return
+        if isinstance(node, ast.IfExp):
+            self._map_node(node.test, place)
+            for branch, holds in ((node.body, True), (node.orelse, False)):
+                branch_place = (analysis, stmt, mask, (*assumed, (node.test, holds)))
+                self._map_node(branch, branch_place)
+            return
+        if isinstance(node, ast.BoolOp):
+            # ``a and b`` evaluates b only if a holds, ``a or b`` only if not.
+            holds = isinstance(node.op, ast.And)
+            for value in node.values:
+                self._map_node(value, (analysis, stmt, mask, assumed))
+                assumed = (*assumed, (value, holds))
             return
         if isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
-            bound: set[str] = set(mask)
+            bound = set(mask)
             for generator in node.generators:
                 for target_node in ast.walk(generator.target):
                     if isinstance(target_node, ast.Name):
                         bound.add(target_node.id)
             mask = frozenset(bound)
+            # Outer tests may name what the targets rebind: drop them.  The
+            # element runs once the last generator's filters pass.
+            filters = tuple((test, True) for test in node.generators[-1].ifs)
+            for child in ast.iter_child_nodes(node):
+                inner = isinstance(child, ast.comprehension)
+                self._map_node(child, (analysis, stmt, mask, () if inner else filters))
+            return
         for child in ast.iter_child_nodes(node):
-            self._map_node(child, stmt, analysis, mask)
+            self._map_node(child, place)
 
 
 def _statement_expressions(stmt: ast.stmt) -> list[ast.AST]:

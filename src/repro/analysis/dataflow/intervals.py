@@ -9,9 +9,8 @@ about strictness at the origin, so ``x > 0`` is ``[0, inf]`` +
 ``nonzero`` and ``x >= 0`` is ``[0, inf]`` alone.
 
 Arithmetic is interpreted over the reals: ``positive / positive`` is
-positive even though floats can underflow to ``0.0``.  This matches the
-PR 1 guardedness heuristics and is recorded as a soundness caveat in
-``docs/static_analysis.md``.
+positive even though floats can underflow to ``0.0``.  This is recorded
+as a soundness caveat in ``docs/static_analysis.md``.
 """
 
 from __future__ import annotations

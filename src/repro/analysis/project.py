@@ -89,10 +89,6 @@ class ProjectContext:
     registry_module: str | None = None
     registry_lineno: int = 0
 
-    def is_estimator_class(self, name: str) -> bool:
-        """True for the estimator base class and every known subclass."""
-        return name in self.estimator_classes or name == ESTIMATOR_BASE
-
 
 def build_context(modules: list[SourceModule]) -> ProjectContext:
     """Scan every module once and derive the shared project facts."""

@@ -46,7 +46,7 @@ from repro.analysis.findings import Finding
 from repro.analysis.project import ProjectContext, context_cached
 from repro.analysis.rules.base import ProjectRule, register
 from repro.analysis.rules.numeric import _in_estimator_stack
-from repro.analysis.rules.purity import ESTIMATION_METHODS
+from repro.analysis.rules.purity import _is_estimation_method
 from repro.analysis.source import SourceModule
 
 __all__ = ["NondetTaint", "OrderSensitivity"]
@@ -69,17 +69,6 @@ _NUMPY_ONLY = frozenset({"save", "savetxt"})
 
 def _is_sink_module(module: SourceModule) -> bool:
     return _in_estimator_stack(module) or module.in_package("repro", "db")
-
-
-def _is_estimation_method(key: str, context: ProjectContext) -> bool:
-    parts = key.split(".")
-    if len(parts) < 2 or "<locals>" in parts:
-        return False
-    class_name, method = parts[-2], parts[-1]
-    return (
-        method in ESTIMATION_METHODS
-        and class_name in context.estimator_classes
-    )
 
 
 #: An artifact write: module, function key, call, and its payload's taint.

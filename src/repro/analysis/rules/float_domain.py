@@ -41,7 +41,7 @@ from repro.analysis.project import ProjectContext
 from repro.analysis.rules.base import ProjectRule, Rule, register
 from repro.analysis.rules.determinism import _payload_argument
 from repro.analysis.rules.numeric import _in_estimator_stack
-from repro.analysis.rules.purity import ESTIMATION_METHODS
+from repro.analysis.rules.purity import _is_estimation_method
 from repro.analysis.source import SourceModule
 
 __all__ = [
@@ -113,10 +113,10 @@ class UnprovenNonzeroDivision(Rule):
         'behaviour; repro lint --prove certifies its ensures clauses.\n'
         'But a proof built on a division that can produce inf/nan (or\n'
         'raise) on degenerate input is vacuous exactly where it matters\n'
-        '— the all-singleton and empty-tail profiles.  Unlike R101, a\n'
-        'syntactic guard is not enough here: the divisor must be\n'
-        '*proved* nonzero, locally or through the @requires/@ensures\n'
-        'contracts of the functions it calls.'
+        '— the all-singleton and empty-tail profiles.  So the divisor\n'
+        'must be *proved* nonzero from the function\'s own guards and\n'
+        '@requires clauses or the @ensures contracts of the functions\n'
+        'it calls, in or out of the estimator stack.'
     )
     example = (
         '@ensures("result >= 0.0")\n'
@@ -377,7 +377,7 @@ class NanToSink(ProjectRule):
         lookup = contract_lookup(modules, context)
         reasons = nan_returns(modules, lookup)
         for key in sorted(reasons):
-            if not self._is_result_sink(key, context):
+            if not _is_estimation_method(key, context):
                 continue
             module, _qualname, node = lookup.functions[key]
             yield self.finding(
@@ -389,15 +389,6 @@ class NanToSink(ProjectRule):
             )
         for module in modules:
             yield from self._payload_sinks(module, lookup, reasons)
-
-    @staticmethod
-    def _is_result_sink(key: str, context: ProjectContext) -> bool:
-        # Keys are ``module.qualname`` of non-nested functions.
-        class_name, method = key.split(".")[-2:]
-        return (
-            method in ESTIMATION_METHODS
-            and class_name in context.estimator_classes
-        )
 
     def _payload_sinks(
         self, module: SourceModule, lookup: ContractLookup, reasons: dict[str, str]

@@ -29,7 +29,7 @@ from repro.analysis.callgraph import ProjectCallGraph, cached_callgraph
 from repro.analysis.findings import Finding
 from repro.analysis.project import ProjectContext
 from repro.analysis.rules.base import ProjectRule, register
-from repro.analysis.rules.purity import ESTIMATION_METHODS
+from repro.analysis.rules.purity import _is_estimation_method
 from repro.analysis.source import SourceModule
 
 __all__ = ["TransitiveGlobalRng", "TransitiveImpurity"]
@@ -151,7 +151,7 @@ class TransitiveImpurity(ProjectRule):
             return
         for key in sorted(graph.nodes):
             node = graph.nodes[key]
-            if not self._is_estimation_method(key, node, context):
+            if not _is_estimation_method(key, context):
                 continue
             path = graph.find_path(key, targets)
             if path is None:
@@ -170,16 +170,3 @@ class TransitiveImpurity(ProjectRule):
                 f"{cause}; estimation must stay a pure function of the "
                 "profile",
             )
-
-    @staticmethod
-    def _is_estimation_method(
-        key: str, node: object, context: ProjectContext
-    ) -> bool:
-        parts = key.split(".")
-        if len(parts) < 2 or "<locals>" in parts:
-            return False
-        class_name, method = parts[-2], parts[-1]
-        return (
-            method in ESTIMATION_METHODS
-            and class_name in context.estimator_classes
-        )

@@ -14,14 +14,11 @@ R101 and R102 are scoped to the estimator stack (``repro/core``,
 ``repro/estimators``, ``repro/frequency``, ``repro/sketches``,
 ``repro/sampling``) where the contract applies; R201 runs tree-wide.
 
-Since the dataflow engine landed, both rules first ask the interval
-prover (:mod:`repro.analysis.dataflow`) whether the expression is safe at
-its program point — ``proves_nonzero`` for divisors, ``proves_positive``
-(``proves_nonnegative`` for ``sqrt``) for log arguments.  A proof
-discharges the finding outright, so validation guards like ``if n < 1:
-raise`` make the pragma at the use site unnecessary (R701 then flags the
-leftover pragma as stale).  The PR 1 textual heuristics remain as the
-fallback layer for expressions the lattice cannot bound.
+Both report exactly the sites the interval prover
+(:mod:`repro.analysis.dataflow`) cannot clear: a divisor it cannot show
+nonzero, a log argument it cannot show positive (``sqrt``: nonnegative).
+Naming a quantity in a comparison proves nothing: ``if r > 100: return
+0.0`` leaves ``f1 / r`` reported.
 """
 
 from __future__ import annotations
@@ -29,14 +26,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.analysis.dataflow import ModuleIntervals, module_intervals
+from repro.analysis.dataflow import module_intervals
 from repro.analysis.findings import Finding
-from repro.analysis.guards import (
-    CONTRACT_POSITIVE,
-    ScopeFacts,
-    iter_scopes,
-    module_positive_constants,
-)
 from repro.analysis.project import ProjectContext
 from repro.analysis.rules.base import Rule, register
 from repro.analysis.source import SourceModule
@@ -57,41 +48,14 @@ def _in_estimator_stack(module: SourceModule) -> bool:
     return any(module.in_package(*parts) for parts in ESTIMATOR_STACK)
 
 
-class _ScopedNumericRule(Rule):
-    """Shared scope-walking machinery for R101/R102."""
-
-    def check(
-        self, module: SourceModule, context: ProjectContext
-    ) -> Iterator[Finding]:
-        if not _in_estimator_stack(module):
-            return
-        intervals = module_intervals(module)
-        index = module.index
-        module_facts = ScopeFacts(module.tree, index)
-        positive = CONTRACT_POSITIVE | module_positive_constants(module_facts)
-        for scope in iter_scopes(index):
-            facts = ScopeFacts(scope, index, contract_positive=positive)
-            for node in index.scope(scope):
-                yield from self._check_node(module, node, facts, intervals)
-
-    def _check_node(
-        self,
-        module: SourceModule,
-        node: ast.AST,
-        facts: ScopeFacts,
-        intervals: ModuleIntervals,
-    ) -> Iterator[Finding]:
-        raise NotImplementedError
-
-
 @register
-class UnguardedDivision(_ScopedNumericRule):
+class UnguardedDivision(Rule):
     """R101: division by a quantity that may be zero.
 
-    A divisor must be provably positive (literal, contract quantity, or
-    positivity-preserving arithmetic) or *guarded* — mentioned in a
-    comparison or branch test of the same scope, evidence the author
-    considered the zero case.
+    The interval prover must show the divisor nonzero where it is
+    evaluated, from guards, ``@requires`` clauses, constants or the
+    estimator contract's quantities; a comparison that mentions the
+    divisor without excluding zero proves nothing.
     """
 
     code = "R101"
@@ -125,38 +89,36 @@ class UnguardedDivision(_ScopedNumericRule):
         'with a justification.'
     )
 
-    def _check_node(
-        self,
-        module: SourceModule,
-        node: ast.AST,
-        facts: ScopeFacts,
-        intervals: ModuleIntervals,
+    def check(
+        self, module: SourceModule, context: ProjectContext
     ) -> Iterator[Finding]:
-        if isinstance(node, ast.BinOp) and isinstance(
-            node.op, (ast.Div, ast.FloorDiv, ast.Mod)
-        ):
-            divisor = node.right
-            if intervals.proves_nonzero(divisor):
-                return
-            if not facts.is_safe_divisor(divisor):
+        if not _in_estimator_stack(module):
+            return
+        intervals = module_intervals(module)
+        for node in module.index.nodes:
+            if (
+                isinstance(node, ast.BinOp)
+                and isinstance(node.op, (ast.Div, ast.FloorDiv, ast.Mod))
+                and not intervals.proves_nonzero(node.right)
+            ):
                 yield self.finding(
                     module,
                     node.lineno,
                     node.col_offset,
-                    f"divisor {ast.unparse(divisor)!r} may be zero; guard it "
+                    f"divisor {ast.unparse(node.right)!r} may be zero; guard it "
                     "(compare/early-return) or derive it from contract-"
                     "positive quantities",
                 )
 
 
 @register
-class UnsafeLogSqrt(_ScopedNumericRule):
+class UnsafeLogSqrt(Rule):
     """R102: ``math.log``/``math.sqrt`` on a possibly-nonpositive argument.
 
     ``math.log(0)`` and ``math.sqrt(-eps)`` raise ``ValueError`` at the
     exact profiles (all-singleton samples, empty tails) where estimator
-    behaviour matters most; the argument must be provably positive or
-    guarded in scope.
+    behaviour matters most; the interval prover must show the argument
+    positive (``sqrt``: nonnegative) where it is evaluated.
     """
 
     code = "R102"
@@ -187,39 +149,35 @@ class UnsafeLogSqrt(_ScopedNumericRule):
 
     _FUNCTIONS = ("log", "log2", "log10", "sqrt")
 
-    def _check_node(
-        self,
-        module: SourceModule,
-        node: ast.AST,
-        facts: ScopeFacts,
-        intervals: ModuleIntervals,
+    def check(
+        self, module: SourceModule, context: ProjectContext
     ) -> Iterator[Finding]:
-        if not (isinstance(node, ast.Call) and node.args):
+        if not _in_estimator_stack(module):
             return
-        func = node.func
-        if not (
-            isinstance(func, ast.Attribute)
-            and func.attr in self._FUNCTIONS
-            and isinstance(func.value, ast.Name)
-            and func.value.id == "math"
-        ):
-            return
-        argument = node.args[0]
-        proved = (
-            intervals.proves_nonnegative(argument)
-            if func.attr == "sqrt"
-            else intervals.proves_positive(argument)
-        )
-        if proved:
-            return
-        if not facts.is_safe_log_argument(argument, allow_zero=func.attr == "sqrt"):
-            yield self.finding(
-                module,
-                node.lineno,
-                node.col_offset,
-                f"math.{func.attr} argument {ast.unparse(argument)!r} may be "
-                "nonpositive; guard it or build it from positive quantities",
-            )
+        intervals = module_intervals(module)
+        for node in module.index.nodes:
+            if not (
+                isinstance(node, ast.Call)
+                and node.args
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in self._FUNCTIONS
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "math"
+            ):
+                continue
+            name, argument = node.func.attr, node.args[0]
+            if name == "sqrt":
+                proved = intervals.proves_nonnegative(argument)
+            else:
+                proved = intervals.proves_positive(argument)
+            if not proved:
+                yield self.finding(
+                    module,
+                    node.lineno,
+                    node.col_offset,
+                    f"math.{name} argument {ast.unparse(argument)!r} may be "
+                    "nonpositive; guard it or build it from positive quantities",
+                )
 
 
 @register

@@ -41,6 +41,14 @@ ESTIMATION_METHODS = frozenset(
 )
 _ESTIMATION_METHODS = ESTIMATION_METHODS
 
+
+def _is_estimation_method(key: str, context: ProjectContext) -> bool:
+    """True when a call-graph key names an estimator class's estimation method."""
+    parts = key.split(".")
+    if len(parts) < 2 or "<locals>" in parts:
+        return False
+    return parts[-1] in ESTIMATION_METHODS and parts[-2] in context.estimator_classes
+
 #: Mutating container/dataclass methods we recognise by name.
 _MUTATING_METHODS = frozenset(
     {

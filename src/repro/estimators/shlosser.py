@@ -161,9 +161,12 @@ class ModifiedShlosser(DistinctValueEstimator):
     ) -> tuple[float, Mapping[str, object]]:
         r = profile.sample_size
         q = min(r / population_size, 1.0)
-        if q >= 1.0:
+        # The branch of q >= 1 (q <= 1 here), stated so that the interval
+        # prover carries 1 - q > 0 to the log below.
+        one_minus_q = 1.0 - q
+        if one_minus_q <= 0.0:
             return float(profile.distinct), {"correction": 0.0}
-        log_decay_sq = math.log((1.0 - q) * (1.0 + q))
+        log_decay_sq = math.log(one_minus_q * (1.0 + q))
         log_decay = math.log1p(-q)
         log_growth = math.log1p(q)
         numerator = 0.0

@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 
+from repro.contracts import requires
 from repro.errors import InvalidParameterError
 from repro.sketches.base import DistinctSketch
 from repro.sketches.hashing import hash64
@@ -20,6 +21,7 @@ from repro.sketches.hashing import hash64
 __all__ = ["HyperLogLog"]
 
 
+@requires("m >= 16")
 def _alpha(m: int) -> float:
     """The bias-correction constant ``alpha_m`` from the HLL paper."""
     if m == 16:

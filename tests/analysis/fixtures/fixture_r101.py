@@ -1,4 +1,4 @@
-"""R101 fixture: two unguarded divisions, four safe ones."""
+"""R101 fixture: six unguarded divisions, five safe ones."""
 
 
 def bad_plain(f2):
@@ -26,3 +26,26 @@ def good_assignment(profile):
 
 def good_literal(x):
     return x / 2.0
+
+
+def bad_mentioned_not_excluded(r, f1):
+    # Naming r in a comparison that does not exclude zero proves nothing.
+    if r > 100:
+        return 0.0
+    return f1 / r
+
+
+# The module binds k once, to 5: a module-level read of it is proved.
+k = 5
+K_SHARE = 1.0 / k
+
+
+class Shadowed:
+    # The class body's own k, not the module's.
+    k = 0
+    share = 1.0 / k
+
+
+inverse = lambda k: 1.0 / k  # the parameter, not the module's k
+
+shares = [1.0 / k for k in range(3)]  # the comprehension's k starts at 0

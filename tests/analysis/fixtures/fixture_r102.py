@@ -1,4 +1,4 @@
-"""R102 fixture: two unsafe log/sqrt calls, three safe ones."""
+"""R102 fixture: three unsafe log/sqrt calls, three safe ones."""
 
 import math
 
@@ -23,3 +23,10 @@ def good_sqrt_nonnegative(x):
 
 def good_positive_literal():
     return math.log(2.0)
+
+
+def bad_mentioned_not_excluded(x):
+    # Naming x in a comparison that does not exclude zero proves nothing.
+    if x > 10.0:
+        return 1.0
+    return math.log(x)

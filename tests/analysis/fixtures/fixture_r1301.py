@@ -22,5 +22,5 @@ def good_guarded(f1, r):
 
 
 def free_function(f1, r):
-    # Uncontracted: R101's business (scoped + guard-based), not R1301's.
+    # Uncontracted: R101's business (estimator stack only), not R1301's.
     return f1 / r

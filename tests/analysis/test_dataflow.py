@@ -156,11 +156,9 @@ class TestLoops:
         assert findings == []
 
     def test_loop_variable_that_may_hit_zero_is_not_proved(self):
-        # i descends from 5 through 0: the prover must NOT claim i != 0.
-        # (The R101 finding itself is absorbed by the legacy guardedness
-        # heuristic — `i` appears in the while-test — so query the
-        # prover directly.)
-        analysis = _analysis(
+        # i descends from 5 through 0: the prover must NOT claim i != 0,
+        # and R101 reports the division although i is in the while-test.
+        text = (
             "def f(stop):\n"
             "    i = 5\n"
             "    total = 0.0\n"
@@ -169,8 +167,10 @@ class TestLoops:
             "        i -= 1\n"
             "    return total\n"
         )
+        analysis = _analysis(text)
         divisor = _find_divisor(analysis)
         assert not analysis.proves_nonzero(divisor)
+        assert [finding.line for finding in lint_text(text, ["R101"])] == [5]
 
 
 class TestContracts:
@@ -223,6 +223,110 @@ class TestContracts:
         )
         verdicts = analysis.contract_verdicts()
         assert [(v.kind, v.verdict) for v in verdicts] == [("requires", "assumed")]
+
+
+class TestModuleLevel:
+    def test_a_module_level_expression_reads_the_module_env(self):
+        analysis = _analysis(
+            "import math\n"
+            "_BASE = 4.0\n"
+            "_SHARE = math.sqrt(_BASE) / _BASE\n"
+        )
+        interval = analysis.interval_of(analysis.module.tree.body[2].value)
+        assert (interval.lo, interval.hi) == (0.5, 0.5)
+
+    def test_inner_bindings_mask_the_module_constant(self):
+        analysis = _analysis(
+            "k = 5\n"
+            "class Shadowed:\n"
+            "    k = 0\n"
+            "    share = 1.0 / k\n"
+            "inverse = lambda k: 1.0 / k\n"
+            "shares = [1.0 / k for k in range(3)]\n"
+            "share = 1.0 / k\n"
+        )
+        divisors = _divisors_by_line(analysis)
+        assert all(divisors[line].is_top for line in (4, 5, 6))
+        assert (divisors[7].lo, divisors[7].hi) == (5.0, 5.0)
+
+    def test_a_name_the_module_rebinds_elsewhere_is_unknown(self):
+        # Only straight-line top-level assignments are folded: a loop, a
+        # branch or a function's `global` may leave k at any value.
+        for rebinding in (
+            "for k in range(3):\n    pass\n",
+            "if FLAG:\n    k = 0\n",
+            "def reset():\n    global k\n    k = 0\n",
+        ):
+            analysis = _analysis(
+                "k = 5\n" + rebinding + "def f(x):\n    return x / k\n"
+            )
+            assert not analysis.proves_nonzero(_find_divisor(analysis)), rebinding
+
+
+class TestBranchRefinement:
+    """A conditional's branches, later ``and``/``or`` operands and a
+    comprehension's element assume the tests that lead to them."""
+
+    def test_guards_inside_an_expression_prove_the_division(self):
+        for text in (
+            "def f(x, k):\n    return x / k if k > 0 else 0.0\n",
+            "def f(x, k):\n    return x / k if k else 0.0\n",
+            "def f(x, k):\n    return k > 0 and x / k > 1\n",
+            "def f(x, k):\n    return k <= 0 or x / k > 1\n",
+            "def f(ks):\n    return [1.0 / k for k in ks if k > 0]\n",
+            "k = 2\nshare = 1.0 / k if k else 0.0\n",
+        ):
+            assert lint_text(text, ["R101"]) == [], text
+
+    def test_the_other_branch_and_rebound_names_stay_unproved(self):
+        for text in (
+            "def f(x, k):\n    return 0.0 if k > 0 else x / k\n",
+            "def f(x, k):\n    return k > 0 or x / k > 1\n",
+            # The filter tests the outer k; the inner comprehension rebinds it.
+            "def f(ks, k):\n    return [[1.0 / k for k in ks] for j in ks if k > 0]\n",
+            "k = 5\nf = (lambda k: 1.0 / k) if k > 0 else None\n",
+        ):
+            assert [f.code for f in lint_text(text, ["R101"])] == ["R101"], text
+
+
+class TestEstimatorContractSeed:
+    """In an uncontracted function the quantities the estimator contract
+    validates start at ``>= 1``; a contracted one has its clauses alone."""
+
+    def test_uncontracted_function_starts_at_one(self):
+        analysis = _analysis(
+            "def f(x, population_size, profile):\n"
+            "    return x / population_size + x / profile.distinct\n"
+        )
+        for node in ast.walk(analysis.module.tree):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+                assert analysis.interval_of(node.right).lo == 1.0
+
+    def test_a_contracted_function_gets_no_seed(self):
+        text = (
+            "from repro.contracts import requires\n"
+            "@requires('x >= 0')\n"
+            "def f(x, population_size):\n"
+            "    return x / population_size\n"
+        )
+        analysis = _analysis(text)
+        assert analysis.interval_of(_find_divisor(analysis)).is_top
+        assert [finding.code for finding in lint_text(text, ["R1301"])] == ["R1301"]
+        assert [finding.code for finding in lint_text(text, ["R101"])] == ["R101"]
+
+    def test_the_seed_does_not_reach_attribute_facts(self):
+        # Attribute facts feed contracted methods, so they rest on
+        # contracts alone: self.size stays unknown in share().
+        text = (
+            "from repro.contracts import requires\n"
+            "class Sizes:\n"
+            "    def __init__(self, population_size):\n"
+            "        self.size = population_size\n"
+            "    @requires('x >= 0')\n"
+            "    def share(self, x):\n"
+            "        return x / self.size\n"
+        )
+        assert [finding.line for finding in lint_text(text, ["R1301"])] == [7]
 
 
 class TestCfg:
@@ -374,6 +478,15 @@ def _return_interval(text: str):
         if isinstance(node, ast.Return) and node.value is not None:
             return analysis.interval_of(node.value)
     raise AssertionError("no return in fixture")
+
+
+def _divisors_by_line(analysis) -> dict:
+    """The interval of each division's divisor, by line."""
+    return {
+        node.lineno: analysis.interval_of(node.right)
+        for node in ast.walk(analysis.module.tree)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+    }
 
 
 def _find_divisor(analysis) -> ast.expr:

@@ -1,0 +1,103 @@
+"""Snapshot of every finding on the whole fixture tree.
+
+Each per-rule test filters findings by its own code, so a rule drifting
+on another rule's fixture (R101 on ``fixture_r1301.py``, R601 anywhere)
+would go unseen there.  This test lints every fixture together under
+``repro/estimators/``, as ``repro lint`` lints a tree, and compares all
+``(file, line, col, code)`` tuples with a literal list.
+"""
+
+from __future__ import annotations
+
+import shutil
+from pathlib import Path
+
+from repro.analysis import lint_paths
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
+
+EXPECTED = [
+    ('fixture_r1001.py', 9, 0, 'R1001'),
+    ('fixture_r1001.py', 9, 0, 'R601'),
+    ('fixture_r1001.py', 13, 0, 'R1001'),
+    ('fixture_r1001.py', 18, 0, 'R1001'),
+    ('fixture_r1001.py', 22, 0, 'R1001'),
+    ('fixture_r1001.py', 26, 0, 'R1001'),
+    ('fixture_r1002.py', 6, 0, 'R1002'),
+    ('fixture_r1002.py', 6, 0, 'R601'),
+    ('fixture_r1002.py', 11, 0, 'R1002'),
+    ('fixture_r1002.py', 15, 0, 'R1002'),
+    ('fixture_r101.py', 4, 0, 'R601'),
+    ('fixture_r101.py', 5, 11, 'R101'),
+    ('fixture_r101.py', 9, 11, 'R101'),
+    ('fixture_r101.py', 35, 11, 'R101'),  # a comparison that names r leaves r == 0
+    ('fixture_r101.py', 46, 12, 'R101'),  # the class body's own k
+    ('fixture_r101.py', 49, 20, 'R101'),  # the lambda parameter k
+    ('fixture_r101.py', 51, 10, 'R101'),  # the comprehension's k
+    ('fixture_r102.py', 6, 0, 'R601'),
+    ('fixture_r102.py', 7, 11, 'R102'),
+    ('fixture_r102.py', 11, 11, 'R102'),
+    ('fixture_r102.py', 32, 11, 'R102'),  # a comparison that names x leaves x <= 0
+    ('fixture_r1101.py', 12, 0, 'R1101'),
+    ('fixture_r1101.py', 12, 0, 'R601'),
+    ('fixture_r1101.py', 18, 0, 'R1101'),
+    ('fixture_r1101.py', 38, 16, 'R1101'),
+    ('fixture_r1201.py', 18, 0, 'R601'),
+    ('fixture_r1201.py', 19, 9, 'R1201'),
+    ('fixture_r1201.py', 24, 4, 'R1201'),
+    ('fixture_r1201.py', 28, 4, 'R1201'),
+    ('fixture_r1201.py', 48, 9, 'R1201'),
+    ('fixture_r1301.py', 7, 0, 'R601'),
+    ('fixture_r1301.py', 8, 11, 'R101'),
+    ('fixture_r1301.py', 8, 11, 'R1301'),
+    ('fixture_r1301.py', 26, 11, 'R101'),
+    ('fixture_r1302.py', 8, 0, 'R601'),
+    ('fixture_r1302.py', 9, 11, 'R1302'),
+    ('fixture_r1302.py', 13, 11, 'R1302'),
+    ('fixture_r1302.py', 17, 11, 'R1302'),
+    ('fixture_r1303.py', 8, 0, 'R601'),
+    ('fixture_r1303.py', 9, 11, 'R1303'),
+    ('fixture_r1303.py', 13, 11, 'R1303'),
+    ('fixture_r1304.py', 9, 0, 'R601'),
+    ('fixture_r1304.py', 12, 4, 'R1304'),
+    ('fixture_r1304.py', 29, 4, 'R1304'),
+    ('fixture_r201.py', 6, 0, 'R601'),
+    ('fixture_r201.py', 7, 11, 'R201'),
+    ('fixture_r201.py', 11, 11, 'R201'),
+    ('fixture_r301.py', 6, 0, 'R301'),
+    ('fixture_r301.py', 9, 0, 'R601'),
+    ('fixture_r301.py', 10, 11, 'R301'),
+    ('fixture_r301.py', 14, 11, 'R301'),
+    ('fixture_r301.py', 18, 4, 'R301'),
+    ('fixture_r401.py', 4, 0, 'R601'),
+    ('fixture_r401.py', 17, 8, 'R401'),
+    ('fixture_r401.py', 23, 8, 'R401'),
+    ('fixture_r401.py', 29, 8, 'R401'),
+    ('fixture_r401.py', 35, 8, 'R401'),
+    ('fixture_r401.py', 41, 4, 'R401'),
+    ('fixture_r401.py', 42, 8, 'R401'),
+    ('fixture_r801.py', 7, 0, 'R601'),
+    ('fixture_r801.py', 8, 4, 'R801'),
+    ('fixture_r801.py', 13, 4, 'R801'),
+    ('fixture_r801.py', 17, 4, 'R801'),
+    ('fixture_r801.py', 21, 11, 'R801'),
+    ('fixture_r801.py', 25, 4, 'R801'),
+    ('fixture_r901.py', 8, 0, 'R601'),
+    ('fixture_r901.py', 11, 4, 'R901'),
+    ('fixture_r901.py', 18, 4, 'R901'),
+    ('fixture_r901.py', 25, 4, 'R901'),
+    ('fixture_r901.py', 32, 4, 'R901'),
+]
+
+
+def test_every_finding_on_the_fixture_tree_is_pinned(tmp_path):
+    package = tmp_path / "repro" / "estimators"
+    package.mkdir(parents=True)
+    for fixture in FIXTURES.glob("*.py"):
+        shutil.copy(fixture, package / fixture.name)
+    report = lint_paths([str(tmp_path)])
+    found = sorted(
+        (Path(finding.path).name, finding.line, finding.col, finding.code)
+        for finding in report.findings
+    )
+    assert found == EXPECTED

@@ -123,7 +123,7 @@ def counts() -> WorkCounts:
 
 def test_the_run_reaches_every_pass(counts):
     assert counts.report.files_scanned == len(counts.modules) > 0
-    assert counts.scope_walks, "no scope was walked: the scope rules did not run"
+    assert counts.scope_walks, "no scope was walked: the interval analyses did not run"
 
 
 def test_each_module_tree_is_walked_at_most_once(counts):
