@@ -32,7 +32,8 @@ The layers:
 
 Soundness caveats (documented, deliberate): arithmetic is interpreted
 over the reals (float underflow/overflow to zero or inf is ignored);
-attribute facts trust encapsulation (no external writes to
+casts to narrow integer dtypes are assumed not to wrap; attribute facts
+trust encapsulation (no external writes to
 ``obj.attr``); ``@ensures`` clauses of called functions are assumed at
 call sites — each is verified at its own definition, statically where
 provable and at runtime under ``REPRO_CONTRACTS=1`` otherwise.

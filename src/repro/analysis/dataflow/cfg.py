@@ -9,12 +9,19 @@ those edges, which is how validation guards like ``if n < 1: raise``
 become facts (``n >= 1``) on the fall-through path.
 
 Structures handled: ``if``/``elif``/``else``, ``while`` (with ``break``
-and ``continue``), ``for`` (the loop header re-binds the target each
-iteration), ``try``/``except``/``finally`` (over-approximated: handlers
-may be entered from the start or the end of the body), ``with``,
-``assert`` (a guard whose failing edge raises), ``return`` and
-``raise`` (block dead-ends).  Anything else is treated as a plain
-statement with fall-through.
+and ``continue``), ``for`` (the loop header forgets the target each
+iteration), ``try``/``except``/``finally`` (handlers are entered from
+the start and the end of the body, which misses a state the body only
+passes through midway), ``with``, ``assert`` (a guard whose failing edge
+raises), ``return`` and ``raise`` (block dead-ends).  Anything else is
+treated as a plain statement with fall-through.
+
+Two places can be reached from any point of a body that never falls
+through: a ``finally`` body, and the code after a ``with`` whose context
+manager swallows the exception.  A *forgetting* edge
+(``Edge(dst, forget=True)``) enters each from before the body with
+every local unknown.  A block no edge reaches is dead code, which the
+engine proves anything about.
 """
 
 from __future__ import annotations
@@ -28,11 +35,13 @@ __all__ = ["Block", "ControlFlowGraph", "Edge", "build_cfg"]
 @dataclass
 class Edge:
     """Control transfer to block ``dst``; if ``test`` is set, the edge is
-    only taken when ``test`` evaluates to ``assume``."""
+    only taken when ``test`` evaluates to ``assume``.  A ``forget`` edge
+    arrives with every local unknown."""
 
     dst: int
     test: ast.expr | None = None
     assume: bool = True
+    forget: bool = False
 
 
 @dataclass
@@ -98,8 +107,13 @@ class _Builder:
         elif isinstance(stmt, ast.Try):
             self._add_try(stmt)
         elif isinstance(stmt, (ast.With, ast.AsyncWith)):
-            self.current.statements.append(stmt)
+            entry = self.current
+            entry.statements.append(stmt)
             self.add_body(stmt.body)
+            if self.current is None:
+                # The context manager may swallow what ended the body, at
+                # any point of it, so the code after the block can run.
+                entry.edges.append(Edge(self._start_block().index, forget=True))
         elif isinstance(stmt, ast.Assert):
             self._add_assert(stmt)
         elif isinstance(stmt, (ast.Return, ast.Raise)):
@@ -177,9 +191,9 @@ class _Builder:
         before = self.current
         head = self._start_block()
         # The For node itself sits in the header: the engine's transfer
-        # function re-binds the loop target from the iterable there.  If,
-        # While and Assert nodes in statement position are markers only —
-        # their effect lives on the outgoing guarded edges.
+        # function forgets the loop target there.  If, While and Assert
+        # nodes in statement position are markers only — their effect
+        # lives on the outgoing guarded edges.
         head.statements.append(stmt)
         self._link(before, head)
         self.cfg.loop_heads.add(head.index)
@@ -233,11 +247,14 @@ class _Builder:
         join = self._start_block()
         for block in exits:
             self._link(block, join)
-        if not exits:
-            self.current = None
-            self._start_block()
+        if stmt.finalbody and not exits:
+            # Every path returns or raises, yet the finally body runs, from
+            # any point of the body or a handler.
+            before.edges.append(Edge(join.index, forget=True))
         if stmt.finalbody:
             self.add_body(stmt.finalbody)
+        if not exits:
+            self.current = None
 
     def _add_assert(self, stmt: ast.Assert) -> None:
         assert self.current is not None

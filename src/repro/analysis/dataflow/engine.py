@@ -9,7 +9,8 @@ Internally it:
 
 * analyzes every function with a worklist fixpoint over its CFG,
   refining intervals along guarded edges (``if n < 1: raise`` leaves
-  ``n >= 1`` on the fall-through path) and widening at loop heads;
+  ``n >= 1`` on the fall-through path) and widening at loop heads
+  straight to infinity; a loop target is unknown;
 * derives ``self.<attr>`` facts per class in two passes — pass one
   collects the join of every assignment to the attribute across the
   class and its in-module relatives, pass two re-analyzes methods with
@@ -25,20 +26,32 @@ Internally it:
   names a class body, lambda or comprehension rebinds;
 * refines a conditional's branches, later ``and``/``or`` operands and a
   comprehension's element by the tests that lead to them;
+* answers a place no feasible path reaches (an unreachable block, an
+  operand under a test that cannot hold) with the empty interval;
 * verifies each function's own ``@ensures`` clauses at every return
   site, classifying them ``proved`` / ``runtime`` / ``violated``.
+
+Expressions are modeled by the arithmetic operators ``+ - * / ** <<``
+and unary minus, the builtins ``abs``, ``max``, ``min``, ``int`` and
+``float``, the ``math``/``numpy`` calls ``sqrt``, ``exp``, ``log``,
+``log2``, ``log10``, ``maximum``/``fmax``, ``minimum``/``fmin``,
+``count_nonzero`` and the ``int*``/``uint*`` casts, ``.astype``, tuple
+elements, and the callee's ``@ensures`` clauses.  The relational prover
+(``_sym_diff``) adds copy and definition chasing, ``@requires`` relations,
+callee bounds with arguments substituted, and a few algebraic rewrites.
 
 Environments are plain dicts mapping variable keys (``"n"``,
 ``"self.bits"``, ``"column.size"``) to :class:`Interval`; a missing key
 means TOP.  Anything the interpreter does not model stays TOP, so the
 worst failure mode is a missed proof, never a wrong one — modulo the
-documented real-arithmetic and encapsulation caveats.
+documented real-arithmetic, integer-cast and encapsulation caveats.
 """
 
 from __future__ import annotations
 
 import ast
 import copy
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
@@ -60,6 +73,7 @@ __all__ = [
 Env = dict[str, Interval]
 
 _ZERO = Interval.const(0.0)
+_EMPTY = Interval.empty()
 
 #: Safety valve: a function whose fixpoint has not stabilized after this
 #: many block visits is abandoned (all queries answer TOP).
@@ -76,6 +90,9 @@ _WELL_KNOWN = {
     "numpy.pi": Interval.const(3.141592653589793),
     "numpy.e": Interval.const(2.718281828459045),
 }
+
+#: One-argument logarithms by name, each bounded by its own function.
+_LOGS = {"log": math.log, "log2": math.log2, "log10": math.log10}
 
 _ASSUME = {
     ast.Lt: Interval.assume_lt,
@@ -428,16 +445,22 @@ class ModuleIntervals:
     # Public queries
     # ------------------------------------------------------------------
     def interval_of(self, expr: ast.AST) -> Interval:
-        """Abstract value of an expression node of this module's tree."""
+        """Abstract value of an expression node of this module's tree.
+
+        A place no feasible path reaches is the empty interval, which
+        proves every query; an abandoned analysis answers TOP.
+        """
         entry = self._node_map.get(expr)
         if entry is None:
             return TOP
         analysis, stmt, mask, assumed = entry
         env: Env | None = {}
         if analysis is not None:
-            env = None if analysis.abandoned else analysis.env_at.get(id(stmt))
-            if env is None:  # abandoned, or statically unreachable
+            if analysis.abandoned:
                 return TOP
+            env = analysis.env_at.get(id(stmt))
+            if env is None:  # statically unreachable
+                return _EMPTY
             if mask:
                 env = {
                     key: value
@@ -446,8 +469,9 @@ class ModuleIntervals:
                 }
         scope = set(mask)
         for test, holds in assumed:
-            # None: the branch is infeasible, so keep the env unrefined.
-            env = self._refine(dict(env), test, holds, analysis, scope) or env
+            env = self._refine(dict(env), test, holds, analysis, scope)
+            if env is None:  # the test cannot hold here
+                return _EMPTY
         return self._eval(expr, env, analysis, scope)
 
     def proves_nonzero(self, expr: ast.AST) -> bool:
@@ -756,7 +780,7 @@ class ModuleIntervals:
             for stmt in block.statements:
                 env = self._transfer(stmt, env, analysis, record=False)
             for edge in block.edges:
-                out = env
+                out = {} if edge.forget else env
                 if edge.test is not None:
                     refined = self._refine(
                         dict(env), edge.test, edge.assume, analysis, None
@@ -821,16 +845,14 @@ class ModuleIntervals:
                 amount = self._eval(stmt.value, env, analysis)
                 self._set(env, key, self._binop(type(stmt.op), current, amount))
         elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-            self._bind_for_target(stmt, env, analysis)
+            self._kill_targets(stmt.target, env)
         elif isinstance(stmt, ast.Return):
             if record:
                 analysis.returns.append((stmt, dict(env)))
         elif isinstance(stmt, (ast.With, ast.AsyncWith)):
             for item in stmt.items:
                 if item.optional_vars is not None:
-                    target_key = key_of(item.optional_vars)
-                    if target_key is not None:
-                        self._kill(env, target_key)
+                    self._kill_targets(item.optional_vars, env)
         elif isinstance(stmt, ast.Delete):
             for target in stmt.targets:
                 target_key = key_of(target)
@@ -865,64 +887,21 @@ class ModuleIntervals:
                 for position, element in enumerate(target.elts):
                     sub_key = key_of(element)
                     if sub_key is None:
-                        if isinstance(element, ast.Starred):
-                            inner = key_of(element.value)
-                            if inner is not None:
-                                self._kill(env, inner)
+                        self._kill_targets(element, env)
                         continue
                     if "[" in sub_key or sub_key.split(".", 1)[0] in analysis.poisoned:
                         self._kill(env, sub_key)
                         continue
                     self._set(env, sub_key, elements.get(position, TOP))
 
-    def _bind_for_target(
-        self, stmt: ast.For | ast.AsyncFor, env: Env, analysis: FunctionAnalysis
-    ) -> None:
-        target = stmt.target
-        element = self._iteration_element(stmt.iter, env, analysis)
-        if isinstance(target, ast.Name):
-            self._set(env, target.id, element)
-            return
-        keys: list[str] = []
-        if isinstance(target, (ast.Tuple, ast.List)):
-            for part in target.elts:
-                part_key = key_of(part)
-                if part_key is not None:
-                    keys.append(part_key)
-        for part_key in keys:
-            self._kill(env, part_key)
-        if (
-            isinstance(target, (ast.Tuple, ast.List))
-            and len(target.elts) == 2
-            and isinstance(stmt.iter, ast.Call)
-            and isinstance(stmt.iter.func, ast.Name)
-            and stmt.iter.func.id == "enumerate"
-            and isinstance(target.elts[0], ast.Name)
-        ):
-            self._set(env, target.elts[0].id, Interval.nonnegative())
-
-    def _iteration_element(
-        self, iterable: ast.expr, env: Env, analysis: FunctionAnalysis
-    ) -> Interval:
-        if isinstance(iterable, ast.Call) and isinstance(iterable.func, ast.Name):
-            if iterable.func.id == "range" and iterable.args:
-                args = [self._eval(a, env, analysis) for a in iterable.args]
-                if len(args) == 1:
-                    start, stop = Interval.const(0.0), args[0]
-                    step_positive = True
-                else:
-                    start, stop = args[0], args[1]
-                    step_positive = len(args) < 3 or args[2].is_positive
-                if step_positive and start.lo <= stop.hi - 1.0:
-                    # inf - 1 stays inf, so unbounded stops are handled.
-                    return Interval(start.lo, stop.hi - 1.0)
-                return TOP
-        if isinstance(iterable, (ast.Tuple, ast.List)) and iterable.elts:
-            joined = self._eval(iterable.elts[0], env, analysis)
-            for element in iterable.elts[1:]:
-                joined = joined.join(self._eval(element, env, analysis))
-            return joined
-        return TOP
+    def _kill_targets(self, target: ast.expr, env: Env) -> None:
+        """Drop every key a store target binds: a loop or ``with`` target,
+        or a nested or starred element of an unpacking."""
+        for node in ast.walk(target):
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Store):
+                node_key = key_of(node)
+                if node_key is not None:
+                    self._kill(env, node_key)
 
     # ------------------------------------------------------------------
     # Expression evaluation
@@ -978,21 +957,10 @@ class ModuleIntervals:
             left = self._eval(expr.left, env, analysis, scope_locals)
             right = self._eval(expr.right, env, analysis, scope_locals)
             return self._binop(type(expr.op), left, right), {}
-        if isinstance(expr, ast.UnaryOp):
-            operand = self._eval(expr.operand, env, analysis, scope_locals)
-            if isinstance(expr.op, ast.USub):
-                return operand.neg(), {}
-            if isinstance(expr.op, ast.UAdd):
-                return operand, {}
-            if isinstance(expr.op, ast.Not):
-                return Interval(0.0, 1.0), {}
-            return TOP, {}
-        if isinstance(expr, ast.IfExp):
-            return self._eval_ifexp(expr, env, analysis, scope_locals), {}
+        if isinstance(expr, ast.UnaryOp) and isinstance(expr.op, ast.USub):
+            return self._eval(expr.operand, env, analysis, scope_locals).neg(), {}
         if isinstance(expr, ast.Call):
             return self._eval_call(expr, env, analysis, scope_locals)
-        if isinstance(expr, (ast.Compare, ast.BoolOp)):
-            return Interval(0.0, 1.0), {}
         if isinstance(expr, ast.Tuple):
             elements = {
                 position: self._eval(element, env, analysis, scope_locals)
@@ -1005,25 +973,6 @@ class ModuleIntervals:
             return self._eval(expr.value, env, analysis, scope_locals), {}
         return TOP, {}
 
-    def _eval_ifexp(
-        self,
-        expr: ast.IfExp,
-        env: Env,
-        analysis: FunctionAnalysis | None,
-        scope_locals: set[str] | None,
-    ) -> Interval:
-        env_true = self._refine(dict(env), expr.test, True, analysis, scope_locals)
-        env_false = self._refine(dict(env), expr.test, False, analysis, scope_locals)
-        if env_true is None and env_false is None:
-            return TOP
-        if env_true is None:
-            return self._eval(expr.orelse, env_false or env, analysis, scope_locals)
-        if env_false is None:
-            return self._eval(expr.body, env_true, analysis, scope_locals)
-        body = self._eval(expr.body, env_true, analysis, scope_locals)
-        orelse = self._eval(expr.orelse, env_false, analysis, scope_locals)
-        return body.join(orelse)
-
     @staticmethod
     def _binop(op: type[ast.operator], left: Interval, right: Interval) -> Interval:
         if op is ast.Add:
@@ -1034,10 +983,6 @@ class ModuleIntervals:
             return left.mul(right)
         if op is ast.Div:
             return left.div(right)
-        if op is ast.FloorDiv:
-            return left.floordiv(right)
-        if op is ast.Mod:
-            return left.mod(right)
         if op is ast.Pow:
             return left.pow(right)
         if op is ast.LShift:
@@ -1068,26 +1013,12 @@ class ModuleIntervals:
             isinstance(a, ast.Starred) for a in call.args
         )
         if root is None and name is not None and not call.keywords:
-            if name == "len":
-                return Interval.nonnegative(), {}
             if name == "abs" and has_args:
                 return arg(0).abs(), {}
             if name in ("max", "min") and len(call.args) >= 2 and has_args:
+                pointwise = Interval.maximum if name == "max" else Interval.minimum
                 values = [arg(i) for i in range(len(call.args))]
-                if name == "max":
-                    lo = max(v.lo for v in values)
-                    hi = max(v.hi for v in values)
-                    nonzero = lo > 0.0 or hi < 0.0 or any(v.is_positive for v in values)
-                else:
-                    lo = min(v.lo for v in values)
-                    hi = min(v.hi for v in values)
-                    nonzero = (
-                        lo > 0.0
-                        or hi < 0.0
-                        or all(v.is_positive for v in values)
-                        or any(v.is_negative for v in values)
-                    )
-                return Interval(lo, hi, nonzero), {}
+                return functools.reduce(pointwise, values), {}
             if name == "float" and has_args:
                 literal = call.args[0]
                 if isinstance(literal, ast.Constant) and isinstance(
@@ -1105,11 +1036,6 @@ class ModuleIntervals:
                 return arg(0), {}
             if name == "int" and has_args:
                 return arg(0).to_int(), {}
-            if name == "round" and len(call.args) == 1 and has_args:
-                value = arg(0)
-                return value.to_int().join(value), {}
-            if name == "bool":
-                return Interval(0.0, 1.0), {}
         if root in ("math", "np", "numpy") and name is not None:
             transferred = self._math_call(name, call, env, analysis, scope_locals)
             if transferred is not None:
@@ -1153,52 +1079,20 @@ class ModuleIntervals:
             return value.sqrt()
         if name == "exp":
             return value.exp()
-        if name == "exp2":
-            return value.exp()  # 2**x: positive with the same shape caveats
-        if name == "expm1":
-            return value.exp().sub(Interval.const(1.0))
-        if name in ("log", "log2", "log10"):
-            return value.log()
-        if name == "log1p":
-            return value.add(Interval.const(1.0)).log()
-        if name in ("fabs", "abs", "absolute"):
-            return value.abs()
-        if name == "floor":
-            return value.floor()
-        if name == "ceil":
-            return value.ceil()
-        if name == "pow" and len(call.args) >= 2:
-            exponent = self._eval(call.args[1], env, analysis, scope_locals)
-            return value.pow(exponent)
+        if name in _LOGS and len(call.args) == 1:
+            return value.log(_LOGS[name])
         if name in ("maximum", "fmax") and len(call.args) >= 2:
             other = self._eval(call.args[1], env, analysis, scope_locals)
             return value.maximum(other)
         if name in ("minimum", "fmin") and len(call.args) >= 2:
             other = self._eval(call.args[1], env, analysis, scope_locals)
             return value.minimum(other)
-        if name == "clip" and len(call.args) >= 3:
-
-            def clip_bound(index: int) -> Interval | None:
-                node = call.args[index]
-                if isinstance(node, ast.Constant) and node.value is None:
-                    return None  # open side: np.clip(x, 0, None)
-                return self._eval(node, env, analysis, scope_locals)
-
-            return value.clip(clip_bound(1), clip_bound(2))
-        if name == "where" and len(call.args) >= 3:
-            branches = [
-                self._eval(call.args[index], env, analysis, scope_locals)
-                for index in (1, 2)
-            ]
-            return branches[0].join(branches[1])
         if name == "count_nonzero":
             return Interval.nonnegative()
         if name in ("int8", "int16", "int32", "int64", "uint8", "uint16", "uint32", "uint64"):
             if name.startswith("u") and not value.is_nonnegative:
                 return TOP  # unsigned wrap-around of a negative value
             return value.to_int()
-        if name in ("float16", "float32", "float64", "float128", "asarray", "array"):
-            return value
         return None
 
     # ------------------------------------------------------------------
@@ -1304,30 +1198,11 @@ class ModuleIntervals:
             value = self._eval(arg_node, env, analysis, scope_locals)
             if not value.is_top:
                 argenv[params[position]] = value
-            # Dotted facts about the argument expression transfer to the
-            # parameter name: ``column.size >= 1`` at the call site lets a
-            # ``column.size``-based clause evaluate in the callee frame.
-            arg_key = key_of(arg_node)
-            if arg_key is not None:
-                prefix = arg_key + "."
-                for caller_key, interval in env.items():
-                    if caller_key.startswith(prefix):
-                        argenv[params[position] + "." + caller_key[len(prefix):]] = interval
         for keyword in call.keywords:
             if keyword.arg is not None and keyword.arg in params:
                 value = self._eval(keyword.value, env, analysis, scope_locals)
                 if not value.is_top:
                     argenv[keyword.arg] = value
-        # Preconditions refine the frame: calls are assumed to satisfy
-        # @requires (violations surface at runtime under REPRO_CONTRACTS).
-        callee_locals = set(callee.param_names)
-        for clause in callee.contract.requires:
-            clause_ast = _parse_clause(clause)
-            if clause_ast is None:
-                continue
-            refined = self._refine(argenv, clause_ast, True, None, callee_locals)
-            if refined is not None:
-                argenv = refined
         return argenv
 
     # ------------------------------------------------------------------
@@ -1376,52 +1251,12 @@ class ModuleIntervals:
         seen: set[str] = set()
         while key not in seen:
             seen.add(key)
-            replaced = self._canon_step(key, analysis)
-            if replaced is None:
+            expr = analysis.defs.get(key)
+            target = key_of(_peel_cast(expr)) if expr is not None else None
+            if target is None or not self._stable_root(target, analysis):
                 return key
-            key = replaced
+            key = target
         return key
-
-    def _canon_step(self, key: str, analysis: FunctionAnalysis) -> str | None:
-        expr = analysis.defs.get(key)
-        if expr is not None:
-            target = key_of(_peel_cast(expr))
-            if target is not None and self._stable_root(target, analysis):
-                return target
-        root, sep, rest = key.partition(".")
-        if sep:
-            expr = analysis.defs.get(root)
-            if expr is not None:
-                target = key_of(_peel_cast(expr))
-                if target is not None and self._stable_root(target, analysis):
-                    return f"{target}.{rest}"
-        return None
-
-    def _sym_norm(self, expr: ast.expr, analysis: FunctionAnalysis | None) -> ast.expr:
-        """Structural normalization: peel casts, project constructor
-        keyword fields (``Estimate(value=X, ...).value`` -> ``X``), and
-        index literal tuples."""
-        expr = _peel_cast(expr)
-        if isinstance(expr, ast.Attribute):
-            base = _peel_cast(expr.value)
-            if (
-                isinstance(base, ast.Call)
-                and isinstance(base.func, ast.Name)
-                and base.func.id[:1].isupper()
-            ):
-                for keyword in base.keywords:
-                    if keyword.arg == expr.attr:
-                        return self._sym_norm(keyword.value, analysis)
-        if (
-            isinstance(expr, ast.Subscript)
-            and isinstance(expr.slice, ast.Constant)
-            and isinstance(expr.slice.value, int)
-        ):
-            base = _peel_cast(expr.value)
-            index = expr.slice.value
-            if isinstance(base, ast.Tuple) and 0 <= index < len(base.elts):
-                return self._sym_norm(base.elts[index], analysis)
-        return expr
 
     def _fact_diff(
         self, ca: str, cb: str, analysis: FunctionAnalysis | None
@@ -1467,8 +1302,8 @@ class ModuleIntervals:
         """Interval of ``a - b``, sharpened by structural rules."""
         if depth > self._SYM_DEPTH:
             return TOP
-        a = self._sym_norm(a, analysis)
-        b = self._sym_norm(b, analysis)
+        a = _peel_cast(a)
+        b = _peel_cast(b)
         best = self._sym_eval(a, env, analysis, depth + 1).sub(
             self._sym_eval(b, env, analysis, depth + 1)
         )
@@ -1495,15 +1330,7 @@ class ModuleIntervals:
                 )
         best = self._meet_best(best, self._sym_diff_binop(a, b, env, analysis, depth))
         best = self._meet_best(best, self._sym_diff_minmax(a, b, env, analysis, depth))
-        bounds = self._sym_call_bounds(a, b, env, analysis, depth)
-        best = self._meet_best(best, bounds)
-        mirrored = self._sym_call_bounds(b, a, env, analysis, depth)
-        best = self._meet_best(best, mirrored.neg())
-        if isinstance(a, ast.IfExp):
-            best = self._meet_best(
-                best, self._sym_diff_ifexp(a, b, env, analysis, depth)
-            )
-        return best
+        return self._meet_best(best, self._sym_call_bounds(a, b, env, analysis, depth))
 
     def _sym_diff_binop(
         self,
@@ -1521,58 +1348,14 @@ class ModuleIntervals:
                     self._sym_eval(other, env, analysis, depth + 1)
                 )
                 best = self._meet_best(best, candidate)
-        if isinstance(a, ast.BinOp) and isinstance(a.op, ast.Sub):
-            # (x - y) - b  =  (x - b) - y
-            candidate = self._sym_diff(a.left, b, env, analysis, depth + 1).sub(
-                self._sym_eval(a.right, env, analysis, depth + 1)
-            )
-            best = self._meet_best(best, candidate)
-        if isinstance(b, ast.BinOp) and isinstance(b.op, ast.Add):
-            # a - (x + y)  =  (a - x) - y  =  (a - y) - x
-            for part, other in ((b.left, b.right), (b.right, b.left)):
-                candidate = self._sym_diff(a, part, env, analysis, depth + 1).sub(
-                    self._sym_eval(other, env, analysis, depth + 1)
-                )
-                best = self._meet_best(best, candidate)
-        if isinstance(b, ast.BinOp) and isinstance(b.op, ast.Sub):
-            # a - (x - y)  =  (a - x) + y
-            candidate = self._sym_diff(a, b.left, env, analysis, depth + 1).add(
-                self._sym_eval(b.right, env, analysis, depth + 1)
-            )
-            best = self._meet_best(best, candidate)
-        best = self._meet_best(best, self._sym_diff_div(a, b, env, analysis, depth))
-        best = self._meet_best(best, self._sym_diff_mult(a, b, env, analysis, depth))
-        return best
-
-    def _sym_diff_div(
-        self,
-        a: ast.expr,
-        b: ast.expr,
-        env: Env,
-        analysis: FunctionAnalysis | None,
-        depth: int,
-    ) -> Interval:
-        best = TOP
         if isinstance(a, ast.BinOp) and isinstance(a.op, ast.Div):
             divisor = self._sym_eval(a.right, env, analysis, depth + 1)
             if divisor.is_positive:
                 # N/D - b = (N - b*D) / D for D > 0.
-                if isinstance(b, ast.Constant) and b.value in (1, 1.0):
-                    numerator = self._sym_diff(a.left, a.right, env, analysis, depth + 1)
-                else:
-                    scaled = ast.BinOp(left=b, op=ast.Mult(), right=a.right)
-                    numerator = self._sym_diff(a.left, scaled, env, analysis, depth + 1)
+                scaled = ast.BinOp(left=b, op=ast.Mult(), right=a.right)
+                numerator = self._sym_diff(a.left, scaled, env, analysis, depth + 1)
                 best = self._meet_best(best, numerator.div(divisor))
-        if isinstance(b, ast.BinOp) and isinstance(b.op, ast.Div):
-            divisor = self._sym_eval(b.right, env, analysis, depth + 1)
-            if divisor.is_positive:
-                # a - N/D = (a*D - N) / D for D > 0.
-                if isinstance(a, ast.Constant) and a.value in (1, 1.0):
-                    numerator = self._sym_diff(b.right, b.left, env, analysis, depth + 1)
-                else:
-                    scaled = ast.BinOp(left=a, op=ast.Mult(), right=b.right)
-                    numerator = self._sym_diff(scaled, b.left, env, analysis, depth + 1)
-                best = self._meet_best(best, numerator.div(divisor))
+        best = self._meet_best(best, self._sym_diff_mult(a, b, env, analysis, depth))
         return best
 
     def _sym_diff_mult(
@@ -1596,7 +1379,7 @@ class ModuleIntervals:
         best = TOP
         one = ast.Constant(value=1.0)
         for factor_a, cofactor_a in factors(a):
-            key_fa = key_of(self._sym_norm(factor_a, analysis))
+            key_fa = key_of(_peel_cast(factor_a))
             if key_fa is None:
                 continue
             canon_fa = self._canon(key_fa, analysis)
@@ -1605,7 +1388,7 @@ class ModuleIntervals:
             for factor_b, cofactor_b in factors(b):
                 if cofactor_a is None and cofactor_b is None:
                     continue  # plain key-vs-key is handled upstream
-                key_fb = key_of(self._sym_norm(factor_b, analysis))
+                key_fb = key_of(_peel_cast(factor_b))
                 if key_fb is None or self._canon(key_fb, analysis) != canon_fa:
                     continue
                 factor_iv = self._sym_eval(factor_a, env, analysis, depth + 1)
@@ -1627,63 +1410,19 @@ class ModuleIntervals:
         analysis: FunctionAnalysis | None,
         depth: int,
     ) -> Interval:
-        """``min``/``max`` distribute over subtraction of a common term."""
-
-        def minmax_args(expr: ast.expr) -> tuple[str, list[ast.expr]] | None:
-            if (
-                isinstance(expr, ast.Call)
-                and isinstance(expr.func, ast.Name)
-                and expr.func.id in ("min", "max")
-                and len(expr.args) >= 2
-                and not expr.keywords
-                and not any(isinstance(arg, ast.Starred) for arg in expr.args)
-            ):
-                return expr.func.id, list(expr.args)
-            return None
-
-        best = TOP
-        left_form = minmax_args(a)
-        if left_form is not None:
-            name, args = left_form
-            diffs = [self._sym_diff(arg, b, env, analysis, depth + 1) for arg in args]
-            if name == "max":
-                candidate = Interval(max(d.lo for d in diffs), max(d.hi for d in diffs))
-            else:
-                candidate = Interval(min(d.lo for d in diffs), min(d.hi for d in diffs))
-            best = self._meet_best(best, candidate)
-        right_form = minmax_args(b)
-        if right_form is not None:
-            name, args = right_form
-            diffs = [self._sym_diff(a, arg, env, analysis, depth + 1) for arg in args]
-            if name == "max":
-                # a - max(xs) = min(a - x)
-                candidate = Interval(min(d.lo for d in diffs), min(d.hi for d in diffs))
-            else:
-                candidate = Interval(max(d.lo for d in diffs), max(d.hi for d in diffs))
-            best = self._meet_best(best, candidate)
-        return best
-
-    def _sym_diff_ifexp(
-        self,
-        a: ast.IfExp,
-        b: ast.expr,
-        env: Env,
-        analysis: FunctionAnalysis | None,
-        depth: int,
-    ) -> Interval:
-        env_true = self._refine(dict(env), a.test, True, analysis, None)
-        env_false = self._refine(dict(env), a.test, False, analysis, None)
-        branches: list[Interval] = []
-        if env_true is not None:
-            branches.append(self._sym_diff(a.body, b, env_true, analysis, depth + 1))
-        if env_false is not None:
-            branches.append(self._sym_diff(a.orelse, b, env_false, analysis, depth + 1))
-        if not branches:
+        """``max(xs) - b`` is the max of ``x - b`` (and ``min`` likewise)."""
+        if not (
+            isinstance(a, ast.Call)
+            and isinstance(a.func, ast.Name)
+            and a.func.id in ("min", "max")
+            and len(a.args) >= 2
+            and not a.keywords
+            and not any(isinstance(arg, ast.Starred) for arg in a.args)
+        ):
             return TOP
-        joined = branches[0]
-        for branch in branches[1:]:
-            joined = joined.join(branch)
-        return joined
+        diffs = [self._sym_diff(arg, b, env, analysis, depth + 1) for arg in a.args]
+        pick = max if a.func.id == "max" else min
+        return Interval(pick(d.lo for d in diffs), pick(d.hi for d in diffs))
 
     def _sym_eval(
         self,
@@ -1692,47 +1431,28 @@ class ModuleIntervals:
         analysis: FunctionAnalysis | None,
         depth: int,
     ) -> Interval:
-        """Interval of ``expr``, sharpened beyond plain ``_eval`` by
-        definition chasing, symbolic differences (``x - y`` and the
-        ``N/D >= 1`` quotient rule), and callee ``@ensures`` bounds."""
-        expr = self._sym_norm(expr, analysis)
+        """Interval of ``expr``, sharpened beyond plain ``_eval`` by symbolic
+        differences (``x - y`` and the ``N/D >= 1`` quotient rule)."""
+        expr = _peel_cast(expr)
         best = self._eval(expr, env, analysis, {"result"})
-        if depth > self._SYM_DEPTH:
+        if depth > self._SYM_DEPTH or not isinstance(expr, ast.BinOp):
             return best
-        key = key_of(expr)
-        if key is not None and analysis is not None:
-            defined = analysis.defs.get(key)
-            if defined is not None and self._expr_stable(defined, analysis):
-                best = self._meet_best(
-                    best, self._sym_eval(defined, env, analysis, depth + 1)
-                )
-        if isinstance(expr, ast.BinOp):
-            if isinstance(expr.op, ast.Sub):
-                best = self._meet_best(
-                    best,
-                    self._sym_diff(expr.left, expr.right, env, analysis, depth + 1),
-                )
-            elif isinstance(expr.op, (ast.Add, ast.Mult, ast.Div, ast.Pow)):
-                left = self._sym_eval(expr.left, env, analysis, depth + 1)
-                right = self._sym_eval(expr.right, env, analysis, depth + 1)
-                best = self._meet_best(best, self._binop(type(expr.op), left, right))
-                if isinstance(expr.op, ast.Div) and right.is_positive:
-                    # N/D sits on the same side of 1 as N - D when D > 0.
-                    numdiff = self._sym_diff(
-                        expr.left, expr.right, env, analysis, depth + 1
-                    )
-                    if numdiff.is_nonnegative:
-                        best = self._meet_best(best, Interval.at_least(1.0))
-                    if numdiff.hi <= 0.0 and left.is_nonnegative:
-                        best = self._meet_best(best, Interval(0.0, 1.0))
-        if isinstance(expr, ast.UnaryOp) and isinstance(expr.op, ast.USub):
-            best = self._meet_best(
-                best, self._sym_eval(expr.operand, env, analysis, depth + 1).neg()
+        if isinstance(expr.op, ast.Sub):
+            return self._meet_best(
+                best, self._sym_diff(expr.left, expr.right, env, analysis, depth + 1)
             )
-        bounds = self._sym_call_bounds(
-            expr, ast.Constant(value=0.0), env, analysis, depth
-        )
-        return self._meet_best(best, bounds)
+        if isinstance(expr.op, (ast.Add, ast.Mult, ast.Div, ast.Pow)):
+            left = self._sym_eval(expr.left, env, analysis, depth + 1)
+            right = self._sym_eval(expr.right, env, analysis, depth + 1)
+            best = self._meet_best(best, self._binop(type(expr.op), left, right))
+            if isinstance(expr.op, ast.Div) and right.is_positive:
+                # N/D sits on the same side of 1 as N - D when D > 0.
+                numdiff = self._sym_diff(expr.left, expr.right, env, analysis, depth + 1)
+                if numdiff.is_nonnegative:
+                    best = self._meet_best(best, Interval.at_least(1.0))
+                if numdiff.hi <= 0.0 and left.is_nonnegative:
+                    best = self._meet_best(best, Interval(0.0, 1.0))
+        return best
 
     def _sym_call_bounds(
         self,
@@ -1793,8 +1513,6 @@ class ModuleIntervals:
                     if diff.hi < hi:
                         hi = diff.hi
                         strict_hi = op is ast.Lt
-                elif op is ast.Eq:
-                    lo, hi = max(lo, diff.lo), min(hi, diff.hi)
         finally:
             self._ensures_stack.discard(view.qualname)
         if lo > hi:

@@ -11,21 +11,21 @@ about strictness at the origin, so ``x > 0`` is ``[0, inf]`` +
 Arithmetic is interpreted over the reals: ``positive / positive`` is
 positive even though floats can underflow to ``0.0``.  This is recorded
 as a soundness caveat in ``docs/static_analysis.md``.
+
+Widening sends an unstable bound straight to infinity.  The empty
+interval (:meth:`Interval.empty`) answers for a place no feasible path
+reaches, and proves every query.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
-__all__ = ["Interval", "TOP", "WIDEN_THRESHOLDS"]
+__all__ = ["Interval", "TOP"]
 
 _INF = math.inf
-
-#: Bounds that widening snaps to before giving up and going to infinity.
-#: Keeping 0 and 1 preserves the sign facts the numeric rules need even
-#: when a loop makes a variable grow without a static bound.
-WIDEN_THRESHOLDS = (0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -64,6 +64,12 @@ class Interval:
     @staticmethod
     def nonnegative() -> "Interval":
         return Interval(0.0, _INF, False)
+
+    @staticmethod
+    def empty() -> "Interval":
+        """No value at all: ``[inf, -inf]``, provably positive, negative
+        and nonzero at once."""
+        return Interval(_INF, -_INF, True)
 
     # ------------------------------------------------------------------
     # Queries
@@ -120,16 +126,9 @@ class Interval:
         return Interval(lo, hi, nonzero)
 
     def widen(self, newer: "Interval") -> "Interval":
-        """Classic threshold widening: unstable bounds jump to the nearest
-        threshold in :data:`WIDEN_THRESHOLDS`, then to infinity."""
-        lo = self.lo
-        if newer.lo < self.lo:
-            candidates = [t for t in WIDEN_THRESHOLDS if t <= newer.lo]
-            lo = max(candidates) if candidates else -_INF
-        hi = self.hi
-        if newer.hi > self.hi:
-            candidates = [t for t in WIDEN_THRESHOLDS if t >= newer.hi]
-            hi = min(candidates) if candidates else _INF
+        """Unstable bounds jump straight to infinity."""
+        lo = self.lo if newer.lo >= self.lo else -_INF
+        hi = self.hi if newer.hi <= self.hi else _INF
         return Interval(lo, hi, self.nonzero and newer.nonzero)
 
     # ------------------------------------------------------------------
@@ -179,25 +178,6 @@ class Interval:
             return self.neg().div(other.neg())
         # Nonzero divisor of unknown sign: magnitude unbounded either way.
         return Interval(-_INF, _INF, False)
-
-    def floordiv(self, other: "Interval") -> "Interval":
-        """``self // other``: true division then floor."""
-        quotient = self.div(other)
-        if quotient.is_top:
-            return TOP
-        # Floor can lower the bound by up to 1 and clear strictness at 0.
-        lo = quotient.lo if quotient.lo == -_INF else math.floor(quotient.lo)
-        hi = quotient.hi if quotient.hi == _INF else math.floor(quotient.hi)
-        return Interval(lo, hi, lo > 0.0 or hi < 0.0)
-
-    def mod(self, other: "Interval") -> "Interval":
-        """``self % other`` under Python sign semantics."""
-        # Python semantics: for b > 0 the result lies in [0, b).
-        if other.is_positive:
-            return Interval(0.0, other.hi)
-        if other.is_negative:
-            return Interval(other.lo, 0.0)
-        return TOP
 
     def pow(self, exponent: "Interval") -> "Interval":
         """``self ** exponent``; precise for constant exponents and for
@@ -285,12 +265,15 @@ class Interval:
 
         return Interval(_exp(self.lo), _exp(self.hi), True)
 
-    def log(self, base: float = math.e) -> "Interval":
-        """``log(self)``; only informative when provably positive."""
+    def log(self, log: Callable[[float], float] = math.log) -> "Interval":
+        """``log(self)`` for ``math.log``, ``math.log2`` or ``math.log10``;
+        only informative when provably positive.  Each bound is that
+        function's own value, which a base-changing ``math.log(x, base)``
+        can miss by an ulp: ``math.log(1000, 10) < 3``."""
         if not self.is_positive:
             return TOP
-        lo = -_INF if self.lo <= 0.0 else math.log(self.lo, base)
-        hi = _INF if self.hi == _INF else math.log(self.hi, base)
+        lo = -_INF if self.lo <= 0.0 else log(self.lo)
+        hi = _INF if self.hi == _INF else log(self.hi)
         return Interval(lo, hi)
 
     def to_int(self) -> "Interval":
@@ -298,20 +281,6 @@ class Interval:
         lo = self.lo if self.lo == -_INF else float(math.floor(self.lo))
         hi = self.hi if self.hi == _INF else float(math.ceil(self.hi))
         return Interval(lo, hi, self.lo >= 1.0 or self.hi <= -1.0)
-
-    def floor(self) -> "Interval":
-        """``math.floor(x)`` elementwise on the bounds."""
-        lo = self.lo if self.lo == -_INF else float(math.floor(self.lo))
-        hi = self.hi if self.hi == _INF else float(math.floor(self.hi))
-        return Interval(lo, hi, lo > 0.0 or hi < 0.0)
-
-    def ceil(self) -> "Interval":
-        """``math.ceil(x)``; positive inputs stay ``>= 1``."""
-        lo = self.lo if self.lo == -_INF else float(math.ceil(self.lo))
-        hi = self.hi if self.hi == _INF else float(math.ceil(self.hi))
-        if self.is_positive:
-            lo = max(lo, 1.0)
-        return Interval(lo, hi, self.is_positive or lo > 0.0 or hi < 0.0)
 
     def maximum(self, other: "Interval") -> "Interval":
         """Pointwise ``max(self, other)`` (``np.maximum`` / binary ``max``)."""
@@ -332,15 +301,6 @@ class Interval:
             or other.is_negative
         )
         return Interval(lo, hi, nonzero)
-
-    def clip(self, lower: "Interval | None", upper: "Interval | None") -> "Interval":
-        """``np.clip(self, lower, upper)``; ``None`` means that side is open."""
-        clipped = self
-        if lower is not None:
-            clipped = clipped.maximum(lower)
-        if upper is not None:
-            clipped = clipped.minimum(upper)
-        return clipped
 
     # ------------------------------------------------------------------
     # Comparison refinement

@@ -1,4 +1,4 @@
-"""R102 fixture: three unsafe log/sqrt calls, three safe ones."""
+"""R102 fixture: four unsafe log/sqrt calls, three safe ones."""
 
 import math
 
@@ -30,3 +30,8 @@ def bad_mentioned_not_excluded(x):
     if x > 10.0:
         return 1.0
     return math.log(x)
+
+
+def bad_sqrt_or(a, b):
+    # `a or b` is a itself unless a == 0: a = -1 is negative.
+    return math.sqrt(a or b)

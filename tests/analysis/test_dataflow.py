@@ -2,8 +2,8 @@
 
 Each test lints or analyses a small inline module and checks what the
 engine can (and deliberately cannot) prove: guard propagation, builtin
-transfer functions, ``__init__`` attribute facts, loop widening, and
-contract clause verdicts.
+transfer functions, ``__init__`` attribute facts, loop widening, dead
+code, and contract clause verdicts.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import ast
 import math
 
-from repro.analysis.dataflow import build_cfg, module_intervals
+from repro.analysis.dataflow import Interval, build_cfg, engine, module_intervals
 from repro.analysis.source import SourceModule
 
 from tests.analysis.conftest import lint_text
@@ -173,6 +173,17 @@ class TestLoops:
         assert [finding.line for finding in lint_text(text, ["R101"])] == [5]
 
 
+class TestUnpacking:
+    def test_nested_and_with_targets_forget_their_old_facts(self):
+        for binding in (
+            "    a, (b, c) = x\n",
+            "    for a, (b, c) in x:\n        pass\n",
+            "    with x as (a, b):\n        pass\n",
+        ):
+            text = "def f(x):\n    b = 1.0\n" + binding + "    return 1.0 / b\n"
+            assert [f.code for f in lint_text(text, ["R101"])] == ["R101"], binding
+
+
 class TestContracts:
     def test_requires_seeds_parameters(self):
         findings = lint_text(
@@ -289,6 +300,59 @@ class TestBranchRefinement:
             assert [f.code for f in lint_text(text, ["R101"])] == ["R101"], text
 
 
+class TestDeadCode:
+    """A place no feasible path reaches proves every query."""
+
+    def test_an_unreachable_block_is_proved(self):
+        text = (
+            "def f(x):\n"
+            "    if x > 1.0:\n"
+            "        if x < 0.5:\n"
+            "            return 1.0 / (x - x)\n"
+            "    return 0.0\n"
+        )
+        assert lint_text(text, ["R101"]) == []
+        analysis = _analysis(text)
+        assert analysis.interval_of(_find_divisor(analysis)) == Interval.empty()
+
+    def test_an_infeasible_branch_is_proved(self):
+        text = "z = 0\nshare = 1.0 / z if z else 0.0\n"
+        assert lint_text(text, ["R101"]) == []
+        analysis = _analysis(text)
+        assert analysis.interval_of(_find_divisor(analysis)) == Interval.empty()
+
+    def test_a_finally_body_and_code_after_a_with_block_still_run(self):
+        # The finally body runs although the try returns, and the context
+        # manager may swallow the raise: neither division is dead, and
+        # each may run after b = 0.0, reached on a path that never falls
+        # through to it.
+        for text in (
+            "def f(x):\n    b = 1.0\n    try:\n        return g(x)\n"
+            "    except ValueError:\n        b = 0.0\n        raise\n"
+            "    finally:\n        h(1.0 / b)\n",
+            "def f(c):\n    b = 1.0\n    with suppress(ValueError):\n"
+            "        if c:\n            b = 0.0\n        raise ValueError\n"
+            "    return 1.0 / b\n",
+        ):
+            assert [f.code for f in lint_text(text, ["R101"])] == ["R101"], text
+
+    def test_a_finally_after_dead_code_stays_dead(self):
+        text = (
+            "def f(x):\n"
+            "    return 0.0\n"
+            "    try:\n"
+            "        return g(x)\n"
+            "    finally:\n"
+            "        h(1.0 / x)\n"
+        )
+        assert lint_text(text, ["R101"]) == []
+
+    def test_an_abandoned_analysis_stays_unknown(self, monkeypatch):
+        monkeypatch.setattr(engine, "_MAX_VISITS", 0)
+        analysis = _analysis("def f(x):\n    return 1.0 / x\n")
+        assert analysis.interval_of(_find_divisor(analysis)).is_top
+
+
 class TestEstimatorContractSeed:
     """In an uncontracted function the quantities the estimator contract
     validates start at ``>= 1``; a contracted one has its clauses alone."""
@@ -381,14 +445,6 @@ class TestNumpyTransfers:
         assert interval.lo == 0.0
         assert interval.hi == math.inf
 
-    def test_expm1_of_clamped_term(self):
-        interval = _return_interval(
-            "import numpy as np\n"
-            "def f(x):\n"
-            "    return np.expm1(np.minimum(0.0, x))\n"
-        )
-        assert (interval.lo, interval.hi) == (-1.0, 0.0)
-
     def test_log_of_clamped_probability_has_finite_floor(self):
         interval = _return_interval(
             "import numpy as np\n"
@@ -405,24 +461,6 @@ class TestNumpyTransfers:
             "    return np.log(np.maximum(p, 0.0))\n"
         )
         assert interval.is_top
-
-    def test_where_joins_both_branches(self):
-        interval = _return_interval(
-            "import numpy as np\n"
-            "def f(c):\n"
-            "    return np.where(c, 1.0, 4.0)\n"
-        )
-        assert (interval.lo, interval.hi) == (1.0, 4.0)
-        assert interval.is_nonzero
-
-    def test_clip_with_open_upper_side(self):
-        interval = _return_interval(
-            "import numpy as np\n"
-            "def f(x):\n"
-            "    return np.clip(x, 0.0, None)\n"
-        )
-        assert interval.lo == 0.0
-        assert interval.hi == math.inf
 
     def test_astype_float_preserves_bounds(self):
         interval = _return_interval(
@@ -458,9 +496,26 @@ class TestNumpyTransfers:
         interval = _return_interval(
             "import numpy as np\n"
             "def f(x):\n"
-            "    return np.abs(x).astype(np.uint32)\n"
+            "    return np.maximum(x, 0).astype(np.uint32)\n"
         )
         assert interval.is_nonnegative
+
+    def test_log2_and_log10_take_their_own_base(self):
+        # math.log(1000, 10) is 2.9999999999999996: each bound must be the
+        # function's own value, or x = 1000 falls outside the interval.
+        for name, top, hi in (
+            ("log", 8.0, math.log(8.0)),
+            ("log2", 8.0, 3.0),
+            ("log10", 1000.0, 3.0),
+        ):
+            interval = _return_interval(
+                "import math\n"
+                "def f(x):\n"
+                f"    if x < 1.0 or x > {top}:\n"
+                "        return 0.0\n"
+                f"    return math.{name}(x)\n",
+            )
+            assert (interval.lo, interval.hi) == (0.0, hi), name
 
     def test_count_nonzero_is_nonnegative(self):
         interval = _return_interval(

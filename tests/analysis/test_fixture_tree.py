@@ -34,10 +34,17 @@ EXPECTED = [
     ('fixture_r101.py', 46, 12, 'R101'),  # the class body's own k
     ('fixture_r101.py', 49, 20, 'R101'),  # the lambda parameter k
     ('fixture_r101.py', 51, 10, 'R101'),  # the comprehension's k
+    ('fixture_r101.py', 69, 11, 'R101'),  # `a or -3.0` may be -4.0
+    ('fixture_r101.py', 83, 11, 'R101'),  # np.exp2 is 2**x, not e**x
+    ('fixture_r101.py', 90, 11, 'R101'),  # math.log2 in base 2
+    ('fixture_r101.py', 97, 11, 'R101'),  # math.log10(1000) is 3 exactly
+    ('fixture_r101.py', 109, 12, 'R101'),  # the finally runs after the handler
+    ('fixture_r101.py', 119, 11, 'R101'),  # the with may swallow the raise
     ('fixture_r102.py', 6, 0, 'R601'),
     ('fixture_r102.py', 7, 11, 'R102'),
     ('fixture_r102.py', 11, 11, 'R102'),
     ('fixture_r102.py', 32, 11, 'R102'),  # a comparison that names x leaves x <= 0
+    ('fixture_r102.py', 37, 11, 'R102'),  # `a or b` may be negative
     ('fixture_r1101.py', 12, 0, 'R1101'),
     ('fixture_r1101.py', 12, 0, 'R601'),
     ('fixture_r1101.py', 18, 0, 'R1101'),

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 
 from repro.analysis.dataflow import Interval
-from repro.analysis.dataflow.intervals import TOP, WIDEN_THRESHOLDS
+from repro.analysis.dataflow.intervals import TOP
 
 
 class TestConstructorsAndQueries:
@@ -43,6 +43,13 @@ class TestConstructorsAndQueries:
         assert Interval(-3.0, -1.0).is_nonzero
         assert not Interval(-1.0, 1.0).is_nonzero
 
+    def test_empty_proves_every_query(self):
+        empty = Interval.empty()
+        assert empty.is_positive and empty.is_negative
+        assert empty.is_nonzero and empty.is_nonnegative
+        assert not empty.is_top
+        assert not empty.contains(0.0) and not empty.contains(1.0)
+
 
 class TestLattice:
     def test_join_is_union(self):
@@ -65,22 +72,9 @@ class TestLattice:
         # [0, 0] with a nonzero tag is the empty set too.
         assert Interval.const(0).meet(Interval(-1.0, 1.0, nonzero=True)) is None
 
-    def test_widen_snaps_to_thresholds_then_infinity(self):
-        assert 1.0 in WIDEN_THRESHOLDS
-        stable = Interval(1.0, 5.0)
-        # A growing upper bound beyond every threshold goes straight to inf.
-        widened = stable.widen(Interval(1.0, 6.0))
-        assert widened.hi == math.inf
-        assert widened.lo == 1.0  # the stable bound is kept exactly
-        # A lower bound dropping toward 0 snaps to the 0 threshold first.
-        pos = Interval(2.0, 4.0)
-        widened = pos.widen(Interval(0.5, 4.0))
-        assert widened.lo == 0.0
-        assert widened.hi == 4.0
-
     def test_widen_preserves_sign_for_counting_loops(self):
-        # i = 1; while ...: i += 1  — exactly the pattern the thresholds
-        # exist for: the widened interval must keep i >= 1.
+        # i = 1; while ...: i += 1  — only the growing bound goes to
+        # infinity, so the widened interval keeps i >= 1.
         i = Interval.const(1)
         widened = i.widen(i.add(Interval.const(1)))
         assert widened.lo >= 1.0

@@ -11,7 +11,13 @@ class TestUnguardedDivision:
         # 35: `if r > 100: return 0.0` names r but leaves r == 0 possible.
         # 46, 49, 51: a class body, a lambda parameter and a comprehension
         # target rebind the module's k = 5, whose own read (40) is proved.
-        assert [f.line for f in findings] == [5, 9, 35, 46, 49, 51]
+        # 56, 62: dead code is proved.  69, 83, 90, 97: `a or -3.0`,
+        # np.exp2, math.log2 and math.log10 reach the zero of the divisor.
+        # 109, 119: a finally body and the code after a with block run
+        # although no path falls through to them.
+        assert [f.line for f in findings] == [
+            5, 9, 35, 46, 49, 51, 69, 83, 90, 97, 109, 119
+        ]
         assert all(f.code == "R101" for f in findings)
         assert "'f2'" in findings[0].message
 
@@ -34,11 +40,13 @@ class TestUnguardedDivision:
 class TestUnsafeLogSqrt:
     def test_flags_exactly_the_bad_calls(self):
         findings = lint_fixture("fixture_r102.py", ["R102"])
-        assert [f.line for f in findings] == [7, 11, 32]
+        assert [f.line for f in findings] == [7, 11, 32, 37]
         assert "math.log" in findings[0].message
         assert "math.sqrt" in findings[1].message
         # `if x > 10.0: return 1.0` leaves x <= 0 possible.
         assert "math.log argument 'x'" in findings[2].message
+        # `a or b` is a itself unless a == 0, so it may be negative.
+        assert "math.sqrt" in findings[3].message
 
     def test_sqrt_of_zero_is_allowed_log_of_zero_is_not(self):
         sqrt_zero = "import math\n\ndef f(x):\n    return math.sqrt(max(x, 0))\n"
