@@ -10,28 +10,30 @@ deliberately modest call graph over the scanned tree so the flow rules
 Resolution is *syntactic and conservative in the miss direction*: edges
 are added only for call forms we can resolve with confidence —
 
-* bare names defined in the same module or imported via
-  ``from repro.x import f``;
-* ``alias.f`` / ``alias.sub.f`` where ``alias`` is an imported project
+* bare names defined in the same module or imported from a scanned
+  module (``from repro.x import f``);
+* ``alias.f`` / ``alias.sub.f`` where ``alias`` is an imported scanned
   module (``import repro.x as alias``, ``from repro import x``);
 * ``self.f()`` / ``cls.f()`` to a method of the enclosing class or an
   in-module base class.
 
-Unresolvable calls simply add no edge, so the flow rules under-report
-rather than hallucinate paths.  That is the right trade for a lint
-gate: every reported chain is real and readable.
+Imports are read from the module's
+:func:`~repro.analysis.source.import_table`, and a scanned module is
+named by :func:`~repro.analysis.source.module_name` (a file outside
+``repro/`` by its stem).  Unresolvable calls simply add no edge, so the
+flow rules under-report rather than hallucinate paths.  That is the
+right trade for a lint gate: every reported chain is real and readable.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterable, Sequence
 
 from repro.analysis.effects import FunctionEffects, module_effects
 from repro.analysis.project import context_cached
-from repro.analysis.source import SourceModule
+from repro.analysis.source import SourceModule, import_table, module_name
 
 __all__ = [
     "CallGraphNode",
@@ -39,30 +41,7 @@ __all__ = [
     "ProjectCallGraph",
     "build_callgraph",
     "cached_callgraph",
-    "module_name",
 ]
-
-#: Top-level package the graph resolves into; calls outside it are ignored.
-_ROOT_PACKAGE = "repro"
-
-
-def module_name(path: str) -> str:
-    """Dotted module name for a source path.
-
-    ``src/repro/sampling/schemes.py`` → ``repro.sampling.schemes``;
-    package ``__init__.py`` files name the package itself.  Paths without
-    a ``repro`` component (test fixtures) fall back to the file stem.
-    """
-    parts = list(Path(path).parts)
-    if parts and parts[-1].endswith(".py"):
-        parts[-1] = parts[-1][: -len(".py")]
-    if parts and parts[-1] == "__init__":
-        parts.pop()
-    try:
-        root = parts.index(_ROOT_PACKAGE)
-    except ValueError:
-        return parts[-1] if parts else path
-    return ".".join(parts[root:])
 
 
 @dataclass
@@ -123,39 +102,6 @@ class ProjectCallGraph:
         return None
 
 
-def _import_map(module: SourceModule) -> dict[str, str]:
-    """Local name → dotted project target for a module's imports."""
-    package = _package_of(module_name(module.path), module)
-    imports: dict[str, str] = {}
-    for node in module.index.nodes:
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name == _ROOT_PACKAGE or alias.name.startswith(
-                    _ROOT_PACKAGE + "."
-                ):
-                    local = alias.asname or alias.name.split(".", 1)[0]
-                    target = alias.name if alias.asname else alias.name.split(".", 1)[0]
-                    imports[local] = target
-        elif isinstance(node, ast.ImportFrom):
-            if node.level:
-                base_parts = package.split(".")
-                if node.level > len(base_parts):
-                    continue
-                base = ".".join(base_parts[: len(base_parts) - node.level + 1])
-                source = f"{base}.{node.module}" if node.module else base
-            else:
-                source = node.module or ""
-            if not (
-                source == _ROOT_PACKAGE or source.startswith(_ROOT_PACKAGE + ".")
-            ):
-                continue
-            for alias in node.names:
-                if alias.name == "*":
-                    continue
-                imports[alias.asname or alias.name] = f"{source}.{alias.name}"
-    return imports
-
-
 def _class_of(qualname: str) -> str | None:
     """Enclosing class prefix of a method qualname, if it looks like one."""
     if "." not in qualname or "<locals>" in qualname:
@@ -214,7 +160,7 @@ def build_callgraph(modules: Sequence[SourceModule]) -> ProjectCallGraph:
             graph.nodes[key] = CallGraphNode(key, module, summary)
 
     for module, modname, effects in per_module:
-        imports = module.derived(_import_map)
+        imports = module.derived(import_table)
         bases = module.derived(_in_module_bases)
         for qualname, summary in effects.items():
             key = f"{modname}.{qualname}"
@@ -250,13 +196,13 @@ class CallSiteResolver:
     The graph's edges only say *that* a function calls a target; the
     taint engine needs to resolve *individual call expressions* while
     walking a body.  This wraps the same resolution tables the graph
-    builder used (import map, in-module bases): both read the copies
+    builder used (import table, in-module bases): both read the copies
     kept in the module's index, so they agree exactly on what resolves.
     """
 
     def __init__(self, graph: ProjectCallGraph, module: SourceModule) -> None:
         self._modname = module_name(module.path)
-        self._imports = module.derived(_import_map)
+        self._imports = module.derived(import_table)
         self._bases = module.derived(_in_module_bases)
         self._nodes = graph.nodes
 
@@ -266,13 +212,6 @@ class CallSiteResolver:
             call, self._modname, caller_qualname, self._imports,
             self._bases, self._nodes,
         )
-
-
-def _package_of(modname: str, module: SourceModule) -> str:
-    """The package a module's relative imports resolve against."""
-    if Path(module.path).name == "__init__.py":
-        return modname
-    return modname.rsplit(".", 1)[0] if "." in modname else modname
 
 
 def _resolve_call(

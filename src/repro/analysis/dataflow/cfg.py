@@ -10,18 +10,17 @@ become facts (``n >= 1``) on the fall-through path.
 
 Structures handled: ``if``/``elif``/``else``, ``while`` (with ``break``
 and ``continue``), ``for`` (the loop header forgets the target each
-iteration), ``try``/``except``/``finally`` (handlers are entered from
-the start and the end of the body, which misses a state the body only
-passes through midway), ``with``, ``assert`` (a guard whose failing edge
-raises), ``return`` and ``raise`` (block dead-ends).  Anything else is
-treated as a plain statement with fall-through.
+iteration), ``try``/``except``/``finally``, ``with``, ``assert`` (a
+guard whose failing edge raises), ``return`` and ``raise`` (block
+dead-ends).  Anything else is treated as a plain statement with
+fall-through.
 
-Two places can be reached from any point of a body that never falls
-through: a ``finally`` body, and the code after a ``with`` whose context
-manager swallows the exception.  A *forgetting* edge
-(``Edge(dst, forget=True)``) enters each from before the body with
-every local unknown.  A block no edge reaches is dead code, which the
-engine proves anything about.
+Three places can be reached from any point of a body, with whatever
+state the body left midway: an ``except`` handler, a ``finally`` body,
+and the code after a ``with`` whose context manager swallows the
+exception.  A *forgetting* edge (``Edge(dst, forget=True)``) enters
+each from before the body with every local unknown.  A block no edge
+reaches is dead code, which the engine proves anything about.
 """
 
 from __future__ import annotations
@@ -110,10 +109,13 @@ class _Builder:
             entry = self.current
             entry.statements.append(stmt)
             self.add_body(stmt.body)
-            if self.current is None:
-                # The context manager may swallow what ended the body, at
-                # any point of it, so the code after the block can run.
-                entry.edges.append(Edge(self._start_block().index, forget=True))
+            body_exit = self.current
+            after = self._start_block()
+            if body_exit is not None:
+                self._link(body_exit, after)
+            # The context manager may swallow an exception raised at any
+            # point of the body, so the code after the block can run.
+            entry.edges.append(Edge(after.index, forget=True))
         elif isinstance(stmt, ast.Assert):
             self._add_assert(stmt)
         elif isinstance(stmt, (ast.Return, ast.Raise)):
@@ -234,12 +236,9 @@ class _Builder:
                 exits.append(body_exit)
 
         for handler in stmt.handlers:
+            # A handler can be entered from any point of the body.
             handler_entry = self._start_block()
-            # A handler can be entered before or after any body effect:
-            # over-approximate with edges from both ends of the body.
-            self._link(before, handler_entry)
-            if body_exit is not None:
-                self._link(body_exit, handler_entry)
+            before.edges.append(Edge(handler_entry.index, forget=True))
             self.add_body(handler.body)
             if self.current is not None:
                 exits.append(self.current)
@@ -247,11 +246,9 @@ class _Builder:
         join = self._start_block()
         for block in exits:
             self._link(block, join)
-        if stmt.finalbody and not exits:
-            # Every path returns or raises, yet the finally body runs, from
-            # any point of the body or a handler.
-            before.edges.append(Edge(join.index, forget=True))
         if stmt.finalbody:
+            # The finally body runs from any point of the body or a handler.
+            before.edges.append(Edge(join.index, forget=True))
             self.add_body(stmt.finalbody)
         if not exits:
             self.current = None

@@ -17,11 +17,7 @@ from __future__ import annotations
 import ast
 from typing import Sequence
 
-from repro.analysis.callgraph import (
-    CallSiteResolver,
-    cached_callgraph,
-    module_name,
-)
+from repro.analysis.callgraph import CallSiteResolver, cached_callgraph
 from repro.analysis.dataflow.engine import (
     FunctionContract,
     ModuleIntervals,
@@ -33,7 +29,7 @@ from repro.analysis.dataflow.engine import (
 from repro.analysis.dataflow.intervals import Interval
 from repro.analysis.effects import _callee_key, defined_functions
 from repro.analysis.project import context_cached
-from repro.analysis.source import SourceModule
+from repro.analysis.source import SourceModule, module_name
 
 __all__ = ["ContractLookup", "contract_lookup"]
 

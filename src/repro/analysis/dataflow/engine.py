@@ -58,7 +58,7 @@ from typing import Callable, Iterator
 
 from repro.analysis.dataflow.cfg import ControlFlowGraph, build_cfg
 from repro.analysis.dataflow.intervals import TOP, Interval
-from repro.analysis.source import SourceModule
+from repro.analysis.source import SourceModule, qualified_name
 
 __all__ = [
     "ClauseVerdict",
@@ -676,41 +676,37 @@ class ModuleIntervals:
             facts[attr] = facts[attr].join(interval) if attr in facts else interval
 
         env = analysis.env_at.get(id(stmt))
-        if isinstance(stmt, ast.Assign):
-            for target in stmt.targets:
+        rebound: list[ast.expr] = []
+        if isinstance(stmt, (ast.Assign, ast.AnnAssign)) and stmt.value is not None:
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            for target in targets:
                 attr = self_attr(target)
-                if attr is not None:
-                    value = (
-                        self._eval(stmt.value, env, analysis)
-                        if env is not None
-                        else TOP
-                    )
-                    record(attr, value)
-                elif isinstance(target, (ast.Tuple, ast.List)):
-                    for element in target.elts:
-                        sub = self_attr(element)
-                        if sub is not None:
-                            poisoned.add(sub)
-        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-            attr = self_attr(stmt.target)
-            if attr is not None:
-                value = (
-                    self._eval(stmt.value, env, analysis) if env is not None else TOP
-                )
-                record(attr, value)
-        elif isinstance(stmt, ast.AugAssign):
-            attr = self_attr(stmt.target)
-            if attr is not None:
-                poisoned.add(attr)
-        elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-            attr = self_attr(stmt.target)
-            if attr is not None:
-                poisoned.add(attr)
+                if attr is None:
+                    rebound.append(target)
+                elif env is None:
+                    record(attr, TOP)
+                else:
+                    record(attr, self._eval(stmt.value, env, analysis))
+        elif isinstance(stmt, (ast.AugAssign, ast.For, ast.AsyncFor)):
+            rebound.append(stmt.target)
+        elif isinstance(stmt, (ast.With, ast.AsyncWith)):
+            rebound.extend(
+                item.optional_vars
+                for item in stmt.items
+                if item.optional_vars is not None
+            )
         elif isinstance(stmt, ast.Delete):
-            for target in stmt.targets:
-                attr = self_attr(target)
-                if attr is not None:
-                    poisoned.add(attr)
+            rebound.extend(stmt.targets)
+        # An attribute rebound any other way, at any depth of a target,
+        # may take any value.
+        for target in rebound:
+            for node in ast.walk(target):
+                if isinstance(node, ast.Attribute) and not isinstance(
+                    node.ctx, ast.Load
+                ):
+                    attr = self_attr(node)
+                    if attr is not None:
+                        poisoned.add(attr)
 
     # ------------------------------------------------------------------
     # Per-function fixpoint
@@ -1036,8 +1032,9 @@ class ModuleIntervals:
                 return arg(0), {}
             if name == "int" and has_args:
                 return arg(0).to_int(), {}
-        if root in ("math", "np", "numpy") and name is not None:
-            transferred = self._math_call(name, call, env, analysis, scope_locals)
+        owner, _, attr = (qualified_name(self.module, func) or "").rpartition(".")
+        if owner in ("math", "numpy"):
+            transferred = self._math_call(attr, call, env, analysis, scope_locals)
             if transferred is not None:
                 return transferred, {}
         if (

@@ -3,11 +3,11 @@
 The interval lattice (:mod:`repro.analysis.dataflow.intervals`) answers
 "what numbers can this expression be"; this lattice answers "which
 *nondeterminism sources* may have influenced it".  An abstract value is
-a finite set of labels — the powerset of :data:`ALL_LABELS` ordered by
-inclusion — so joins are unions, bottom is the empty set ("provably
-deterministic data flow"), and every chain is finite, which makes the
-interprocedural fixpoint in :mod:`repro.analysis.dataflow.taintflow`
-terminate unconditionally.
+a plain ``frozenset`` of labels — the powerset of :data:`ALL_LABELS`
+ordered by inclusion — so joins are unions, bottom is the empty set
+("provably deterministic data flow"), and every chain is finite, which
+makes the interprocedural fixpoint in
+:mod:`repro.analysis.dataflow.taintflow` terminate unconditionally.
 
 Labels come in two families:
 
@@ -27,9 +27,6 @@ Labels come in two families:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable
-
 __all__ = [
     "RNG",
     "CLOCK",
@@ -42,6 +39,7 @@ __all__ = [
     "Taint",
     "CLEAN",
     "PARAM_PREFIX",
+    "describe",
     "param_label",
     "split_params",
 ]
@@ -83,74 +81,17 @@ def param_label(name: str) -> str:
     return PARAM_PREFIX + name
 
 
-def _param_labels(labels: frozenset[str]) -> frozenset[str]:
-    return frozenset(
-        label for label in labels if label.startswith(PARAM_PREFIX)
-    )
+#: An element of the label-powerset lattice: join is ``|``, the order
+#: is ``<=``, and sanitizing drops labels with ``-``.
+Taint = frozenset[str]
+
+#: The bottom element: no nondeterminism source may reach the value.
+CLEAN: Taint = frozenset()
 
 
-@dataclass(frozen=True)
-class Taint:
-    """An element of the label-powerset lattice (immutable)."""
-
-    labels: frozenset[str] = field(default_factory=frozenset)
-
-    def __post_init__(self) -> None:
-        unknown = self.labels - ALL_LABELS - _param_labels(self.labels)
-        if unknown:
-            raise ValueError(f"unknown taint labels: {sorted(unknown)!r}")
-
-    # -- lattice operations ------------------------------------------
-    @staticmethod
-    def of(*labels: str) -> "Taint":
-        """The taint carrying exactly ``labels``."""
-        return Taint(frozenset(labels))
-
-    def join(self, other: "Taint") -> "Taint":
-        """Least upper bound: the union of both label sets."""
-        if not other.labels:
-            return self
-        if not self.labels:
-            return other
-        return Taint(self.labels | other.labels)
-
-    def without(self, *labels: str) -> "Taint":
-        """Sanitize: drop ``labels`` (no-op for labels not present)."""
-        dropped = frozenset(labels)
-        if not (self.labels & dropped):
-            return self
-        return Taint(self.labels - dropped)
-
-    def restricted(self, allowed: Iterable[str]) -> "Taint":
-        """Keep only the labels in ``allowed``."""
-        return Taint(self.labels & frozenset(allowed))
-
-    def __le__(self, other: "Taint") -> bool:
-        """Lattice order: subset of labels."""
-        return self.labels <= other.labels
-
-    def __or__(self, other: "Taint") -> "Taint":
-        return self.join(other)
-
-    # -- predicates / rendering --------------------------------------
-    @property
-    def is_clean(self) -> bool:
-        """Bottom: no nondeterminism source may reach this value."""
-        return not self.labels
-
-    def __contains__(self, label: str) -> bool:
-        return label in self.labels
-
-    def describe(self) -> str:
-        """Stable human rendering, e.g. ``"clock+env"``."""
-        return "+".join(sorted(self.labels)) if self.labels else "clean"
-
-    def __bool__(self) -> bool:
-        return bool(self.labels)
-
-
-#: The bottom element, shared (Taint is immutable).
-CLEAN = Taint()
+def describe(taint: Taint) -> str:
+    """Stable human rendering, e.g. ``"clock+env"``."""
+    return "+".join(sorted(taint)) if taint else "clean"
 
 
 def split_params(taint: Taint) -> tuple[Taint, frozenset[str]]:
@@ -160,7 +101,6 @@ def split_params(taint: Taint) -> tuple[Taint, frozenset[str]]:
     function summary: concrete sources that reach the return value, plus
     the names of parameters whose taint would flow through.
     """
-    params = _param_labels(taint.labels)
-    real = Taint(taint.labels - params)
+    params = frozenset(label for label in taint if label.startswith(PARAM_PREFIX))
     names = frozenset(label[len(PARAM_PREFIX):] for label in params)
-    return real, names
+    return taint - params, names

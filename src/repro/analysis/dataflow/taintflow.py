@@ -3,7 +3,8 @@
 This is the whole-program half of the determinism auditor (rules R1001
 and R1002).  The lattice is :mod:`repro.analysis.dataflow.taint`; the
 sources are classified by
-:class:`~repro.analysis.effects.NondetSources`; call resolution reuses
+:func:`~repro.analysis.effects.classify_call` and
+:func:`~repro.analysis.effects.classify_expr`; call resolution reuses
 the project call graph's tables
 (:class:`~repro.analysis.callgraph.CallSiteResolver`), so a taint chain
 and a call chain can never disagree about what resolves.
@@ -46,22 +47,23 @@ from repro.analysis.callgraph import (
     CallSiteResolver,
     ProjectCallGraph,
     cached_callgraph,
-    module_name,
 )
 from repro.analysis.dataflow.taint import (
     CLEAN,
-    SET_ORDER,
+    ORDER_LABELS,
     Taint,
+    describe,
     param_label,
     split_params,
 )
 from repro.analysis.effects import (
-    NondetSources,
     _callee_key,
+    classify_call,
+    classify_expr,
     defined_functions,
 )
 from repro.analysis.project import context_cached
-from repro.analysis.source import SourceModule
+from repro.analysis.source import SourceModule, module_name
 
 __all__ = ["FunctionTaint", "ProjectTaint", "project_taint"]
 
@@ -99,7 +101,6 @@ class ProjectTaint:
         self, modules: Sequence[SourceModule], context: object | None = None
     ) -> None:
         self.graph: ProjectCallGraph = cached_callgraph(modules, context)
-        self._sources: dict[str, NondetSources] = {}
         self._resolvers: dict[str, CallSiteResolver] = {}
         self._module_envs: dict[str, dict[str, Taint]] = {}
         self._functions: dict[str, tuple[SourceModule, str, ast.FunctionDef | ast.AsyncFunctionDef]] = {}
@@ -108,7 +109,6 @@ class ProjectTaint:
 
         for module in modules:
             modname = module_name(module.path)
-            self._sources[module.path] = NondetSources(module)
             self._resolvers[module.path] = CallSiteResolver(self.graph, module)
             for qualname, func in defined_functions(module):
                 key = f"{modname}.{qualname}"
@@ -116,7 +116,7 @@ class ProjectTaint:
                 self.summaries[key] = FunctionTaint(
                     key=key, qualname=qualname, module=module, node=func
                 )
-        # Module envs after sources/resolvers exist (top-level code can
+        # Module envs after the resolvers exist (top-level code can
         # call project functions, resolved against empty summaries —
         # harmlessly imprecise for import-time constants).
         for module in modules:
@@ -160,7 +160,6 @@ class ProjectTaint:
         if info is None:
             return []
         module, qualname, func = info
-        sources = self._sources[module.path]
         resolver = self._resolvers[module.path]
         found: list[str] = []
         seen: set[str] = set()
@@ -172,7 +171,7 @@ class ProjectTaint:
 
         for node in module.index.scope(func):
             if isinstance(node, ast.Call):
-                site = sources.classify_call(node)
+                site = classify_call(module, node)
                 if site is not None and site.label in labels:
                     add(f"{site.reason} (line {site.line})")
                     continue
@@ -181,16 +180,14 @@ class ProjectTaint:
                     target = resolver.resolve(dotted, qualname)
                     if target is not None:
                         callee = self.summaries.get(target)
-                        if callee is not None and (
-                            callee.return_taint.labels & labels
-                        ):
+                        if callee is not None and callee.return_taint & labels:
                             add(
                                 f"calls {target} which returns "
-                                f"{callee.return_taint.restricted(labels).describe()}"
+                                f"{describe(callee.return_taint & labels)}"
                                 f"-tainted data (line {node.lineno})"
                             )
             elif isinstance(node, ast.expr):
-                site = sources.classify_expr(node)
+                site = classify_expr(module, node)
                 if site is not None and site.label in labels:
                     add(f"{site.reason} (line {site.line})")
         return found
@@ -210,11 +207,11 @@ class ProjectTaint:
             if value is None:
                 continue
             taint = analyzer.eval(value)
-            if taint.is_clean:
+            if not taint:
                 continue
             for target in targets:
                 if isinstance(target, ast.Name):
-                    env[target.id] = env.get(target.id, CLEAN).join(taint)
+                    env[target.id] = env.get(target.id, CLEAN) | taint
         return env
 
     def _analyzer(
@@ -223,7 +220,7 @@ class ProjectTaint:
         return _BodyAnalyzer(
             env=env,
             module_env=self._module_envs.get(module.path, {}),
-            sources=self._sources[module.path],
+            module=module,
             resolver=self._resolvers[module.path],
             summaries=self.summaries,
             caller_qualname=qualname,
@@ -257,7 +254,7 @@ class ProjectTaint:
         module, qualname, func = self._functions[key]
         env: dict[str, Taint] = {}
         for arg in _all_params(func):
-            env[arg] = Taint.of(param_label(arg))
+            env[arg] = frozenset({param_label(arg)})
         analyzer = self._analyzer(module, qualname, env)
         scope = module.index.scope(func)
         for _ in range(_ENV_PASSES):
@@ -266,10 +263,10 @@ class ProjectTaint:
         returned = CLEAN
         for node in scope:
             if isinstance(node, ast.Return) and node.value is not None:
-                returned = returned.join(analyzer.eval(node.value))
+                returned |= analyzer.eval(node.value)
             elif isinstance(node, (ast.Yield, ast.YieldFrom)):
                 if node.value is not None:
-                    returned = returned.join(analyzer.eval(node.value))
+                    returned |= analyzer.eval(node.value)
         real, params = split_params(returned)
         self._envs[key] = env
         return FunctionTaint(
@@ -308,7 +305,7 @@ class _BodyAnalyzer:
 
     env: dict[str, Taint]
     module_env: dict[str, Taint]
-    sources: NondetSources
+    module: SourceModule
     resolver: CallSiteResolver
     summaries: dict[str, FunctionTaint]
     caller_qualname: str
@@ -357,11 +354,11 @@ class _BodyAnalyzer:
                 self._join_name(root.id, taint)
 
     def _join_name(self, name: str, taint: Taint) -> None:
-        if taint.is_clean:
+        if not taint:
             self.env.setdefault(name, CLEAN)
             return
         current = self.env.get(name, CLEAN)
-        joined = current.join(taint)
+        joined = current | taint
         if joined != current:
             self.env[name] = joined
             self._changed = True
@@ -382,19 +379,16 @@ class _BodyAnalyzer:
         if isinstance(node, ast.Call):
             return self._eval_call(node)
         if isinstance(node, ast.Attribute):
-            site = self.sources.classify_expr(node)
+            site = classify_expr(self.module, node)
             if site is not None:
-                return Taint.of(site.label)
+                return frozenset({site.label})
             return self.eval(node.value)
         if isinstance(node, ast.Subscript):
-            return self.eval(node.value).join(self.eval(node.slice))
+            return self.eval(node.value) | self.eval(node.slice)
         if isinstance(node, ast.Slice):
-            taint = CLEAN
-            for part in (node.lower, node.upper, node.step):
-                taint = taint.join(self.eval(part))
-            return taint
+            return self._join_all([node.lower, node.upper, node.step])
         if isinstance(node, ast.BinOp):
-            return self.eval(node.left).join(self.eval(node.right))
+            return self.eval(node.left) | self.eval(node.right)
         if isinstance(node, ast.UnaryOp):
             return self.eval(node.operand)
         if isinstance(node, ast.BoolOp):
@@ -403,32 +397,28 @@ class _BodyAnalyzer:
             # Comparison/membership results do not depend on iteration
             # order (the *contents* are deterministic), so order labels
             # drop here; value labels flow through.
-            taint = self.eval(node.left).join(self._join_all(node.comparators))
-            return taint.without(SET_ORDER)
+            taint = self.eval(node.left) | self._join_all(node.comparators)
+            return taint - ORDER_LABELS
         if isinstance(node, ast.IfExp):
             # Data flow only: the test is control dependence (documented
             # false negative), the branches are the value.
-            return self.eval(node.body).join(self.eval(node.orelse))
+            return self.eval(node.body) | self.eval(node.orelse)
         if isinstance(node, (ast.List, ast.Tuple)):
             return self._join_all(node.elts)
         if isinstance(node, ast.Set):
-            return self._join_all(node.elts).join(Taint.of(SET_ORDER))
+            return self._join_all(node.elts) | ORDER_LABELS
         if isinstance(node, ast.Dict):
             keys = [key for key in node.keys if key is not None]
-            return self._join_all(keys).join(self._join_all(node.values))
+            return self._join_all(keys) | self._join_all(node.values)
         if isinstance(node, (ast.ListComp, ast.GeneratorExp)):
-            return self.eval(node.elt).join(self._comp_iters(node))
+            return self.eval(node.elt) | self._comp_iters(node)
         if isinstance(node, ast.SetComp):
-            return (
-                self.eval(node.elt)
-                .join(self._comp_iters(node))
-                .join(Taint.of(SET_ORDER))
-            )
+            return self.eval(node.elt) | self._comp_iters(node) | ORDER_LABELS
         if isinstance(node, ast.DictComp):
             return (
                 self.eval(node.key)
-                .join(self.eval(node.value))
-                .join(self._comp_iters(node))
+                | self.eval(node.value)
+                | self._comp_iters(node)
             )
         if isinstance(node, ast.JoinedStr):
             return self._join_all(node.values)
@@ -446,35 +436,32 @@ class _BodyAnalyzer:
             return self.eval(node.value)
         return CLEAN
 
-    def _join_all(self, nodes: Sequence[ast.expr]) -> Taint:
+    def _join_all(self, nodes: Sequence[ast.expr | None]) -> Taint:
         taint = CLEAN
         for node in nodes:
-            taint = taint.join(self.eval(node))
+            taint |= self.eval(node)
         return taint
 
     def _comp_iters(
         self, node: ast.ListComp | ast.SetComp | ast.DictComp | ast.GeneratorExp
     ) -> Taint:
-        taint = CLEAN
-        for generator in node.generators:
-            taint = taint.join(self.eval(generator.iter))
-        return taint
+        return self._join_all([generator.iter for generator in node.generators])
 
     # -- calls --------------------------------------------------------
     def _eval_call(self, node: ast.Call) -> Taint:
-        args_taint = self._join_all(node.args).join(
-            self._join_all([keyword.value for keyword in node.keywords])
+        args_taint = self._join_all(node.args) | self._join_all(
+            [keyword.value for keyword in node.keywords]
         )
-        source = self.sources.classify_call(node)
+        source = classify_call(self.module, node)
         if source is not None:
-            return Taint.of(source.label).join(args_taint)
+            return args_taint | {source.label}
 
         func = node.func
         name = func.id if isinstance(func, ast.Name) else None
         if name in _ORDER_SANITIZERS:
-            return args_taint.without(SET_ORDER)
+            return args_taint - ORDER_LABELS
         if name in _SET_CONSTRUCTORS:
-            return args_taint.join(Taint.of(SET_ORDER))
+            return args_taint | ORDER_LABELS
 
         dotted = _callee_key(func)
         if dotted is not None:
@@ -492,8 +479,8 @@ class _BodyAnalyzer:
             self.eval(func.value) if isinstance(func, ast.Attribute) else CLEAN
         )
         if name is not None:
-            receiver = receiver.join(self.env.get(name, CLEAN))
-        return args_taint.join(receiver)
+            receiver |= self.env.get(name, CLEAN)
+        return args_taint | receiver
 
     def _apply_summary(self, node: ast.Call, summary: FunctionTaint) -> Taint:
         """Callee summary + caller argument taint mapped through params."""
@@ -511,24 +498,26 @@ class _BodyAnalyzer:
             offset = 1
             receiver = node.func.value
         if receiver is not None and params[0] in summary.param_flow:
-            taint = taint.join(self.eval(receiver))
+            taint |= self.eval(receiver)
         star_args = any(isinstance(arg, ast.Starred) for arg in node.args)
         kw_splat = any(keyword.arg is None for keyword in node.keywords)
         if star_args or kw_splat:
             # Can't line up arguments; join everything that flows in.
-            return taint.join(self._join_all(node.args)).join(
-                self._join_all([keyword.value for keyword in node.keywords])
+            return (
+                taint
+                | self._join_all(node.args)
+                | self._join_all([keyword.value for keyword in node.keywords])
             )
         for position, arg in enumerate(node.args):
             index = offset + position
             if index < len(params) and params[index] in summary.param_flow:
-                taint = taint.join(self.eval(arg))
+                taint |= self.eval(arg)
             elif index >= len(params) and summary.param_flow:
                 # Landed in *args; be conservative about the overflow.
-                taint = taint.join(self.eval(arg))
+                taint |= self.eval(arg)
         for keyword in node.keywords:
             if keyword.arg in summary.param_flow:
-                taint = taint.join(self.eval(keyword.value))
+                taint |= self.eval(keyword.value)
         return taint
 
 

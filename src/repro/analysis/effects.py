@@ -9,13 +9,14 @@ and message strings are exactly R301's; the rule now delegates to
 :func:`collect_rng_uses`.
 
 The determinism/process-safety rule family (R1001–R1201) extends the
-same summaries with three more observation kinds, all alias-aware and
-purely syntactic:
+same summaries with three more observation kinds, all purely syntactic
+and read through the module's import table
+(:func:`~repro.analysis.source.qualified_name`):
 
-* :class:`NondetSources` classifies calls/expressions that *introduce*
-  nondeterminism — OS-entropy RNG construction, clock reads,
-  ``os.environ``, ``id()``/``hash()``, set literals — into taint labels
-  (:mod:`repro.analysis.dataflow.taint`).  Seeded construction
+* :func:`classify_call`/:func:`classify_expr` label calls/expressions
+  that *introduce* nondeterminism — OS-entropy RNG construction, clock
+  reads, ``os.environ``, ``id()``/``hash()``, set literals — with taint
+  labels (:mod:`repro.analysis.dataflow.taint`).  Seeded construction
   (``default_rng(seed)``, ``SeedSequence(entropy)``) is deliberately
   *not* a source: an explicit seed is the sanctioned sanitizer.
 * :func:`collect_artifact_writes` finds raw artifact writes —
@@ -39,17 +40,18 @@ from repro.analysis.dataflow.taint import (
     RNG,
     SET_ORDER,
 )
-from repro.analysis.source import SourceModule
+from repro.analysis.source import SourceModule, qualified_name
 
 __all__ = [
     "FunctionEffects",
     "RngUse",
     "TaintSource",
-    "NondetSources",
     "ArtifactWrite",
     "GlobalMutation",
     "SubmittedTask",
     "collect_rng_uses",
+    "classify_call",
+    "classify_expr",
     "collect_artifact_writes",
     "defined_functions",
     "module_effects",
@@ -83,98 +85,34 @@ class RngUse:
     message: str
 
 
-@dataclass
-class _RngAliases:
-    """Module-level names bound to the stdlib/numpy random machinery."""
-
-    random_aliases: set[str] = field(default_factory=set)
-    from_random_names: set[str] = field(default_factory=set)
-    numpy_aliases: set[str] = field(default_factory=set)
-
-
-def _is_numpy_random(value: ast.expr, numpy_aliases: set[str]) -> bool:
-    """True for ``np.random`` / ``numpy.random`` attribute roots."""
-    return (
-        isinstance(value, ast.Attribute)
-        and value.attr == "random"
-        and isinstance(value.value, ast.Name)
-        and value.value.id in numpy_aliases
-    )
-
-
-def _collect_aliases(module: SourceModule) -> tuple[_RngAliases, list[RngUse]]:
-    """Gather RNG-related import aliases plus findings for bad imports."""
-    aliases = _RngAliases()
-    uses: list[RngUse] = []
-    for node in module.index.nodes:
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name == "random":
-                    aliases.random_aliases.add(alias.asname or "random")
-                if alias.name == "numpy":
-                    aliases.numpy_aliases.add(alias.asname or "numpy")
-        elif isinstance(node, ast.ImportFrom):
-            if node.module == "random":
-                for alias in node.names:
-                    aliases.from_random_names.add(alias.asname or alias.name)
-                    uses.append(
-                        RngUse(
-                            node.lineno,
-                            node.col_offset,
-                            f"'from random import {alias.name}' pulls in the "
-                            "process-global RNG; use an explicit "
-                            "numpy.random.Generator",
-                        )
-                    )
-            elif node.module in ("numpy.random", "numpy"):
-                for alias in node.names:
-                    if node.module == "numpy" and alias.name == "random":
-                        aliases.numpy_aliases.add("")  # attribute form
-                    elif (
-                        node.module == "numpy.random"
-                        and alias.name not in _NUMPY_ALLOWED
-                    ):
-                        uses.append(
-                            RngUse(
-                                node.lineno,
-                                node.col_offset,
-                                f"'from numpy.random import {alias.name}' is a "
-                                "global-state function; construct a Generator "
-                                "with default_rng and pass it down",
-                            )
-                        )
-    return aliases, uses
-
-
-def _call_use(node: ast.AST, aliases: _RngAliases) -> RngUse | None:
+def _call_use(module: SourceModule, node: ast.AST) -> RngUse | None:
     """The global-RNG use a call expresses, if any."""
     if not isinstance(node, ast.Call):
         return None
     func = node.func
-    if isinstance(func, ast.Attribute):
-        root = func.value
-        if isinstance(root, ast.Name) and root.id in aliases.random_aliases:
-            return RngUse(
-                node.lineno,
-                node.col_offset,
-                f"random.{func.attr}() uses the process-global RNG; "
-                "plumb an explicit numpy.random.Generator",
+    owner, _, name = (qualified_name(module, func) or "").rpartition(".")
+    if owner == "random":
+        if isinstance(func, ast.Name):
+            message = (
+                f"{func.id}() comes from the stdlib random module (global "
+                "state); use an explicit numpy.random.Generator"
             )
-        if _is_numpy_random(root, aliases.numpy_aliases) and (
-            func.attr not in _NUMPY_ALLOWED
-        ):
-            return RngUse(
-                node.lineno,
-                node.col_offset,
-                f"np.random.{func.attr}() mutates numpy's global RNG "
-                "state; use a seeded Generator from default_rng",
+        else:
+            message = (
+                f"random.{name}() uses the process-global RNG; "
+                "plumb an explicit numpy.random.Generator"
             )
-    elif isinstance(func, ast.Name) and func.id in aliases.from_random_names:
+        return RngUse(node.lineno, node.col_offset, message)
+    if (
+        owner == "numpy.random"
+        and isinstance(func, ast.Attribute)
+        and name not in _NUMPY_ALLOWED
+    ):
         return RngUse(
             node.lineno,
             node.col_offset,
-            f"{func.id}() comes from the stdlib random module (global "
-            "state); use an explicit numpy.random.Generator",
+            f"np.random.{name}() mutates numpy's global RNG "
+            "state; use a seeded Generator from default_rng",
         )
     return None
 
@@ -185,10 +123,33 @@ def collect_rng_uses(module: SourceModule) -> list[RngUse]:
     This is R301's full detection pass; the rule turns each
     :class:`RngUse` into a finding verbatim.
     """
-    aliases, import_uses = module.derived(_collect_aliases)
-    uses = list(import_uses)
+    uses: list[RngUse] = []
     for node in module.index.nodes:
-        use = _call_use(node, aliases)
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        for alias in node.names:
+            if node.module == "random":
+                uses.append(
+                    RngUse(
+                        node.lineno,
+                        node.col_offset,
+                        f"'from random import {alias.name}' pulls in the "
+                        "process-global RNG; use an explicit "
+                        "numpy.random.Generator",
+                    )
+                )
+            elif node.module == "numpy.random" and alias.name not in _NUMPY_ALLOWED:
+                uses.append(
+                    RngUse(
+                        node.lineno,
+                        node.col_offset,
+                        f"'from numpy.random import {alias.name}' is a "
+                        "global-state function; construct a Generator "
+                        "with default_rng and pass it down",
+                    )
+                )
+    for node in module.index.nodes:
+        use = _call_use(module, node)
         if use is not None:
             uses.append(use)
     return uses
@@ -263,7 +224,6 @@ def module_effects(module: SourceModule) -> dict[str, FunctionEffects]:
     summary covers only its own scope, so effects of an inner function
     are not attributed to the outer one — the call edge carries them.
     """
-    aliases, _import_uses = module.derived(_collect_aliases)
     mutable_globals = module_mutable_globals(module.tree)
     effects: dict[str, FunctionEffects] = {}
     for qualname, func in defined_functions(module):
@@ -272,7 +232,7 @@ def module_effects(module: SourceModule) -> dict[str, FunctionEffects]:
         for node in scope:
             if isinstance(node, (ast.Global, ast.Nonlocal)):
                 summary.declares_global = True
-            use = _call_use(node, aliases)
+            use = _call_use(module, node)
             if use is not None and summary.rng_use is None:
                 summary.rng_use = use
             if isinstance(node, ast.Call):
@@ -319,7 +279,14 @@ _CLOCK_FUNCTIONS = frozenset(
 )
 
 #: ``datetime``/``date`` constructors that read the wall clock.
-_DATETIME_NOW = frozenset({"now", "utcnow", "today"})
+_DATETIME_NOW = frozenset(
+    {
+        "datetime.datetime.now",
+        "datetime.datetime.utcnow",
+        "datetime.datetime.today",
+        "datetime.date.today",
+    }
+)
 
 #: RNG constructors that fall back to OS entropy when called with no
 #: seed/entropy argument (the *seeded* forms are the sanctioned
@@ -338,165 +305,104 @@ _ENTROPY_CONSTRUCTORS = frozenset(
 )
 
 #: Callables that are OS-entropy sources regardless of arguments.
-_ENTROPY_CALLS = frozenset({"uuid1", "uuid4", "urandom", "token_bytes", "token_hex", "randbits"})
+_ENTROPY_CALLS = frozenset(
+    {
+        "uuid.uuid1",
+        "uuid.uuid4",
+        "os.urandom",
+        "secrets.token_bytes",
+        "secrets.token_hex",
+        "secrets.randbits",
+    }
+)
 
 #: Filesystem enumeration whose order the OS does not define.
 _FS_ORDER_CALLS = frozenset({"listdir", "scandir", "iterdir"})
 
 
-class NondetSources:
-    """Alias-aware classifier of nondeterminism sources in one module.
-
-    ``classify_call``/``classify_expr`` return a :class:`TaintSource`
-    when the node *introduces* nondeterminism, and ``None`` otherwise.
-    Recognition is deliberately conservative in the miss direction —
-    an unrecognized call is simply not a source — mirroring the call
-    graph's philosophy: every report traces to a real source site.
-    """
-
-    def __init__(self, module: SourceModule) -> None:
-        self._time_aliases: set[str] = set()
-        self._from_time: set[str] = set()
-        self._datetime_aliases: set[str] = set()
-        self._from_datetime: set[str] = set()
-        self._os_aliases: set[str] = set()
-        self._from_os: set[str] = set()
-        self._entropy_module_aliases: set[str] = set()
-        for node in module.index.nodes:
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    local = alias.asname or alias.name.split(".", 1)[0]
-                    if alias.name == "time":
-                        self._time_aliases.add(local)
-                    elif alias.name == "datetime":
-                        self._datetime_aliases.add(local)
-                    elif alias.name == "os":
-                        self._os_aliases.add(local)
-                    elif alias.name in ("uuid", "secrets"):
-                        self._entropy_module_aliases.add(local)
-            elif isinstance(node, ast.ImportFrom) and not node.level:
-                for alias in node.names:
-                    local = alias.asname or alias.name
-                    if node.module == "time":
-                        self._from_time.add(local)
-                    elif node.module == "datetime":
-                        self._from_datetime.add(local)
-                    elif node.module == "os":
-                        self._from_os.add(local)
-
-    # -- expressions --------------------------------------------------
-    def classify_expr(self, node: ast.expr) -> TaintSource | None:
-        """Non-call expression sources: ``os.environ`` and set displays."""
-        if (
-            isinstance(node, ast.Attribute)
-            and node.attr == "environ"
-            and isinstance(node.value, ast.Name)
-            and node.value.id in self._os_aliases
-        ) or (
-            isinstance(node, ast.Name) and node.id in self._from_os
-            and node.id == "environ"
-        ):
-            return TaintSource(
-                node.lineno, node.col_offset, ENV,
-                "os.environ read (value differs across environments)",
-            )
-        if isinstance(node, (ast.Set, ast.SetComp)):
-            return TaintSource(
-                node.lineno, node.col_offset, SET_ORDER,
-                "set display (iteration order is hash-dependent)",
-            )
-        return None
-
-    # -- calls --------------------------------------------------------
-    def classify_call(self, node: ast.Call) -> TaintSource | None:
-        """The taint a call introduces, if any."""
-        func = node.func
-        dotted = _callee_key(func)
-        last = dotted.rsplit(".", 1)[-1] if dotted else None
-        root = dotted.split(".", 1)[0] if dotted else None
-
-        # Clock reads: time.<fn>() or a from-imported clock function.
-        if isinstance(func, ast.Attribute) and func.attr in _CLOCK_FUNCTIONS:
-            if isinstance(func.value, ast.Name) and func.value.id in self._time_aliases:
-                return self._clock(node, f"time.{func.attr}()")
-        if (
-            isinstance(func, ast.Name)
-            and func.id in _CLOCK_FUNCTIONS
-            and func.id in self._from_time
-        ):
-            return self._clock(node, f"{func.id}()")
-
-        # datetime.now()/utcnow()/today() through any recognized spelling.
-        if isinstance(func, ast.Attribute) and func.attr in _DATETIME_NOW:
-            value = func.value
-            if isinstance(value, ast.Name) and (
-                value.id in self._from_datetime
-                or value.id in self._datetime_aliases
-            ):
-                return self._clock(node, f"{value.id}.{func.attr}()")
-            if (
-                isinstance(value, ast.Attribute)
-                and isinstance(value.value, ast.Name)
-                and value.value.id in self._datetime_aliases
-            ):
-                return self._clock(
-                    node, f"{value.value.id}.{value.attr}.{func.attr}()"
-                )
-
-        # Environment reads via os.getenv / getenv.
-        if last == "getenv" and (
-            root in self._os_aliases or "getenv" in self._from_os
-        ):
-            return TaintSource(
-                node.lineno, node.col_offset, ENV,
-                "os.getenv() read (value differs across environments)",
-            )
-
-        # OS-entropy RNG: unseeded constructors and always-entropy calls.
-        if last in _ENTROPY_CONSTRUCTORS and _lacks_seed(node):
-            return TaintSource(
-                node.lineno, node.col_offset, RNG,
-                f"{last}() without entropy seeds from the OS; derive the "
-                "stream from an explicit seed or SeedSequence",
-            )
-        if last in _ENTROPY_CALLS and (
-            root in self._os_aliases
-            or root in self._entropy_module_aliases
-            or root == last
-        ):
-            return TaintSource(
-                node.lineno, node.col_offset, RNG,
-                f"{dotted}() draws OS entropy",
-            )
-
-        # Per-process identity: id() and builtin hash().
-        if isinstance(func, ast.Name) and func.id == "id" and node.args:
-            return TaintSource(
-                node.lineno, node.col_offset, IDENTITY,
-                "id() is a per-process address",
-            )
-        if isinstance(func, ast.Name) and func.id == "hash" and node.args:
-            return TaintSource(
-                node.lineno, node.col_offset, IDENTITY,
-                "builtin hash() is salted by PYTHONHASHSEED for "
-                "str/bytes and varies across processes",
-            )
-
-        # Filesystem enumeration order.
-        if last in _FS_ORDER_CALLS or dotted in ("glob.glob", "glob.iglob"):
-            return TaintSource(
-                node.lineno, node.col_offset, SET_ORDER,
-                f"{last}() enumerates the filesystem in OS-defined order; "
-                "sort the result",
-            )
-        return None
-
-    @staticmethod
-    def _clock(node: ast.Call, spelling: str) -> TaintSource:
+def classify_expr(module: SourceModule, node: ast.expr) -> TaintSource | None:
+    """Non-call expression sources: ``os.environ`` and set displays."""
+    if qualified_name(module, node) == "os.environ":
         return TaintSource(
-            node.lineno, node.col_offset, CLOCK,
-            f"{spelling} reads a process clock",
+            node.lineno, node.col_offset, ENV,
+            "os.environ read (value differs across environments)",
         )
+    if isinstance(node, (ast.Set, ast.SetComp)):
+        return TaintSource(
+            node.lineno, node.col_offset, SET_ORDER,
+            "set display (iteration order is hash-dependent)",
+        )
+    return None
+
+
+def classify_call(module: SourceModule, node: ast.Call) -> TaintSource | None:
+    """The taint a call introduces, if any.
+
+    A source an import names matches by its qualified name; the RNG
+    constructors and directory listings, reached through any receiver,
+    match by their last name.  Recognition is conservative in the miss
+    direction — an unrecognized call is simply not a source — so every
+    report traces to a real source site.
+    """
+    func = node.func
+    dotted = _callee_key(func)
+    last = dotted.rsplit(".", 1)[-1] if dotted else None
+    qualified = qualified_name(module, func)
+    owner, _, name = (qualified or "").rpartition(".")
+
+    if owner == "time" and name in _CLOCK_FUNCTIONS:
+        spelling = func.id if isinstance(func, ast.Name) else f"time.{name}"
+        return _clock(node, f"{spelling}()")
+    if qualified in _DATETIME_NOW:
+        return _clock(node, f"{dotted}()")
+
+    if qualified == "os.getenv":
+        return TaintSource(
+            node.lineno, node.col_offset, ENV,
+            "os.getenv() read (value differs across environments)",
+        )
+
+    # OS-entropy RNG: unseeded constructors and always-entropy calls.
+    if last in _ENTROPY_CONSTRUCTORS and _lacks_seed(node):
+        return TaintSource(
+            node.lineno, node.col_offset, RNG,
+            f"{last}() without entropy seeds from the OS; derive the "
+            "stream from an explicit seed or SeedSequence",
+        )
+    if qualified in _ENTROPY_CALLS:
+        return TaintSource(
+            node.lineno, node.col_offset, RNG,
+            f"{dotted}() draws OS entropy",
+        )
+
+    # Per-process identity: id() and builtin hash().
+    if isinstance(func, ast.Name) and func.id == "id" and node.args:
+        return TaintSource(
+            node.lineno, node.col_offset, IDENTITY,
+            "id() is a per-process address",
+        )
+    if isinstance(func, ast.Name) and func.id == "hash" and node.args:
+        return TaintSource(
+            node.lineno, node.col_offset, IDENTITY,
+            "builtin hash() is salted by PYTHONHASHSEED for "
+            "str/bytes and varies across processes",
+        )
+
+    # Filesystem enumeration order.
+    if last in _FS_ORDER_CALLS or qualified in ("glob.glob", "glob.iglob"):
+        return TaintSource(
+            node.lineno, node.col_offset, SET_ORDER,
+            f"{last}() enumerates the filesystem in OS-defined order; "
+            "sort the result",
+        )
+    return None
+
+
+def _clock(node: ast.Call, spelling: str) -> TaintSource:
+    return TaintSource(
+        node.lineno, node.col_offset, CLOCK,
+        f"{spelling} reads a process clock",
+    )
 
 
 def _lacks_seed(node: ast.Call) -> bool:
@@ -530,9 +436,7 @@ class ArtifactWrite:
 
 
 #: ``numpy`` savers that truncate-and-write in place.
-_NUMPY_SAVERS = frozenset(
-    {"np.save", "np.savetxt", "np.savez", "numpy.save", "numpy.savetxt", "numpy.savez"}
-)
+_NUMPY_SAVERS = frozenset({"numpy.save", "numpy.savetxt", "numpy.savez"})
 
 
 def collect_artifact_writes(module: SourceModule) -> list[ArtifactWrite]:
@@ -575,19 +479,17 @@ def collect_artifact_writes(module: SourceModule) -> list[ArtifactWrite]:
                     f"Path.{func.attr}() truncates in place",
                 )
             )
-        elif isinstance(func, ast.Attribute):
-            dotted = _callee_key(func)
-            if dotted in _NUMPY_SAVERS and not (
-                node.args
-                and isinstance(node.args[0], ast.Name)
-                and node.args[0].id in buffers
-            ):
-                writes.append(
-                    ArtifactWrite(
-                        node.lineno, node.col_offset,
-                        f"{dotted}() truncates in place",
-                    )
+        elif qualified_name(module, func) in _NUMPY_SAVERS and not (
+            node.args
+            and isinstance(node.args[0], ast.Name)
+            and node.args[0].id in buffers
+        ):
+            writes.append(
+                ArtifactWrite(
+                    node.lineno, node.col_offset,
+                    f"{_callee_key(func)}() truncates in place",
                 )
+            )
     writes.sort(key=lambda write: (write.line, write.col))
     return writes
 

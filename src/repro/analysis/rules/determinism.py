@@ -39,6 +39,7 @@ from repro.analysis.dataflow.taint import (
     ORDER_LABELS,
     VALUE_LABELS,
     Taint,
+    describe,
 )
 from repro.analysis.dataflow.taintflow import ProjectTaint, project_taint
 from repro.analysis.effects import _callee_key
@@ -47,7 +48,7 @@ from repro.analysis.project import ProjectContext, context_cached
 from repro.analysis.rules.base import ProjectRule, register
 from repro.analysis.rules.numeric import _in_estimator_stack
 from repro.analysis.rules.purity import _is_estimation_method
-from repro.analysis.source import SourceModule
+from repro.analysis.source import SourceModule, qualified_name
 
 __all__ = ["NondetTaint", "OrderSensitivity"]
 
@@ -62,7 +63,7 @@ _ARTIFACT_DATA_ARGS: dict[str, tuple[int, str | None]] = {
     "savetxt": (1, "X"),
 }
 
-#: ``save``/``savetxt`` only count when called on a numpy alias —
+#: ``save``/``savetxt`` only count as ``numpy.save``/``numpy.savetxt`` —
 #: matching every ``.save()`` method would drown the rule in noise.
 _NUMPY_ONLY = frozenset({"save", "savetxt"})
 
@@ -100,7 +101,7 @@ def _taint_sinks(
             for call in module.index.scope(graph.nodes[key].effects.node):
                 if not isinstance(call, ast.Call):
                     continue
-                payload = _payload_argument(call)
+                payload = _payload_argument(module, call)
                 if payload is not None:
                     writes.append(
                         (module, key, call, taint.eval_argument(key, payload))
@@ -141,8 +142,8 @@ class _TaintRule(ProjectRule):
                 why = roots[key]
             if why is None:
                 continue
-            hit = summary.return_taint.restricted(self.labels)
-            if hit.is_clean:
+            hit = summary.return_taint & self.labels
+            if not hit:
                 continue
             marker = (summary.module.path, summary.node.lineno)
             if marker in reported:
@@ -152,7 +153,7 @@ class _TaintRule(ProjectRule):
                 summary.module,
                 summary.node.lineno,
                 summary.node.col_offset,
-                f"{key} {why} but returns {hit.describe()}-tainted data "
+                f"{key} {why} but returns {describe(hit)}-tainted data "
                 f"({self._evidence(taint, key, hit)}); {self.advice}",
             )
 
@@ -165,8 +166,8 @@ class _TaintRule(ProjectRule):
         for module, key, call, taint in writes:
             if self._exempt(module):
                 continue
-            hit = taint.restricted(self.labels)
-            if hit.is_clean:
+            hit = taint & self.labels
+            if not hit:
                 continue
             marker = (module.path, call.lineno)
             if marker in reported:
@@ -177,7 +178,7 @@ class _TaintRule(ProjectRule):
                 module,
                 call.lineno,
                 call.col_offset,
-                f"{key} writes {hit.describe()}-tainted data to an "
+                f"{key} writes {describe(hit)}-tainted data to an "
                 f"artifact via {target}(); {self.advice}",
             )
 
@@ -188,23 +189,22 @@ class _TaintRule(ProjectRule):
         )
 
     def _evidence(self, taint: ProjectTaint, key: str, hit: Taint) -> str:
-        sites = taint.evidence(key, hit.labels)
+        sites = taint.evidence(key, hit)
         if not sites:
             return "via a called project function"
         return "; ".join(sites)
 
 
-def _payload_argument(call: ast.Call) -> ast.expr | None:
+def _payload_argument(module: SourceModule, call: ast.Call) -> ast.expr | None:
     """The artifact-payload expression of a write call, if this is one."""
     dotted = _callee_key(call.func)
     if dotted is None:
         return None
-    parts = dotted.split(".")
-    last = parts[-1]
+    last = dotted.rsplit(".", 1)[-1]
     spec = _ARTIFACT_DATA_ARGS.get(last)
     if spec is None:
         return None
-    if last in _NUMPY_ONLY and parts[0] not in ("np", "numpy"):
+    if last in _NUMPY_ONLY and qualified_name(module, call.func) != f"numpy.{last}":
         return None
     index, keyword_name = spec
     for keyword in call.keywords:

@@ -32,7 +32,6 @@ import ast
 import math
 from typing import Iterator
 
-from repro.analysis.callgraph import module_name
 from repro.analysis.dataflow import ModuleIntervals, module_intervals
 from repro.analysis.dataflow.contract_lookup import ContractLookup, contract_lookup
 from repro.analysis.effects import _callee_key
@@ -40,9 +39,9 @@ from repro.analysis.findings import Finding
 from repro.analysis.project import ProjectContext
 from repro.analysis.rules.base import ProjectRule, Rule, register
 from repro.analysis.rules.determinism import _payload_argument
-from repro.analysis.rules.numeric import _in_estimator_stack
+from repro.analysis.rules.numeric import _in_estimator_stack, _numeric_call
 from repro.analysis.rules.purity import _is_estimation_method
-from repro.analysis.source import SourceModule
+from repro.analysis.source import SourceModule, module_name, qualified_name
 
 __all__ = [
     "UnprovenNonzeroDivision",
@@ -65,28 +64,12 @@ _EXP_CALLS: dict[str, float] = {
     "exp2": 1024.0,
 }
 
-#: Receivers whose ``exp``/``log`` attributes we recognise.
-_NUMERIC_RECEIVERS = frozenset({"math", "np", "numpy"})
-
 #: Log-family callables audited by R1302 (argument must be positive).
 _LOG_CALLS = frozenset({"log", "log2", "log10"})
 
 #: Calls that *sanitize* NaN: their result is NaN-free (or the call is
 #: itself the guard a NaN check hangs off).
 _NAN_SANITIZERS = frozenset({"isnan", "isfinite", "nan_to_num", "isclose"})
-
-
-def _numeric_call(node: ast.Call) -> tuple[str, str] | None:
-    """``(receiver, name)`` for ``math.f(x)`` / ``np.f(x)`` calls."""
-    func = node.func
-    if (
-        isinstance(func, ast.Attribute)
-        and isinstance(func.value, ast.Name)
-        and func.value.id in _NUMERIC_RECEIVERS
-        and node.args
-    ):
-        return func.value.id, func.attr
-    return None
 
 
 @register
@@ -211,11 +194,11 @@ class FloatDomainViolation(Rule):
     def _check_call(
         self, module: SourceModule, node: ast.Call, intervals: ModuleIntervals
     ) -> Iterator[Finding]:
-        spec = _numeric_call(node)
+        spec = _numeric_call(module, node)
         if spec is None:
             return
-        receiver, name = spec
-        if receiver == "math":
+        owner, name = spec
+        if owner == "math":
             return  # R102's territory
         if name not in _LOG_CALLS and name != "sqrt":
             return
@@ -232,7 +215,7 @@ class FloatDomainViolation(Rule):
             module,
             node.lineno,
             node.col_offset,
-            f"{receiver}.{name} argument {ast.unparse(argument)!r} is not "
+            f"{ast.unparse(node.func)} argument {ast.unparse(argument)!r} is not "
             f"provably {domain}; numpy would emit nan/-inf silently — "
             "clamp or guard it",
         )
@@ -307,11 +290,10 @@ class ExpOverflowHazard(Rule):
         for node in module.index.nodes:
             if not isinstance(node, ast.Call):
                 continue
-            spec = _numeric_call(node)
+            spec = _numeric_call(module, node)
             if spec is None:
                 continue
-            _receiver, name = spec
-            limit = _EXP_CALLS.get(name)
+            limit = _EXP_CALLS.get(spec[1])
             if limit is None:
                 continue
             argument = node.args[0]
@@ -321,7 +303,7 @@ class ExpOverflowHazard(Rule):
                 module,
                 node.lineno,
                 node.col_offset,
-                f"{_receiver}.{name} argument {ast.unparse(argument)!r} "
+                f"{ast.unparse(node.func)} argument {ast.unparse(argument)!r} "
                 f"has no proved upper bound below {limit:.0f}; overflow "
                 "is silent inf under numpy — clamp with min(0.0, ...) "
                 "or bound it",
@@ -400,12 +382,12 @@ class NanToSink(ProjectRule):
             for node in scope:
                 if not isinstance(node, ast.Call):
                     continue
-                payload = _payload_argument(node)
+                payload = _payload_argument(module, node)
                 if payload is None:
                     continue
                 if self._roots(payload) & sanitized:
                     continue
-                reason = nan_producer_reason(payload, analysis.defs)
+                reason = nan_producer_reason(module, payload, analysis.defs)
                 if reason is None:
                     reason = _nan_call(lookup, module, payload, reasons)
                 if reason is None:
@@ -472,7 +454,7 @@ def nan_returns(
             if key in reasons:
                 continue
             for value in values:
-                reason = nan_producer_reason(value, defs)
+                reason = nan_producer_reason(module, value, defs)
                 if reason is not None:
                     reason = f"{reason} (line {value.lineno}, {module.path})"
                 else:
@@ -513,7 +495,7 @@ def _call_name(call: ast.Call) -> str | None:
 
 
 def nan_producer_reason(
-    expr: ast.expr, defs: dict[str, ast.expr], depth: int = 0
+    module: SourceModule, expr: ast.expr, defs: dict[str, ast.expr], depth: int = 0
 ) -> str | None:
     """Why ``expr`` may evaluate to NaN, or None when no producer found.
 
@@ -540,23 +522,18 @@ def nan_producer_reason(
         ):
             return 'float("nan") literal'
         for arg in expr.args:
-            reason = nan_producer_reason(arg, defs, depth + 1)
+            reason = nan_producer_reason(module, arg, defs, depth + 1)
             if reason is not None:
                 return reason
         return None
     if isinstance(expr, ast.Attribute):
-        root = expr.value
-        if (
-            expr.attr == "nan"
-            and isinstance(root, ast.Name)
-            and root.id in ("np", "numpy", "math")
-        ):
-            return f"{root.id}.nan literal"
+        if qualified_name(module, expr) in ("numpy.nan", "math.nan"):
+            return f"{ast.unparse(expr)} literal"
         return None
     if isinstance(expr, ast.Name):
         defined = defs.get(expr.id)
         if defined is not None:
-            reason = nan_producer_reason(defined, defs, depth + 1)
+            reason = nan_producer_reason(module, defined, defs, depth + 1)
             if reason is not None:
                 return f"{expr.id!r} = {reason}"
         return None
@@ -566,24 +543,24 @@ def nan_producer_reason(
         ):
             return "0/0 division"
         for side in (expr.left, expr.right):
-            reason = nan_producer_reason(side, defs, depth + 1)
+            reason = nan_producer_reason(module, side, defs, depth + 1)
             if reason is not None:
                 return reason
         return None
     if isinstance(expr, (ast.Tuple, ast.List)):
         for element in expr.elts:
-            reason = nan_producer_reason(element, defs, depth + 1)
+            reason = nan_producer_reason(module, element, defs, depth + 1)
             if reason is not None:
                 return reason
         return None
     if isinstance(expr, ast.IfExp):
         for branch in (expr.body, expr.orelse):
-            reason = nan_producer_reason(branch, defs, depth + 1)
+            reason = nan_producer_reason(module, branch, defs, depth + 1)
             if reason is not None:
                 return reason
         return None
     if isinstance(expr, ast.UnaryOp):
-        return nan_producer_reason(expr.operand, defs, depth + 1)
+        return nan_producer_reason(module, expr.operand, defs, depth + 1)
     return None
 
 

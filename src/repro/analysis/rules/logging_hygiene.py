@@ -26,7 +26,7 @@ from typing import Iterator
 from repro.analysis.findings import Finding
 from repro.analysis.project import ProjectContext
 from repro.analysis.rules.base import Rule, register
-from repro.analysis.source import SourceModule
+from repro.analysis.source import SourceModule, qualified_name
 
 __all__ = ["LoggingHygiene"]
 
@@ -64,26 +64,6 @@ def _is_exempt(module: SourceModule) -> bool:
     )
 
 
-def _logging_aliases(module: SourceModule) -> tuple[set[str], set[str]]:
-    """Names bound to the ``logging`` module and to its emit functions.
-
-    Returns ``(module_aliases, function_aliases)`` covering both
-    ``import logging as log`` and ``from logging import info``.
-    """
-    modules: set[str] = set()
-    functions: set[str] = set()
-    for node in module.index.nodes:
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name == "logging":
-                    modules.add(alias.asname or "logging")
-        elif isinstance(node, ast.ImportFrom) and node.module == "logging":
-            for alias in node.names:
-                if alias.name in _ROOT_LOGGER_CALLS:
-                    functions.add(alias.asname or alias.name)
-    return modules, functions
-
-
 @register
 class LoggingHygiene(Rule):
     """Flag ``print()`` and root-logger calls in library modules."""
@@ -119,46 +99,43 @@ class LoggingHygiene(Rule):
     ) -> Iterator[Finding]:
         if not module.in_package("repro") or _is_exempt(module):
             return
-        module_aliases, function_aliases = _logging_aliases(module)
         for node in module.index.nodes:
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
-            if isinstance(func, ast.Name):
-                if func.id == "print":
-                    yield self.finding(
-                        module,
-                        node.lineno,
-                        node.col_offset,
-                        "print() in library code; use the module logger "
-                        "(logging.getLogger(__name__)) so callers control output",
-                    )
-                elif func.id in function_aliases:
-                    yield self.finding(
-                        module,
-                        node.lineno,
-                        node.col_offset,
-                        f"{func.id}() imported from logging emits through the "
-                        "root logger; use a module logger instead",
-                    )
-            elif (
-                isinstance(func, ast.Attribute)
-                and isinstance(func.value, ast.Name)
-                and func.value.id in module_aliases
-            ):
-                if func.attr in _ROOT_LOGGER_CALLS:
-                    yield self.finding(
-                        module,
-                        node.lineno,
-                        node.col_offset,
-                        f"logging.{func.attr}() emits through the root logger "
-                        "or mutates global logging state; use a module logger",
-                    )
-                elif func.attr == "getLogger" and not node.args and not node.keywords:
-                    yield self.finding(
-                        module,
-                        node.lineno,
-                        node.col_offset,
-                        "logging.getLogger() without a name returns the root "
-                        "logger; pass __name__",
-                    )
+            if isinstance(func, ast.Name) and func.id == "print":
+                yield self.finding(
+                    module,
+                    node.lineno,
+                    node.col_offset,
+                    "print() in library code; use the module logger "
+                    "(logging.getLogger(__name__)) so callers control output",
+                )
+                continue
+            owner, _, name = (qualified_name(module, func) or "").rpartition(".")
+            if owner != "logging":
+                continue
+            if name in _ROOT_LOGGER_CALLS and isinstance(func, ast.Name):
+                yield self.finding(
+                    module,
+                    node.lineno,
+                    node.col_offset,
+                    f"{func.id}() imported from logging emits through the "
+                    "root logger; use a module logger instead",
+                )
+            elif name in _ROOT_LOGGER_CALLS:
+                yield self.finding(
+                    module,
+                    node.lineno,
+                    node.col_offset,
+                    f"logging.{name}() emits through the root logger "
+                    "or mutates global logging state; use a module logger",
+                )
+            elif name == "getLogger" and not node.args and not node.keywords:
+                yield self.finding(
+                    module,
+                    node.lineno,
+                    node.col_offset,
+                    "logging.getLogger() without a name returns the root "
+                    "logger; pass __name__",
+                )

@@ -30,7 +30,7 @@ from repro.analysis.dataflow import module_intervals
 from repro.analysis.findings import Finding
 from repro.analysis.project import ProjectContext
 from repro.analysis.rules.base import Rule, register
-from repro.analysis.source import SourceModule
+from repro.analysis.source import SourceModule, qualified_name
 
 __all__ = ["UnguardedDivision", "UnsafeLogSqrt", "FloatEquality"]
 
@@ -46,6 +46,18 @@ ESTIMATOR_STACK = (
 
 def _in_estimator_stack(module: SourceModule) -> bool:
     return any(module.in_package(*parts) for parts in ESTIMATOR_STACK)
+
+
+def _numeric_call(module: SourceModule, node: ast.Call) -> tuple[str, str] | None:
+    """``(module, name)`` of a ``math``/``numpy`` function called with arguments.
+
+    ``np.log(p)`` under ``import numpy as np`` is ``("numpy", "log")``,
+    and ``log(x)`` under ``from math import log`` is ``("math", "log")``.
+    """
+    owner, _, name = (qualified_name(module, node.func) or "").rpartition(".")
+    if owner in ("math", "numpy") and node.args:
+        return owner, name
+    return None
 
 
 @register
@@ -156,16 +168,12 @@ class UnsafeLogSqrt(Rule):
             return
         intervals = module_intervals(module)
         for node in module.index.nodes:
-            if not (
-                isinstance(node, ast.Call)
-                and node.args
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in self._FUNCTIONS
-                and isinstance(node.func.value, ast.Name)
-                and node.func.value.id == "math"
-            ):
+            if not isinstance(node, ast.Call):
                 continue
-            name, argument = node.func.attr, node.args[0]
+            spec = _numeric_call(module, node)
+            if spec is None or spec[0] != "math" or spec[1] not in self._FUNCTIONS:
+                continue
+            name, argument = spec[1], node.args[0]
             if name == "sqrt":
                 proved = intervals.proves_nonnegative(argument)
             else:

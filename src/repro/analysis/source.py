@@ -15,7 +15,10 @@ form silences them for the whole module.  ``disable=all`` silences every
 rule (use sparingly — generated files, vendored code).
 
 Each module also owns a :class:`ModuleIndex` of its tree's traversals,
-so one lint run walks each tree once, not once per rule.
+so one lint run walks each tree once, not once per rule, and one
+:func:`import_table`, through which :func:`qualified_name` names what a
+call or attribute refers to (``np.log`` under ``import numpy as np`` is
+``numpy.log``).
 """
 
 from __future__ import annotations
@@ -29,7 +32,15 @@ from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterator, TypeVar
 
-__all__ = ["SUPPRESS_ALL", "ModuleIndex", "SourceModule", "SuppressionTable"]
+__all__ = [
+    "SUPPRESS_ALL",
+    "ModuleIndex",
+    "SourceModule",
+    "SuppressionTable",
+    "import_table",
+    "module_name",
+    "qualified_name",
+]
 
 _T = TypeVar("_T")
 
@@ -231,3 +242,83 @@ class SourceModule:
         return any(
             pieces[i : i + span] == parts for i in range(len(pieces) - span + 1)
         )
+
+
+#: Top-level package whose files are named by their dotted module path.
+_ROOT_PACKAGE = "repro"
+
+
+def module_name(path: str) -> str:
+    """Dotted module name for a source path.
+
+    ``src/repro/sampling/schemes.py`` → ``repro.sampling.schemes``;
+    package ``__init__.py`` files name the package itself.  Paths without
+    a ``repro`` component (test fixtures) fall back to the file stem.
+    """
+    parts = list(Path(path).parts)
+    if parts and parts[-1].endswith(".py"):
+        parts[-1] = parts[-1][: -len(".py")]
+    if parts and parts[-1] == "__init__":
+        parts.pop()
+    try:
+        root = parts.index(_ROOT_PACKAGE)
+    except ValueError:
+        return parts[-1] if parts else path
+    return ".".join(parts[root:])
+
+
+def import_table(module: SourceModule) -> dict[str, str]:
+    """Local name → dotted name of what an import binds it to, module-wide.
+
+    ``import numpy as np`` binds ``np`` to ``numpy``, ``import os.path``
+    binds ``os`` to ``os``, and ``from numpy import random as nr`` binds
+    ``nr`` to ``numpy.random``; a relative import resolves against the
+    module's package.  Read it as ``module.derived(import_table)``, so a
+    lint run builds each module's table once.
+    """
+    modname = module_name(module.path)
+    if Path(module.path).name == "__init__.py":
+        package = modname
+    else:
+        package = modname.rpartition(".")[0] or modname
+    table: dict[str, str] = {}
+    for node in module.index.nodes:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname:
+                    table[alias.asname] = alias.name
+                else:
+                    head = alias.name.split(".", 1)[0]
+                    table[head] = head
+        elif isinstance(node, ast.ImportFrom):
+            source = node.module or ""
+            if node.level:
+                parts = package.split(".")
+                if node.level > len(parts):
+                    continue
+                base = ".".join(parts[: len(parts) - node.level + 1])
+                source = f"{base}.{source}" if source else base
+            for alias in node.names:
+                if alias.name != "*":
+                    table[alias.asname or alias.name] = f"{source}.{alias.name}"
+    return table
+
+
+def qualified_name(module: SourceModule, expr: ast.expr) -> str | None:
+    """The dotted name ``expr`` denotes through ``module``'s imports.
+
+    ``np.random.rand`` under ``import numpy as np`` is
+    ``numpy.random.rand``, and ``log`` under ``from math import log`` is
+    ``math.log``.  None unless ``expr`` is a name or attribute chain whose
+    leftmost name an import binds.
+    """
+    attrs: list[str] = []
+    while isinstance(expr, ast.Attribute):
+        attrs.append(expr.attr)
+        expr = expr.value
+    if not isinstance(expr, ast.Name):
+        return None
+    target = module.derived(import_table).get(expr.id)
+    if target is None:
+        return None
+    return ".".join([target, *reversed(attrs)])

@@ -1,4 +1,4 @@
-"""R101 fixture: twelve unguarded divisions, seven safe ones."""
+"""R101 fixture: eighteen unguarded divisions, seven safe ones."""
 
 
 def bad_plain(f2):
@@ -117,3 +117,78 @@ def bad_after_with(text, strict):
         raise ValueError(text)
     # suppress swallows the raise, so this runs, with b = 0.0 if strict.
     return 1.0 / b
+
+
+# An except handler, a finally body and the code after a with block can
+# each be entered midway through the body, with b = 0.0.
+def bad_handler_midway(x, g):
+    b = 1.0
+    try:
+        b = 0.0
+        g(x)
+        b = 2.0
+    except ValueError:
+        return 1.0 / b
+    return b
+
+
+def bad_finally_midway(x, g, h):
+    b = 1.0
+    try:
+        b = 0.0
+        g(x)
+        b = 2.0
+    finally:
+        h(1.0 / b)
+
+
+def bad_with_midway(x, g):
+    b = 1.0
+    with suppress(ValueError):
+        b = 0.0
+        g(x)
+        b = 2.0
+    return 1.0 / b
+
+
+# __init__ validates bits >= 8, but reset can rebind self.bits to 0
+# through a nested target, a loop target or a with target.
+class NestedTargetBits:
+    def __init__(self, bits):
+        if bits < 8:
+            raise ValueError("bits")
+        self.bits = bits
+
+    def reset(self, pair):
+        _, (self.bits, _) = pair
+
+    def share(self, used):
+        return used / self.bits
+
+
+class LoopTargetBits:
+    def __init__(self, bits):
+        if bits < 8:
+            raise ValueError("bits")
+        self.bits = bits
+
+    def reset(self, pairs):
+        for (self.bits, _) in pairs:
+            pass
+
+    def share(self, used):
+        return used / self.bits
+
+
+class WithTargetBits:
+    def __init__(self, bits):
+        if bits < 8:
+            raise ValueError("bits")
+        self.bits = bits
+
+    def reset(self, manager):
+        with manager as self.bits:
+            pass
+
+    def share(self, used):
+        return used / self.bits

@@ -40,6 +40,12 @@ EXPECTED = [
     ('fixture_r101.py', 97, 11, 'R101'),  # math.log10(1000) is 3 exactly
     ('fixture_r101.py', 109, 12, 'R101'),  # the finally runs after the handler
     ('fixture_r101.py', 119, 11, 'R101'),  # the with may swallow the raise
+    ('fixture_r101.py', 131, 15, 'R101'),  # a handler entered midway
+    ('fixture_r101.py', 142, 10, 'R101'),  # a finally entered midway
+    ('fixture_r101.py', 151, 11, 'R101'),  # after a with left midway
+    ('fixture_r101.py', 166, 15, 'R101'),  # self.bits rebound by a nested target
+    ('fixture_r101.py', 180, 15, 'R101'),  # ... by a loop target
+    ('fixture_r101.py', 194, 15, 'R101'),  # ... by a with target
     ('fixture_r102.py', 6, 0, 'R601'),
     ('fixture_r102.py', 7, 11, 'R102'),
     ('fixture_r102.py', 11, 11, 'R102'),

@@ -72,6 +72,26 @@ class TestNondetTaint:
         assert [finding.line for finding in findings] == [4]
         assert "atomic_write" in findings[0].message
 
+    def test_clock_imported_under_an_alias_is_a_source(self):
+        findings = lint_text(
+            "from time import perf_counter as pc\n"
+            "def stamp():\n"
+            "    return pc()\n",
+            ["R1001"],
+        )
+        assert [finding.line for finding in findings] == [2]
+        assert "pc() reads a process clock" in findings[0].message
+
+    def test_getenv_imported_under_an_alias_is_a_source(self):
+        findings = lint_text(
+            "from os import getenv as read_env\n"
+            "def scale():\n"
+            "    return read_env('SCALE')\n",
+            ["R1001"],
+        )
+        assert [finding.line for finding in findings] == [2]
+        assert "os.getenv() read" in findings[0].message
+
     def test_suppression_pragma_is_honored(self):
         assert not lint_text(
             "import time\n"

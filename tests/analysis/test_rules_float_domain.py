@@ -65,6 +65,12 @@ class TestFloatDomainViolation:
         )
         assert lint_text(text, ["R1302"]) == []
 
+    def test_any_numpy_alias_is_checked(self):
+        text = "import numpy as xp\n\ndef entropy(p):\n    return xp.log(p)\n"
+        findings = lint_text(text, ["R1302"])
+        assert [f.line for f in findings] == [4]
+        assert "xp.log argument 'p'" in findings[0].message
+
 
 class TestExpOverflowHazard:
     def test_flags_exactly_the_bad_calls(self):

@@ -7,8 +7,8 @@ reason about without touching the real tree.
 
 from __future__ import annotations
 
-from repro.analysis.callgraph import build_callgraph, module_name
-from repro.analysis.source import SourceModule
+from repro.analysis.callgraph import build_callgraph
+from repro.analysis.source import SourceModule, module_name
 
 from tests.analysis.conftest import lint_modules
 

@@ -14,9 +14,13 @@ class TestUnguardedDivision:
         # 56, 62: dead code is proved.  69, 83, 90, 97: `a or -3.0`,
         # np.exp2, math.log2 and math.log10 reach the zero of the divisor.
         # 109, 119: a finally body and the code after a with block run
-        # although no path falls through to them.
+        # although no path falls through to them.  131, 142, 151: an
+        # except handler, a finally body and the code after a with block
+        # are entered midway through the body.  166, 180, 194: another
+        # method rebinds self.bits through a nested, loop or with target.
         assert [f.line for f in findings] == [
-            5, 9, 35, 46, 49, 51, 69, 83, 90, 97, 109, 119
+            5, 9, 35, 46, 49, 51, 69, 83, 90, 97, 109, 119, 131, 142, 151,
+            166, 180, 194,
         ]
         assert all(f.code == "R101" for f in findings)
         assert "'f2'" in findings[0].message
@@ -53,6 +57,12 @@ class TestUnsafeLogSqrt:
         assert lint_text(sqrt_zero, ["R102"]) == []
         log_zero = "import math\n\ndef f(x):\n    return math.log(abs(x))\n"
         assert len(lint_text(log_zero, ["R102"])) == 1
+
+    def test_log_imported_from_math_is_checked(self):
+        text = "from math import log\n\ndef scale(x):\n    return log(x)\n"
+        findings = lint_text(text, ["R102"])
+        assert [f.line for f in findings] == [4]
+        assert "math.log argument 'x'" in findings[0].message
 
 
 class TestFloatEquality:

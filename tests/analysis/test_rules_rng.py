@@ -43,3 +43,25 @@ class TestGlobalRandomState:
         findings = lint_text(text, ["R301"])
         assert len(findings) == 1
         assert "rand" in findings[0].message
+
+    def test_numpy_random_module_alias_is_tracked(self):
+        text = (
+            "import numpy.random as npr\n"
+            "\n"
+            "def draw(n):\n"
+            "    return npr.rand(n)\n"
+        )
+        findings = lint_text(text, ["R301"])
+        assert [f.line for f in findings] == [4]
+        assert "np.random.rand()" in findings[0].message
+
+    def test_random_imported_from_numpy_is_tracked(self):
+        text = (
+            "from numpy import random as nr\n"
+            "\n"
+            "def draw(n):\n"
+            "    return nr.rand(n)\n"
+        )
+        findings = lint_text(text, ["R301"])
+        assert [f.line for f in findings] == [4]
+        assert "np.random.rand()" in findings[0].message

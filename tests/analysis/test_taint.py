@@ -1,124 +1,46 @@
 """Unit tests for the taint lattice (`repro.analysis.dataflow.taint`).
 
-The determinism rules stand on this lattice the way the numeric rules
-stand on intervals: joins must be unions, the order must be set
-inclusion, sanitization must only ever remove labels, and the synthetic
-parameter labels must round-trip through a summary split without
-leaking into real taint.
+A taint is a plain ``frozenset`` of labels, so the lattice laws are the
+set laws.  What the module itself adds is tested here: the two label
+families partition the labels, the synthetic parameter labels
+round-trip through a summary split without leaking into real taint,
+and every taint renders one stable way.
 """
 
 from __future__ import annotations
 
-import pytest
-
-from repro.analysis.dataflow import CLEAN, Taint
+from repro.analysis.dataflow import CLEAN
 from repro.analysis.dataflow.taint import (
     ALL_LABELS,
     CLOCK,
     ENV,
-    IDENTITY,
     ORDER_LABELS,
     RNG,
-    SET_ORDER,
     VALUE_LABELS,
+    describe,
     param_label,
     split_params,
 )
 
 
 class TestConstruction:
-    def test_bottom_is_clean(self):
-        assert CLEAN.is_clean
-        assert not CLEAN
-        assert CLEAN.describe() == "clean"
-
-    def test_of_carries_exact_labels(self):
-        taint = Taint.of(RNG, CLOCK)
-        assert RNG in taint
-        assert CLOCK in taint
-        assert ENV not in taint
-        assert taint.describe() == "clock+rng"
-
-    def test_unknown_label_rejected(self):
-        with pytest.raises(ValueError):
-            Taint.of("cosmic-rays")
-
-    def test_param_labels_accepted(self):
-        taint = Taint.of(param_label("seed"))
-        assert not taint.is_clean
-
     def test_label_families_partition(self):
         assert VALUE_LABELS | ORDER_LABELS == ALL_LABELS
         assert not VALUE_LABELS & ORDER_LABELS
 
 
-class TestLattice:
-    def test_join_is_union(self):
-        a = Taint.of(RNG)
-        b = Taint.of(CLOCK, ENV)
-        joined = a.join(b)
-        assert joined.labels == frozenset({RNG, CLOCK, ENV})
-
-    def test_join_with_bottom_is_identity(self):
-        a = Taint.of(IDENTITY)
-        assert a.join(CLEAN) is a
-        assert CLEAN.join(a) is a
-
-    def test_join_commutative_and_idempotent(self):
-        a = Taint.of(RNG, SET_ORDER)
-        b = Taint.of(CLOCK)
-        assert a.join(b) == b.join(a)
-        assert a.join(a) == a
-
-    def test_order_is_subset(self):
-        small = Taint.of(RNG)
-        big = Taint.of(RNG, CLOCK)
-        assert small <= big
-        assert not big <= small
-        assert CLEAN <= small
-
-    def test_join_is_least_upper_bound(self):
-        a = Taint.of(RNG)
-        b = Taint.of(SET_ORDER)
-        joined = a | b
-        assert a <= joined and b <= joined
-        # Nothing smaller bounds both: removing either label breaks it.
-        assert not (a <= joined.without(RNG))
-        assert not (b <= joined.without(SET_ORDER))
-
-
-class TestSanitization:
-    def test_without_drops_only_named(self):
-        taint = Taint.of(RNG, SET_ORDER)
-        assert taint.without(SET_ORDER).labels == frozenset({RNG})
-
-    def test_without_absent_label_is_noop_identity(self):
-        taint = Taint.of(RNG)
-        assert taint.without(SET_ORDER) is taint
-
-    def test_restricted_keeps_family(self):
-        taint = Taint.of(RNG, CLOCK, SET_ORDER)
-        assert taint.restricted(VALUE_LABELS).labels == frozenset({RNG, CLOCK})
-        assert taint.restricted(ORDER_LABELS).labels == frozenset({SET_ORDER})
-
-    def test_sanitize_never_adds(self):
-        taint = Taint.of(CLOCK)
-        assert taint.without(RNG) <= taint
-        assert taint.restricted(VALUE_LABELS) <= taint
-
-
 class TestParamSplit:
     def test_split_separates_families(self):
-        taint = Taint.of(RNG, param_label("values"), param_label("seed"))
+        taint = frozenset({RNG, param_label("values"), param_label("seed")})
         real, params = split_params(taint)
-        assert real.labels == frozenset({RNG})
+        assert real == frozenset({RNG})
         assert params == frozenset({"values", "seed"})
 
     def test_split_of_clean_is_clean(self):
         real, params = split_params(CLEAN)
-        assert real.is_clean
+        assert not real
         assert not params
 
     def test_describe_is_sorted_and_stable(self):
-        taint = Taint.of(ENV, CLOCK, RNG)
-        assert taint.describe() == "clock+env+rng"
+        assert describe(frozenset({ENV, CLOCK, RNG})) == "clock+env+rng"
+        assert describe(CLEAN) == "clean"

@@ -27,7 +27,7 @@ def _module(text: str, path: str = "repro/estimators/demo.py") -> SourceModule:
 
 def _taint_of(text: str, func: str) -> frozenset[str]:
     engine = ProjectTaint([_module(text)])
-    return engine.taint_of(f"repro.estimators.demo.{func}").labels
+    return engine.taint_of(f"repro.estimators.demo.{func}")
 
 
 class TestSources:
@@ -164,7 +164,7 @@ class TestInterprocedural:
             path="repro/estimators/demo.py",
         )
         engine = ProjectTaint([helper, consumer])
-        assert engine.taint_of("repro.estimators.demo.result").labels == {
+        assert engine.taint_of("repro.estimators.demo.result") == {
             CLOCK
         }
 
@@ -251,5 +251,5 @@ class TestQueries:
             "repro.estimators.demo.f", call.args[0]
         )
         # From inside f the caller's argument is unknown: under-report.
-        assert taint.is_clean
+        assert not taint
         assert isinstance(call, ast.Call)

@@ -2,11 +2,11 @@
 
 Wall time on a shared machine is too noisy to gate the analyzer's
 traversal cost, but the amount of traversal is exact.  This test lints
-a real subtree with counting spies on ``ast.walk``, on the call graph's
-import-map and base-table builders, on the scope walker and on the
-interval analysis, then asserts that every pass read the shared
+a real subtree with counting spies on ``ast.walk``, on the import-table
+and base-table builders, on the scope walker and on the interval
+analysis, then asserts that every pass read the shared
 :class:`ModuleIndex` instead of walking again, and that each module's
-interval analysis was built once.
+import table and interval analysis were built once.
 
 ``repro/sampling`` is estimator-stack code with ``@requires`` contracts,
 ``repro/estimators`` holds estimator classes and ``repro/experiments``
@@ -72,7 +72,7 @@ def count_work(paths: list[Path]) -> WorkCounts:
 
     parse = SourceModule.from_source.__func__  # type: ignore[attr-defined]
     walk = ast.walk
-    import_map = callgraph._import_map
+    build_imports = source.import_table
     in_module_bases = callgraph._in_module_bases
     walk_scope = source._walk_scope
     analyze = ModuleIntervals.__init__
@@ -89,7 +89,7 @@ def count_work(paths: list[Path]) -> WorkCounts:
 
     def spy_imports(module):
         imports[module.path] += 1
-        return import_map(module)
+        return build_imports(module)
 
     def spy_bases(module):
         bases[module.path] += 1
@@ -106,7 +106,7 @@ def count_work(paths: list[Path]) -> WorkCounts:
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(SourceModule, "from_source", classmethod(spy_parse))
         patch.setattr(ast, "walk", spy_walk)
-        _patch_everywhere(patch, import_map, spy_imports)
+        _patch_everywhere(patch, build_imports, spy_imports)
         _patch_everywhere(patch, in_module_bases, spy_bases)
         _patch_everywhere(patch, walk_scope, spy_scope)
         patch.setattr(ModuleIntervals, "__init__", spy_analyze)
