@@ -194,7 +194,10 @@ class ProjectTaint:
 
     # -- construction internals --------------------------------------
     def _module_env(self, module: SourceModule) -> dict[str, Taint]:
-        """Taint of module-level names, from top-level assignments."""
+        """Taint of module-level names, from top-level assignments.
+
+        A clean name is kept too: it shadows an import of the same name.
+        """
         env: dict[str, Taint] = {}
         analyzer = self._analyzer(module, "", env)
         for statement in module.tree.body:
@@ -207,8 +210,6 @@ class ProjectTaint:
             if value is None:
                 continue
             taint = analyzer.eval(value)
-            if not taint:
-                continue
             for target in targets:
                 if isinstance(target, ast.Name):
                     env[target.id] = env.get(target.id, CLEAN) | taint
@@ -375,14 +376,14 @@ class _BodyAnalyzer:
             local = self.env.get(node.id)
             if local is not None:
                 return local
-            return self.module_env.get(node.id, CLEAN)
+            if node.id in self.module_env:
+                return self.module_env[node.id]
+            # Unbound here, so an imported name (``from os import environ``).
+            return self._source(node)
         if isinstance(node, ast.Call):
             return self._eval_call(node)
         if isinstance(node, ast.Attribute):
-            site = classify_expr(self.module, node)
-            if site is not None:
-                return frozenset({site.label})
-            return self.eval(node.value)
+            return self._source(node) or self.eval(node.value)
         if isinstance(node, ast.Subscript):
             return self.eval(node.value) | self.eval(node.slice)
         if isinstance(node, ast.Slice):
@@ -435,6 +436,11 @@ class _BodyAnalyzer:
         if isinstance(node, ast.NamedExpr):
             return self.eval(node.value)
         return CLEAN
+
+    def _source(self, node: ast.expr) -> Taint:
+        """The label of a non-call source expression, else CLEAN."""
+        site = classify_expr(self.module, node)
+        return frozenset({site.label}) if site is not None else CLEAN
 
     def _join_all(self, nodes: Sequence[ast.expr | None]) -> Taint:
         taint = CLEAN

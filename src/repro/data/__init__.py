@@ -23,7 +23,12 @@ from repro.data.synthetic import (
     unbounded_scaleup_column,
     uniform_column,
 )
-from repro.data.zipf import shuffled_from_class_sizes, zipf_class_sizes, zipf_column
+from repro.data.zipf import (
+    shuffled_from_class_sizes,
+    zipf_class_sizes,
+    zipf_column,
+    zipf_size_runs,
+)
 
 __all__ = [
     "Column",
@@ -49,4 +54,5 @@ __all__ = [
     "shuffled_from_class_sizes",
     "zipf_class_sizes",
     "zipf_column",
+    "zipf_size_runs",
 ]

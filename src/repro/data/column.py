@@ -200,7 +200,8 @@ class Column:
         """A size-only column that holds ``runs`` as they are.
 
         For a builder that never holds the class sizes themselves, as
-        :func:`~repro.data.synthetic.distinct_size_runs` does not.
+        :func:`~repro.data.synthetic.distinct_size_runs` and
+        :func:`~repro.data.zipf.zipf_size_runs` do not.
         """
         return cls(name, _size_runs=runs)
 

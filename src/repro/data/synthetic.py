@@ -19,7 +19,11 @@ from collections.abc import Iterator
 import numpy as np
 
 from repro.data.column import Column, SizeRuns
-from repro.data.zipf import shuffled_from_class_sizes, zipf_class_sizes
+from repro.data.zipf import (
+    _RANK_CHUNK,
+    shuffled_from_class_sizes,
+    zipf_class_sizes,
+)
 from repro.errors import DataGenerationError
 
 __all__ = [
@@ -162,11 +166,6 @@ def clustered_column(
         values=values,
         _class_sizes=np.sort(sizes),
     )
-
-
-#: Ranks per chunk of the surrogate size rule, and the largest leaf of
-#: its weight sum.
-_RANK_CHUNK = 1 << 16
 
 
 def _weights(first: int, stop: int, z: float) -> np.ndarray:

@@ -16,19 +16,36 @@ of 100 copies each — matching Table 1's ACTUAL = 10,000.
 Rounding makes the sum land near (not exactly on) the target; the
 residual is absorbed by the largest class, keeping every class size
 positive and the total exact.
+
+A column with ``D`` classes has only ``G`` distinct sizes (558 against
+D = 156,173 at n = 1M, Z = 1), so the solve yields the sizes as
+:class:`~repro.data.column.SizeRuns` (:func:`zipf_size_runs`) and
+reads its ranks a chunk at a time; :func:`zipf_class_sizes` expands
+the runs for the builders that lay out rows.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from functools import lru_cache
 
 import numpy as np
 
-from repro.data.column import Column, validated_class_sizes
+from repro.data.column import Column, SizeRuns, validated_class_sizes
 from repro.errors import DataGenerationError
 from repro.obs.recorder import OBS
 
-__all__ = ["zipf_class_sizes", "zipf_column", "shuffled_from_class_sizes"]
+__all__ = [
+    "zipf_size_runs",
+    "zipf_class_sizes",
+    "zipf_column",
+    "shuffled_from_class_sizes",
+]
+
+#: Ranks per chunk of a size rule: the Zipf scale solve here and the
+#: surrogate sizes of :mod:`repro.data.synthetic` read this many ranks
+#: at a time, and the surrogates' weight sum has no larger leaf.
+_RANK_CHUNK = 1 << 16
 
 
 def _rank_limit(scale: float, z: float, max_classes: int) -> int:
@@ -42,31 +59,29 @@ def _rank_limit(scale: float, z: float, max_classes: int) -> int:
     return max(1, min(rank_limit, max_classes))
 
 
-def _rounded_sizes(
-    scale: float, z: float, max_classes: int, powers: np.ndarray, out: np.ndarray
-) -> np.ndarray:
-    """``round(scale / i^z)`` for the ranks up to the rank limit of ``scale``.
+def zipf_size_runs(total_rows: int, z: float) -> SizeRuns:
+    """The :class:`SizeRuns` of :func:`zipf_class_sizes`, without the sizes.
 
-    ``powers`` holds ``i^z`` for ranks ``1, 2, ...`` up to at least that
-    limit.  The sizes are written, as floats, into the front of the
-    scratch buffer ``out`` (as long as ``powers``), and that view is
-    returned; ranks that round to zero rows are kept.
+    The scale solve reads its ranks a chunk at a time and reduces the
+    solved sizes to runs a chunk at a time, so it builds no array
+    longer than one chunk of ranks; what it holds at once is the rank
+    powers of the chunks its steps read (3 chunks, 1.4 MiB, at
+    n = 1M, Z = 1).  It is deterministic, so repeated ``(total_rows,
+    z)`` requests (a sweep regenerating the same column spec per grid
+    point, or the error and variance exhibits of one workload) hit an
+    in-process memo; the runs returned are shared and read-only.
     """
-    sizes = out[: _rank_limit(scale, z, max_classes)]
-    np.divide(scale, powers[: sizes.size], out=sizes)
-    return np.round(sizes, out=sizes)
+    if total_rows < 1:
+        raise DataGenerationError(f"total_rows must be >= 1, got {total_rows}")
+    if z < 0:
+        raise DataGenerationError(f"z must be >= 0, got {z}")
+    return _solved_size_runs(int(total_rows), float(z))
 
 
 def zipf_class_sizes(total_rows: int, z: float) -> np.ndarray:
     """Class sizes (descending) of a generalized Zipfian column.
 
-    The scale solve (a 64-iteration binary search over O(D)-sized
-    arrays, with the powers ``i^z`` computed once and each step's sizes
-    rounded into one reused buffer) is deterministic, so
-    repeated ``(total_rows, z)`` requests — a sweep regenerating the
-    same column spec per grid point, or the error and variance exhibits
-    of one workload — hit an in-process memo; callers always receive a
-    fresh, writable copy.
+    A fresh, writable expansion of :func:`zipf_size_runs`.
 
     Parameters
     ----------
@@ -77,56 +92,102 @@ def zipf_class_sizes(total_rows: int, z: float) -> np.ndarray:
         Skew.  ``z = 0`` yields ``total_rows`` classes of one row each;
         larger ``z`` yields fewer, heavier classes.
     """
-    if total_rows < 1:
-        raise DataGenerationError(f"total_rows must be >= 1, got {total_rows}")
-    if z < 0:
-        raise DataGenerationError(f"z must be >= 0, got {z}")
-    if z == 0:
-        # One row per class: trivial to build and, at z=0, as large as
-        # the column itself — not worth holding in the memo.
-        return np.ones(total_rows, dtype=np.int64)
-    return _solved_class_sizes(int(total_rows), float(z)).copy()
+    runs = zipf_size_runs(total_rows, z)
+    return np.repeat(runs.sizes[::-1], runs.counts[::-1])
 
 
 @lru_cache(maxsize=16)
-def _solved_class_sizes(total_rows: int, z: float) -> np.ndarray:
-    """The (cached, read-only) scale solve behind :func:`zipf_class_sizes`."""
-    # Binary-search the scale C so that sum_i round(C / i^z) ~ total_rows.
-    # C = total_rows already covers it (rank 1 alone gets every row), and
-    # the rank limit grows with C, so the powers i^z up to that scale's
-    # limit serve every step.  The ranks they are computed from then
-    # serve as every step's scratch buffer.
+def _solved_size_runs(total_rows: int, z: float) -> SizeRuns:
+    """The (cached, read-only) runs behind :func:`zipf_size_runs`."""
+    if z == 0:
+        # One row per class: a single run, no scale to solve.
+        runs = SizeRuns.from_spectrum(
+            np.ones(1, dtype=np.int64), np.full(1, total_rows, dtype=np.int64)
+        )
+    else:
+        runs = _scale_solve(total_rows, z)
+    for array in runs:
+        array.flags.writeable = False
+    return runs
+
+
+def _scale_solve(total_rows: int, z: float) -> SizeRuns:
+    """Bisect the scale ``C`` so that ``sum_i round(C / i^z)`` reaches ``total_rows``.
+
+    Each step evaluates the sum a chunk of ranks at a time and stops
+    once it reaches ``total_rows``, since the branch is then decided;
+    the rounded sizes are integral floats and every total is far below
+    2**53, so each chunk's float sum, and their total, are exact.  The
+    loop stops early once the midpoint equals an end of the bracket,
+    since no later step could move it.  The sizes at the high end,
+    rounding to zero rows dropped, are reduced to their runs a chunk at
+    a time, and the rounding residual goes to the head class (rank 1).
+    """
+    # C = total_rows already covers it (rank 1 alone gets every row).
     lo, hi = 0.0, float(total_rows)
-    scratch = np.arange(1, _rank_limit(hi, z, total_rows) + 1, dtype=np.float64)
-    powers = scratch**z
+    # The powers i^z of each chunk a step has read, computed the first
+    # time for every rank up to the high end's rank limit and kept:
+    # every later scale is at most the high end, and the rank limit
+    # grows with the scale, so no later step reads past it.
+    powers: list[np.ndarray] = []
+    scratch = np.empty(min(_RANK_CHUNK, total_rows), dtype=np.float64)
+
+    def rounded(scale: float) -> Iterator[np.ndarray]:
+        """``round(scale / i^z)`` up to ``scale``'s rank limit, a chunk at a time.
+
+        Each chunk's sizes are floats in the scratch buffer, valid
+        until the next chunk comes.
+        """
+        limit = _rank_limit(scale, z, total_rows)
+        for chunk, start in enumerate(range(0, limit, _RANK_CHUNK)):
+            if chunk == len(powers):
+                reach = min(start + _RANK_CHUNK, _rank_limit(hi, z, total_rows))
+                ranks = np.arange(start + 1, reach + 1, dtype=np.float64)
+                ranks **= z
+                powers.append(ranks)
+            width = min(_RANK_CHUNK, limit - start)
+            sizes = np.divide(scale, powers[chunk][:width], out=scratch[:width])
+            # np.rint is what np.round calls at zero decimals.
+            yield np.rint(sizes, out=sizes)
+
     for _ in range(64):
         mid = (lo + hi) / 2.0
-        # Integral values far below 2**53: the float sum is exact.
-        if _rounded_sizes(mid, z, total_rows, powers, scratch).sum() < total_rows:
+        if mid == lo or mid == hi:
+            break  # the bracket can narrow no further
+        rows = 0.0
+        for sizes in rounded(mid):
+            rows += float(sizes.sum())
+            if rows >= total_rows:
+                break
+        if rows < total_rows:
             lo = mid
         else:
             hi = mid
-    # Each float array is dropped as soon as it is read, so at most two
-    # rank-length arrays are alive at once.
-    rounded = _rounded_sizes(hi, z, total_rows, powers, scratch)
-    del powers
-    sizes = rounded.astype(np.int64)
-    del rounded, scratch
-    sizes = sizes[sizes > 0]
-    # Absorb the rounding residual into the head class.
-    residual = int(total_rows - sizes.sum())
+
+    # Each chunk's sizes descend, so each stretch of equal neighbours is
+    # one run; from_spectrum merges a size shared across a chunk edge.
+    run_sizes, run_counts = [], []
+    for sizes in rounded(hi):
+        starts = np.concatenate(([0], np.flatnonzero(sizes[1:] != sizes[:-1]) + 1))
+        run_sizes.append(sizes[starts].astype(np.int64))
+        run_counts.append(np.diff(starts, append=sizes.size))
+    sizes = np.concatenate(run_sizes)
+    counts = np.concatenate(run_counts)
+    # Absorb the rounding residual into the head class (rank 1, first
+    # in the first run): it leaves that run for a run of its own.
+    residual = total_rows - int(sizes @ counts)
     if residual != 0:
-        if sizes.size == 0 or sizes[0] + residual < 1:
+        if sizes[0] + residual < 1:
             raise DataGenerationError(
                 f"cannot absorb rounding residual {residual} for "
                 f"total_rows={total_rows}, z={z}"
             )
-        sizes[0] += residual
-    # Keep the (descending) invariant even after head adjustment.
-    sizes.sort()
-    sizes = sizes[::-1].copy()
-    sizes.flags.writeable = False
-    return sizes
+        sizes = np.append(sizes, sizes[0] + residual)
+        counts = np.append(counts, 1)
+        counts[0] -= 1
+    # Drop the ranks that round to zero rows, and a head run left empty.
+    kept = (sizes > 0) & (counts > 0)
+    return SizeRuns.from_spectrum(sizes[kept], counts[kept])
 
 
 def shuffled_from_class_sizes(

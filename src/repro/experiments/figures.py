@@ -43,9 +43,9 @@ import numpy as np
 from repro.core.base import ratio_error
 from repro.core.registry import PAPER_ESTIMATORS, make_estimators
 from repro.core.theory import adversarial_pair, lower_bound_error
-from repro.data.column import Column
+from repro.data.column import Column, SizeRuns
 from repro.data.surrogates import DATASETS, Dataset, class_size_dataset
-from repro.data.zipf import zipf_class_sizes
+from repro.data.zipf import zipf_size_runs
 from repro.errors import InvalidParameterError
 from repro.experiments import config, executor
 from repro.experiments.harness import (
@@ -108,9 +108,10 @@ class _ColumnSpec:
 
     ``factor`` is the duplication factor for zipf/unbounded columns and
     ``base_rows`` for the bounded-scaleup workload.  The column it
-    builds holds only its class sizes (those of ``zipf_column``,
+    builds holds only the size runs of ``zipf_column``,
     ``bounded_scaleup_column`` or ``unbounded_scaleup_column`` with the
-    same arguments), so every worker that needs it builds the same one.
+    same arguments: the Zipf solve's runs, each size times the number
+    of copies.  Every worker that needs it builds the same one.
     """
 
     kind: int
@@ -120,13 +121,16 @@ class _ColumnSpec:
 
     def build(self) -> Column:
         if self.kind == _KIND_BOUNDED:
-            sizes = zipf_class_sizes(self.factor, self.z) * (self.n_rows // self.factor)
+            runs = zipf_size_runs(self.factor, self.z)
+            copies = self.n_rows // self.factor
             label = f"bounded-scaleup(n={self.n_rows},z={self.z:g},base={self.factor})"
         else:
-            sizes = zipf_class_sizes(self.n_rows // self.factor, self.z) * self.factor
+            runs = zipf_size_runs(self.n_rows // self.factor, self.z)
+            copies = self.factor
             family = "zipf" if self.kind == _KIND_ZIPF else "unbounded-scaleup"
             label = f"{family}(n={self.n_rows},z={self.z:g},dup={self.factor})"
-        return Column.from_class_sizes(sizes, name=label)
+        copied = SizeRuns.from_spectrum(runs.sizes * copies, runs.counts)
+        return Column.from_size_runs(copied, name=label)
 
 
 def _build_column_traced(spec: _ColumnSpec) -> Column:

@@ -1,7 +1,8 @@
-"""R1001 fixture: five value-nondeterminism violations, three clean forms."""
+"""R1001 fixture: six value-nondeterminism violations, four clean forms."""
 
 import os
 import time
+from os import environ
 
 import numpy as np
 
@@ -17,6 +18,10 @@ def bad_unseeded_rng():
 
 def bad_env_result():
     return os.environ.get("SCALE", "1")
+
+
+def bad_imported_env_result():
+    return environ["SCALE"]
 
 
 def bad_hash_result(values):
@@ -41,3 +46,8 @@ def good_internal_timing():
     result = 41 + 1
     _elapsed = time.perf_counter() - start
     return result
+
+
+def good_local_environ():
+    environ = {"SCALE": "1"}
+    return environ["SCALE"]

@@ -17,12 +17,13 @@ from repro.analysis import lint_paths
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 EXPECTED = [
-    ('fixture_r1001.py', 9, 0, 'R1001'),
-    ('fixture_r1001.py', 9, 0, 'R601'),
-    ('fixture_r1001.py', 13, 0, 'R1001'),
-    ('fixture_r1001.py', 18, 0, 'R1001'),
-    ('fixture_r1001.py', 22, 0, 'R1001'),
-    ('fixture_r1001.py', 26, 0, 'R1001'),
+    ('fixture_r1001.py', 10, 0, 'R1001'),
+    ('fixture_r1001.py', 10, 0, 'R601'),
+    ('fixture_r1001.py', 14, 0, 'R1001'),
+    ('fixture_r1001.py', 19, 0, 'R1001'),
+    ('fixture_r1001.py', 23, 0, 'R1001'),
+    ('fixture_r1001.py', 27, 0, 'R1001'),
+    ('fixture_r1001.py', 31, 0, 'R1001'),
     ('fixture_r1002.py', 6, 0, 'R1002'),
     ('fixture_r1002.py', 6, 0, 'R601'),
     ('fixture_r1002.py', 11, 0, 'R1002'),

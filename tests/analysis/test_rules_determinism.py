@@ -17,8 +17,8 @@ class TestNondetTaint:
     def test_flags_every_bad_function_once(self):
         lines = [finding.line for finding in self.findings()]
         # def lines of bad_clock_result, bad_unseeded_rng, bad_env_result,
-        # bad_hash_result, bad_transitive.
-        assert lines == [9, 13, 18, 22, 26]
+        # bad_imported_env_result, bad_hash_result, bad_transitive.
+        assert lines == [10, 14, 19, 23, 27, 31]
 
     def test_messages_name_function_label_and_evidence(self):
         findings = self.findings()
@@ -91,6 +91,23 @@ class TestNondetTaint:
         )
         assert [finding.line for finding in findings] == [2]
         assert "os.getenv() read" in findings[0].message
+
+    def test_environ_imported_by_name_is_a_source_unless_rebound(self):
+        findings = lint_text(
+            "from os import environ\n"
+            "def scale():\n"
+            "    return environ['SCALE']\n",
+            ["R1001"],
+        )
+        assert [finding.line for finding in findings] == [2]
+        assert "os.environ read" in findings[0].message
+        assert not lint_text(
+            "from os import environ\n"
+            "environ = {'SCALE': '1'}\n"
+            "def scale():\n"
+            "    return environ['SCALE']\n",
+            ["R1001"],
+        )
 
     def test_suppression_pragma_is_honored(self):
         assert not lint_text(

@@ -5,10 +5,12 @@ machine, so these bounds hold on any runner where wall time or RSS
 would not.  A size-only surrogate grows with its distinct class sizes,
 not its classes: building all of MSSales at paper scale once peaked at
 70.3 MiB and kept 29.3 MiB of per-class sizes alive, then 15.6 MiB
-while it still summed and sized every rank in one array; the n = 1M,
-Z = 1 Zipf scale solve peaked at 31.5 MiB.  An index-path trial draws
-no ``n``-entry permutation: one on MSSales ``invoice`` at
-r = 127,763 peaked at 16.2 MiB while it did.
+while it still summed and sized every rank in one array.  The n = 1M,
+Z = 1 Zipf scale solve peaked at 31.5 MiB, then at 15.3 MiB while it
+held the powers of all 1M ranks and a scratch buffer as long, and its
+memo kept 1.2 MiB of per-class sizes where the column needs 558 runs.
+An index-path trial draws no ``n``-entry permutation: one on MSSales
+``invoice`` at r = 127,763 peaked at 16.2 MiB while it did.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import numpy as np
 
 from repro.data import class_size_dataset, zipf
 from repro.data.surrogates import MSSALES_ROWS
+from repro.experiments import figures
 from repro.sampling import UniformWithoutReplacement
 
 MIB = 1 << 20
@@ -75,10 +78,20 @@ def test_an_invoice_index_path_trial_peaks_below_8_mib():
     assert peak <= 8 * MIB, f"peak {peak / MIB:.1f} MiB"
 
 
-def test_the_1m_row_zipf_solve_peaks_below_24_mib():
-    zipf._solved_class_sizes.cache_clear()
+def test_the_1m_row_zipf_solve_peaks_below_4_mib():
+    zipf._solved_size_runs.cache_clear()
     with _traced() as read:
-        sizes = zipf.zipf_class_sizes(1_000_000, 1.0)
+        runs = zipf.zipf_size_runs(1_000_000, 1.0)
         _, peak = read()
-    assert sizes.sum() == 1_000_000
-    assert peak <= 24 * MIB, f"peak {peak / MIB:.1f} MiB"
+    assert runs.n_rows == 1_000_000
+    assert peak <= 4 * MIB, f"peak {peak / MIB:.1f} MiB"
+
+
+def test_a_1m_row_zipf_sweep_column_keeps_below_a_quarter_mib():
+    zipf._solved_size_runs.cache_clear()
+    spec = figures._ColumnSpec(figures._KIND_ZIPF, 1_000_000, 1.0, 1)
+    with _traced() as read:
+        column = spec.build()
+        held, _ = read()
+    assert column.n_rows == 1_000_000
+    assert held <= MIB // 4, f"held {held / MIB:.2f} MiB"

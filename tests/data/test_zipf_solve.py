@@ -1,16 +1,18 @@
 """The size builders return the sizes they returned before, bit for bit.
 
-The Zipf scale solve computes the rank powers ``i^z`` once and rounds
-each bisection step's sizes into one reused float buffer, comparing
-their float sum.  ``distinct_class_sizes`` sums its weights leaf by
-leaf along numpy's pairwise split and computes its sizes a chunk of
-ranks at a time, and ``distinct_size_runs`` reduces those chunks to
-size runs as they come.  The oracles below are the builders as they
-were before: a solve that recomputed the powers and summed integer
-sizes at every step, and one whole-array expression for the surrogate
-sizes, reduced by ``SizeRuns.of``.  Every sweep column's sizes, and
-through them the sweep goldens and the stability digest, rest on these
-sizes, so any difference fails here first.
+The Zipf scale solve reads its ranks a chunk at a time: each bisection
+step sums the rounded sizes chunk by chunk and stops once the sum is
+decided, the rank powers ``i^z`` of a chunk are computed once, and the
+sizes at the solved scale are reduced to size runs a chunk at a time.
+``distinct_class_sizes`` sums its weights leaf by leaf along numpy's
+pairwise split and computes its sizes a chunk of ranks at a time, and
+``distinct_size_runs`` reduces those chunks to size runs as they come.
+The oracles below are the builders as they were before: a solve over
+whole rank arrays that recomputed the powers and summed integer sizes
+at every step, and one whole-array expression for the surrogate sizes,
+reduced by ``SizeRuns.of``.  Every sweep column's sizes, and through
+them the sweep goldens and the stability digest, rest on these sizes,
+so any difference fails here first.
 """
 
 from __future__ import annotations
@@ -59,11 +61,20 @@ def _oracle_solve(total_rows: int, z: float) -> np.ndarray:
     return np.ascontiguousarray(np.sort(sizes)[::-1])
 
 
+def _assert_same_runs(got: SizeRuns, want: SizeRuns, *case) -> None:
+    for field, got_field, want_field in zip(SizeRuns._fields, got, want):
+        assert got_field.dtype == want_field.dtype, field
+        assert got_field.tobytes() == want_field.tobytes(), (field, *case)
+
+
 def _assert_same_solve(total_rows: int, z: float) -> None:
-    solved = zipf._solved_class_sizes.__wrapped__(total_rows, z)
+    """The solve's runs and the expanded sizes against the whole-array oracle."""
     expected = _oracle_solve(total_rows, z)
-    assert solved.dtype == expected.dtype
-    assert solved.tobytes() == expected.tobytes(), (total_rows, z)
+    solved = zipf._solved_size_runs.__wrapped__(total_rows, z)
+    _assert_same_runs(solved, SizeRuns.of(expected), total_rows, z)
+    sizes = zipf.zipf_class_sizes(total_rows, z)
+    assert sizes.dtype == expected.dtype
+    assert sizes.tobytes() == expected.tobytes(), (total_rows, z)
 
 
 @pytest.mark.parametrize("scale", [1, 20], ids=["paper", "smoke"])
@@ -72,9 +83,8 @@ def test_every_sweep_column_gets_the_same_sizes(monkeypatch, scale):
     solves = {
         (spec.factor if spec.kind == _KIND_BOUNDED else spec.n_rows // spec.factor, spec.z)
         for spec in specs
-        if spec.z > 0
     }
-    assert len(solves) >= 8
+    assert len(solves) >= 8 and any(z == 0 for _, z in solves)
     for total_rows, z in sorted(solves):
         _assert_same_solve(total_rows, z)
 
@@ -82,6 +92,26 @@ def test_every_sweep_column_gets_the_same_sizes(monkeypatch, scale):
 @pytest.mark.parametrize("z", [0.05, 0.3, 0.5, 0.8, 1.0, 1.3, 2.0, 2.7, 3.0, 4.0, 7.5])
 @pytest.mark.parametrize("total_rows", [1, 2, 3, 10, 99, 1000, 4321, 10_000, 77_777])
 def test_a_grid_of_solves_gets_the_same_sizes(total_rows, z):
+    _assert_same_solve(total_rows, z)
+
+
+@pytest.mark.parametrize(
+    "total_rows, z",
+    [
+        # At z = 0.05 every rank gets a row, so the rank limit is the
+        # row count: a whole chunk, a chunk and one rank, two chunks and one.
+        (zipf._RANK_CHUNK, 0.05),
+        (zipf._RANK_CHUNK + 1, 0.05),
+        (2 * zipf._RANK_CHUNK + 1, 0.05),
+        # The first step's rank limit spans 16 or 31 chunks; at z = 1
+        # it shrinks to 3 or 5 chunks as the bracket narrows, at
+        # z = 0.5 it stays near a million ranks.
+        (1_000_000, 0.5),
+        (1_000_000, 1.0),
+        (2_000_000, 1.0),
+    ],
+)
+def test_solves_over_many_chunks_get_the_same_sizes(total_rows, z):
     _assert_same_solve(total_rows, z)
 
 
@@ -114,9 +144,7 @@ def _assert_same_distinct_sizes(n_rows: int, distinct: int, z: float) -> None:
     assert built.dtype == expected.dtype
     assert built.tobytes() == expected.tobytes(), (n_rows, distinct, z)
     runs = distinct_size_runs(n_rows, distinct, z)
-    for field, got, want in zip(SizeRuns._fields, runs, SizeRuns.of(built)):
-        assert got.dtype == want.dtype, field
-        assert got.tobytes() == want.tobytes(), (field, n_rows, distinct, z)
+    _assert_same_runs(runs, SizeRuns.of(built), n_rows, distinct, z)
 
 
 @pytest.mark.parametrize("scale", [1, 20], ids=["paper", "smoke"])
