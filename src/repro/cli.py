@@ -258,6 +258,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         "exhibit": args.id,
         "journal": str(journal_path),
         "resumed": bool(args.resume),
+        "retries": policy.retries,
+        "timeout": policy.timeout,
     }
     try:
         with sweep_context(journal=journal_path, resume=args.resume, policy=policy):

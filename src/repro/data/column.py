@@ -88,11 +88,15 @@ class SizeRuns(NamedTuple):
         """The runs of ``counts[i]`` classes of ``sizes[i]`` rows each.
 
         The pairs may come in any order and a size may repeat; the
-        counts of a repeated size add up.
+        counts of a repeated size add up.  One stable sort puts equal
+        sizes side by side and ``np.add.reduceat`` sums each stretch.
         """
-        distinct_sizes, owner = np.unique(sizes, return_inverse=True)
-        totals = np.zeros(distinct_sizes.size, dtype=np.int64)
-        np.add.at(totals, owner, counts)
+        order = np.argsort(sizes, kind="stable")
+        ordered = sizes[order]
+        # Sizes are positive, so a leading 0 opens the first stretch.
+        starts = np.flatnonzero(np.diff(ordered, prepend=0))
+        distinct_sizes = ordered[starts]
+        totals = np.add.reduceat(counts[order], starts)
         rows = distinct_sizes * totals
         return cls(
             sizes=distinct_sizes,

@@ -20,14 +20,11 @@ One more sets the sweep execution engine (see ``docs/performance.md``):
   Every grid point draws from its own spawned stream, so the worker
   count changes scheduling, never a number.
 
-The resilience layer adds four more (read by
-:mod:`repro.resilience`, documented in ``docs/robustness.md``):
-
-* ``REPRO_RETRIES`` / ``REPRO_TASK_TIMEOUT`` — retry budget and
-  progress timeout for supervised sweeps (either one being set makes
-  every sweep supervised);
-* ``REPRO_FAULTS`` / ``REPRO_FAULT_SEED`` — deterministic fault
-  injection spec and its seed (chaos testing only).
+The resilience layer adds two more (read by
+:mod:`repro.resilience.faults`, documented in ``docs/robustness.md``):
+``REPRO_FAULTS`` / ``REPRO_FAULT_SEED``, the deterministic fault
+injection spec and its seed (chaos testing only).  A sweep's retry
+budget and progress timeout are ``repro sweep --retries/--timeout``.
 """
 
 from __future__ import annotations

@@ -25,20 +25,20 @@ and plain data) when ``workers > 1``; the worker rebuilds each point's
 generator from ``(seed, index)``, so nothing random crosses process
 boundaries.
 
-Crash safety (see ``docs/robustness.md``): ``run_sweep`` optionally runs
-*supervised* — a checkpoint journal records each completed point so a
-killed run resumes bit-identically
+Every sweep runs one of two loops: inline (one worker, or at most one
+pending point) or over a process pool.  Outside a :func:`sweep_context`
+each point gets one attempt and a failed point raises its own
+exception.  Inside one (the ``repro sweep`` CLI) the same loops are
+crash-safe (see ``docs/robustness.md``): a checkpoint journal records
+each completed point so a killed run resumes bit-identically
 (:class:`~repro.resilience.journal.SweepJournal`), failed attempts are
 retried on their original spawn-key seeds under a
 :class:`~repro.resilience.supervisor.RetryPolicy` (bounded retries,
 decorrelated-jitter backoff, a progress timeout with pool rebuild on
-hangs or ``BrokenProcessPool``), and exhausted budgets degrade to a
-:class:`~repro.resilience.supervisor.PartialSweepResult` naming the
-exact missing points.  Supervision engages only when asked — a journal
-or policy argument, an active :func:`sweep_context` (the ``repro
-sweep`` CLI), ``REPRO_RETRIES``/``REPRO_TASK_TIMEOUT``, or a
-``REPRO_FAULTS`` plan — so the default path is byte-for-byte the
-historical one with no measurable overhead.
+hangs or ``BrokenProcessPool``), and exhausted budgets raise
+:class:`~repro.errors.SweepGapError` carrying a
+:class:`~repro.resilience.supervisor.PartialSweepResult` that names the
+exact missing points.
 """
 
 from __future__ import annotations
@@ -87,6 +87,9 @@ TASK_DOMAIN = 0x7A5C
 #: Sentinel distinguishing "no result yet" from a legitimate None result.
 _MISSING: Any = object()
 
+#: The policy of a sweep outside any :func:`sweep_context`: one attempt.
+_ONE_ATTEMPT = RetryPolicy(retries=0)
+
 
 def task_seed(seed: int, index: int) -> np.random.SeedSequence:
     """The :class:`~numpy.random.SeedSequence` of sweep point ``index``."""
@@ -115,7 +118,7 @@ def _run_point_in_worker(
     attempt: int,
     traced: bool,
 ) -> tuple[_ResultT, dict[str, Any] | None]:
-    """Worker-side task of every pooled sweep: fault consult, then the point.
+    """Worker-side task of the pool loop: fault consult, then the point.
 
     Returns the result and, when ``traced`` (the parent's recorder is
     enabled), the drained telemetry buffer.  The capture is reset first
@@ -126,8 +129,7 @@ def _run_point_in_worker(
     The fault consult is keyed by ``(index, attempt)``, so an injected
     crash that fired on attempt 0 draws fresh on the retry and a retried
     task can succeed — on exactly the same spawn-key seed, hence with a
-    bit-identical result.  An enabled fault plan always makes a sweep
-    supervised, so on the unsupervised path the consult is a no-op.
+    bit-identical result.
     """
     faults.fault_plan().consult("sweep.point", key=index, attempt=attempt)
     if not traced:
@@ -139,13 +141,13 @@ def _run_point_in_worker(
 
 
 # ----------------------------------------------------------------------
-# Sweep context: how the CLI threads a journal through exhibit runners
+# Sweep context: how the CLI supervises the sweeps of exhibit runners
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class SweepContext:
     """Ambient journal/resume/policy settings for nested ``run_sweep`` calls."""
 
-    journal: str | Path | SweepJournal | None = None
+    journal: str | Path | None = None
     resume: bool = False
     policy: RetryPolicy | None = None
 
@@ -157,15 +159,17 @@ _SWEEP_CONTEXT: contextvars.ContextVar[SweepContext | None] = contextvars.Contex
 
 @contextlib.contextmanager
 def sweep_context(
-    journal: str | Path | SweepJournal | None = None,
+    journal: str | Path | None = None,
     resume: bool = False,
     policy: RetryPolicy | None = None,
 ) -> Iterator[SweepContext]:
-    """Make every ``run_sweep`` inside the block supervised.
+    """Supervise every ``run_sweep`` inside the block.
 
-    The ``repro sweep`` command wraps :func:`run_experiment` in this so
-    figure runners journal their sweeps without any signature changes;
-    explicit ``run_sweep`` arguments still win over the context.
+    ``journal`` checkpoints each completed point, and ``resume=True``
+    skips the points it already holds; ``policy`` bounds retries and
+    hangs (default ``RetryPolicy()``).  The ``repro sweep`` command
+    wraps :func:`run_experiment` in this, so figure runners journal
+    their sweeps without any signature changes.
     """
     context = SweepContext(journal=journal, resume=resume, policy=policy)
     token = _SWEEP_CONTEXT.set(context)
@@ -181,140 +185,54 @@ def run_sweep(
     *,
     seed: int,
     workers: int | None = None,
-    journal: str | Path | SweepJournal | None = None,
-    resume: bool = False,
-    policy: RetryPolicy | None = None,
-    on_gap: str = "raise",
-) -> list[_ResultT] | PartialSweepResult:
+) -> list[_ResultT]:
     """Map ``fn`` over grid points with deterministic spawned seeds.
 
     ``fn(point, rng)`` is called once per point with a generator seeded
     from ``(seed, point index)``; results come back in point order.  The
     output is byte-identical for every ``workers`` value: parallelism
     changes scheduling, never streams.  ``workers`` defaults to
-    ``REPRO_WORKERS``; with one worker (or one point) the sweep runs
-    inline in this process.
+    ``REPRO_WORKERS``; with one worker (or one pending point) the sweep
+    runs inline in this process.
 
-    Supervision (off unless requested — see the module docstring):
-    ``journal`` checkpoints each completed point so ``resume=True``
-    skips them on the next run; ``policy`` bounds retries and hangs;
-    ``on_gap`` picks what happens when retries are exhausted —
-    ``"raise"`` (default) raises :class:`~repro.errors.SweepGapError`
-    naming the missing points, ``"partial"`` returns the
-    :class:`PartialSweepResult` itself.
+    Outside a :func:`sweep_context` every point runs once, and when any
+    fails, the lowest failing index's exception is raised after the
+    other points have run.  Inside one, failed points retry under the
+    context's policy, completed points are journaled, and points that
+    exhaust their budget raise :class:`~repro.errors.SweepGapError`,
+    whose ``partial`` names them.
     """
     todo: list[_PointT] = list(points)
     count = workers if workers is not None else config.workers()
     if count < 1:
         raise InvalidParameterError(f"workers must be >= 1, got {count}")
-    if on_gap not in ("raise", "partial"):
-        raise InvalidParameterError(
-            f"on_gap must be 'raise' or 'partial', got {on_gap!r}"
-        )
     context = _SWEEP_CONTEXT.get()
-    if journal is None and context is not None:
-        journal = context.journal
-        resume = resume or context.resume
-        if policy is None:
-            policy = context.policy
-    if policy is None:
-        policy = RetryPolicy.from_env()
-    supervised = (
-        journal is not None
-        or resume
-        or policy is not None
-        or faults.fault_plan().enabled
-    )
-    if not supervised:
-        return _run_fast(fn, todo, seed, count)
-    return _run_supervised(
-        fn, todo, seed, count, journal, resume, policy or RetryPolicy(), on_gap
-    )
-
-
-def _run_fast(
-    fn: Callable[[_PointT, np.random.Generator], _ResultT],
-    todo: list[_PointT],
-    seed: int,
-    count: int,
-) -> list[_ResultT]:
-    """The historical unsupervised path (bit- and perf-frozen)."""
-    inline = count == 1 or len(todo) <= 1
-    realized = 1 if inline else min(count, len(todo))
-    with OBS.span(
-        "sweep.run", points=len(todo), workers=realized, seed=seed
-    ) as sweep_span:
-        OBS.gauge("sweep.realized_workers", realized)
-        if inline:
-            results: list[_ResultT] = []
-            for i, point in enumerate(todo):
-                with OBS.span("sweep.point", index=i):
-                    results.append(_run_point(fn, point, seed, i))
-            return results
-        with ProcessPoolExecutor(max_workers=realized) as pool:
-            futures = [
-                pool.submit(_run_point_in_worker, fn, point, seed, i, 0, OBS.enabled)
-                for i, point in enumerate(todo)
-            ]
-            outcomes = [future.result() for future in futures]
-        # Absorb worker buffers in submission order once every point is
-        # in, so the merged span sequence is deterministic regardless of
-        # pool scheduling.  Each payload gets its own track so trace
-        # exports keep worker timelines in separate lanes (worker clocks
-        # restart at begin_capture and only order within one payload).
-        for track, (_, payload) in enumerate(outcomes, start=1):
-            if payload is not None:
-                OBS.absorb(payload, parent_id=sweep_span.id, track=track)
-        return [result for result, _ in outcomes]
-
-
-# ----------------------------------------------------------------------
-# Supervised execution: journal, retries, timeouts, pool recovery
-# ----------------------------------------------------------------------
-def _task_name(fn: Callable[..., Any]) -> str:
-    return f"{getattr(fn, '__module__', '?')}:{getattr(fn, '__qualname__', repr(fn))}"
-
-
-def _run_supervised(
-    fn: Callable[[_PointT, np.random.Generator], _ResultT],
-    todo: list[_PointT],
-    seed: int,
-    count: int,
-    journal: str | Path | SweepJournal | None,
-    resume: bool,
-    policy: RetryPolicy,
-    on_gap: str,
-) -> list[_ResultT] | PartialSweepResult:
-    task = _task_name(fn)
-    journal_obj: SweepJournal | None = None
-    owns_journal = False
+    policy = _ONE_ATTEMPT if context is None else context.policy or RetryPolicy()
+    journal: SweepJournal | None = None
     completed: dict[int, Any] = {}
-    if journal is not None:
-        if isinstance(journal, SweepJournal):
-            journal_obj = journal
-        else:
-            journal_obj = SweepJournal(journal)
-            owns_journal = True
-        completed = journal_obj.begin(
+    if context is not None and context.journal is not None:
+        task = _task_name(fn)
+        journal = SweepJournal(context.journal)
+        completed = journal.begin(
             sweep_config_hash(task, seed, todo),
             seed=seed,
             points=len(todo),
             task=task,
-            resume=resume,
+            resume=context.resume,
         )
         if OBS.enabled:
-            OBS.add("resilience.journal_hits", journal_obj.hits)
-            OBS.add("resilience.journal_misses", journal_obj.misses)
+            OBS.add("resilience.journal_hits", journal.hits)
+            OBS.add("resilience.journal_misses", journal.misses)
         if completed:
             _log.info(
                 "resuming sweep from %s: %d/%d points already journaled",
-                journal_obj.path,
+                journal.path,
                 len(completed),
                 len(todo),
             )
     results: list[Any] = [completed.get(i, _MISSING) for i in range(len(todo))]
     pending = [i for i in range(len(todo)) if i not in completed]
-    errors: dict[int, str] = {}
+    errors: dict[int, Exception] = {}
     inline = count == 1 or len(pending) <= 1
     realized = 1 if inline else min(count, len(pending))
     try:
@@ -323,64 +241,70 @@ def _run_supervised(
             points=len(todo),
             workers=realized,
             seed=seed,
-            supervised=True,
             resumed=len(completed),
         ) as sweep_span:
             OBS.gauge("sweep.realized_workers", realized)
             if inline:
-                payloads = _supervised_inline(
-                    fn, todo, seed, pending, policy, results, errors, journal_obj
+                payloads = _run_inline(
+                    fn, todo, seed, pending, policy, results, errors, journal
                 )
             else:
-                payloads = _supervised_pool(
+                payloads = _run_pool(
                     fn, todo, seed, pending, realized, policy, results, errors,
-                    journal_obj,
+                    journal,
                 )
-            # Absorb recomputed points' worker buffers in index order so
-            # the merged sequence is deterministic for a fixed pending set.
+            # Absorb worker buffers in index order once every point is
+            # in, so the merged span sequence is deterministic regardless
+            # of pool scheduling.  Each payload gets its own track so
+            # trace exports keep worker timelines in separate lanes
+            # (worker clocks restart at begin_capture).
             for track, index in enumerate(sorted(payloads), start=1):
                 OBS.absorb(payloads[index], parent_id=sweep_span.id, track=track)
     finally:
-        if owns_journal and journal_obj is not None:
-            journal_obj.close()
+        if journal is not None:
+            journal.close()
     missing = [i for i in range(len(todo)) if results[i] is _MISSING]
     if not missing:
         return results
+    if context is None:
+        raise errors[missing[0]]
     if OBS.enabled:
         OBS.add("resilience.gaps", len(missing))
     partial = PartialSweepResult(
         [None if value is _MISSING else value for value in results],
         missing,
-        errors,
+        {index: f"{type(error).__name__}: {error}" for index, error in errors.items()},
     )
     _log.error("sweep incomplete: %s", partial.describe())
-    if on_gap == "raise":
-        raise SweepGapError(
-            f"sweep incomplete after retries — {partial.describe()}", partial
-        )
-    return partial
+    raise SweepGapError(
+        f"sweep incomplete after retries — {partial.describe()}", partial
+    )
+
+
+def _task_name(fn: Callable[..., Any]) -> str:
+    return f"{getattr(fn, '__module__', '?')}:{getattr(fn, '__qualname__', repr(fn))}"
 
 
 def _checkpoint(
-    journal_obj: SweepJournal | None, seed: int, index: int, value: Any, attempt: int
+    journal: SweepJournal | None, seed: int, index: int, value: Any, attempt: int
 ) -> None:
-    if journal_obj is not None:
-        journal_obj.record(
+    if journal is not None:
+        journal.record(
             index, value, key=task_key(seed, TASK_DOMAIN, index), attempt=attempt
         )
 
 
-def _supervised_inline(
+def _run_inline(
     fn: Callable[[_PointT, np.random.Generator], _ResultT],
     todo: list[_PointT],
     seed: int,
     pending: list[int],
     policy: RetryPolicy,
     results: list[Any],
-    errors: dict[int, str],
-    journal_obj: SweepJournal | None,
+    errors: dict[int, Exception],
+    journal: SweepJournal | None,
 ) -> dict[int, dict[str, Any]]:
-    """Single-process supervised loop (no timeouts: same-process tasks)."""
+    """Single-process loop (no timeouts: same-process tasks)."""
     plan = faults.fault_plan()
     for index in pending:
         delays = jitter_delays(seed, index, policy)
@@ -390,7 +314,7 @@ def _supervised_inline(
                 with OBS.span("sweep.point", index=index):
                     value = _run_point(fn, todo[index], seed, index)
             except Exception as exc:
-                errors[index] = f"{type(exc).__name__}: {exc}"
+                errors[index] = exc
                 _log.warning(
                     "sweep point %d attempt %d failed: %s", index, attempt, exc
                 )
@@ -403,12 +327,12 @@ def _supervised_inline(
                 continue
             results[index] = value
             errors.pop(index, None)
-            _checkpoint(journal_obj, seed, index, value, attempt)
+            _checkpoint(journal, seed, index, value, attempt)
             break
     return {}
 
 
-def _supervised_pool(
+def _run_pool(
     fn: Callable[[_PointT, np.random.Generator], _ResultT],
     todo: list[_PointT],
     seed: int,
@@ -416,10 +340,10 @@ def _supervised_pool(
     realized: int,
     policy: RetryPolicy,
     results: list[Any],
-    errors: dict[int, str],
-    journal_obj: SweepJournal | None,
+    errors: dict[int, Exception],
+    journal: SweepJournal | None,
 ) -> dict[int, dict[str, Any]]:
-    """Pooled supervised loop: retries, progress timeout, pool rebuild.
+    """Pooled loop: retries, progress timeout, pool rebuild.
 
     The timeout is a *progress watchdog*: when no task completes within
     ``policy.timeout`` seconds, futures still running are presumed hung
@@ -444,16 +368,16 @@ def _supervised_pool(
         )
         active[future] = index
 
-    def charge_retry(index: int, message: str) -> bool:
+    def charge_retry(index: int, error: Exception) -> bool:
         """Record a failed attempt; True when the point may retry."""
-        errors[index] = message
+        errors[index] = error
         if attempts[index] < policy.retries:
             attempts[index] += 1
             if OBS.enabled:
                 OBS.add("resilience.retries")
             return True
         outstanding.discard(index)
-        _log.warning("sweep point %d exhausted its retry budget: %s", index, message)
+        _log.warning("sweep point %d exhausted its retry budget: %s", index, error)
         return False
 
     def rebuild_pool() -> None:
@@ -486,7 +410,10 @@ def _supervised_pool(
                     if future.running():
                         charge_retry(
                             index,
-                            f"no progress within {policy.timeout}s (presumed hang)",
+                            TimeoutError(
+                                f"no progress within {policy.timeout}s "
+                                "(presumed hang)"
+                            ),
                         )
                 rebuild_pool()
                 continue
@@ -495,9 +422,9 @@ def _supervised_pool(
                 index = active.pop(future)
                 try:
                     value, payload = future.result()
-                except BrokenProcessPool:
+                except BrokenProcessPool as exc:
                     broken = True
-                    charge_retry(index, "worker process died (BrokenProcessPool)")
+                    charge_retry(index, exc)
                 except Exception as exc:
                     _log.warning(
                         "sweep point %d attempt %d failed: %s",
@@ -505,7 +432,7 @@ def _supervised_pool(
                         attempts[index],
                         exc,
                     )
-                    if charge_retry(index, f"{type(exc).__name__}: {exc}"):
+                    if charge_retry(index, exc):
                         delay = next(delays[index])
                         if delay > 0:
                             time.sleep(delay)
@@ -516,7 +443,7 @@ def _supervised_pool(
                     errors.pop(index, None)
                     if payload is not None:
                         payloads[index] = payload
-                    _checkpoint(journal_obj, seed, index, value, attempts[index])
+                    _checkpoint(journal, seed, index, value, attempts[index])
             if broken:
                 rebuild_pool()
     finally:

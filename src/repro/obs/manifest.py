@@ -89,12 +89,6 @@ def build_manifest(
         "python": sys.version.split()[0],
         "platform": platform.platform(),
         "numpy": numpy_version,
-        "resilience": {
-            "faults": os.environ.get("REPRO_FAULTS") or None,
-            "fault_seed": os.environ.get("REPRO_FAULT_SEED") or None,
-            "retries": os.environ.get("REPRO_RETRIES") or None,
-            "task_timeout": os.environ.get("REPRO_TASK_TIMEOUT") or None,
-        },
     }
     if extra:
         manifest.update(extra)

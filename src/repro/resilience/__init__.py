@@ -14,7 +14,7 @@ Three parts (full reference: ``docs/robustness.md``):
   fault-injection framework consulted by instrumented sites.
 
 The executor (:func:`repro.experiments.executor.run_sweep`) threads
-these together; ``repro sweep --resume`` is the CLI surface.
+these together under ``sweep_context``; ``repro sweep`` is the CLI.
 """
 
 from __future__ import annotations
@@ -37,8 +37,6 @@ from repro.resilience.journal import (
     task_key,
 )
 from repro.resilience.supervisor import (
-    ENV_RETRIES,
-    ENV_TASK_TIMEOUT,
     JITTER_DOMAIN,
     PartialSweepResult,
     RetryPolicy,
@@ -48,8 +46,6 @@ from repro.resilience.supervisor import (
 __all__ = [
     "ENV_FAULTS",
     "ENV_FAULT_SEED",
-    "ENV_RETRIES",
-    "ENV_TASK_TIMEOUT",
     "FAULT_DOMAIN",
     "JITTER_DOMAIN",
     "JOURNAL_SCHEMA",

@@ -8,10 +8,10 @@ instrumented sites consult:
 
 Grammar (clauses joined by ``;``)::
 
-    REPRO_FAULTS="sweep.point:crash@0.1;sampler.profile:delay@0.05:0.01"
+    REPRO_FAULTS="sweep.point:crash@0.1;journal.write:delay@0.05:0.01"
 
     clause  := site ":" kind "@" probability [":" seconds]
-    site    := instrumented site name (see SITES)
+    site    := "sweep.point" | "journal.write"
     kind    := "crash" | "kill" | "delay" | "hang"
     probability := float in [0, 1]
     seconds := duration for delay/hang (defaults 0.01 / 30.0)
@@ -31,11 +31,8 @@ Determinism: each consult draws from a generator seeded by
 ``SeedSequence(entropy=fault_seed, spawn_key=(FAULT_DOMAIN, site, key,
 attempt))``.  ``FAULT_DOMAIN`` is disjoint from the executor's task and
 data domains — fault draws can never perturb an experiment's random
-streams.  Sites with a natural key (a sweep point's index) fire
-identically across runs, worker counts, and resume boundaries; keyless
-sites fall back to a per-process invocation counter (deterministic for
-a serial run, scheduling-dependent under a pool — fine for chaos tests,
-which key their assertions on the executor boundary).
+streams.  Both sites are keyed by a sweep point's index, so they fire
+identically across runs, worker counts, and resume boundaries.
 
 With ``REPRO_FAULTS`` unset the plan is disabled and every consult is a
 dict lookup returning immediately — the production overhead budget.
@@ -81,15 +78,10 @@ FAULT_DOMAIN = 0xFA17
 #: Recognized fault kinds.
 KINDS: tuple[str, ...] = ("crash", "kill", "delay", "hang")
 
-#: Instrumented sites (documented surface; unknown sites are rejected so
-#: a typo'd spec fails loudly instead of silently injecting nothing).
-SITES: tuple[str, ...] = (
-    "sweep.point",
-    "sampler.profile",
-    "harness.evaluate",
-    "db.scan",
-    "journal.write",
-)
+#: Instrumented sites: a sweep point's attempt (in the executor) and a
+#: journal append.  Unknown sites are rejected, so a typo'd spec fails
+#: loudly instead of silently injecting nothing.
+SITES: tuple[str, ...] = ("sweep.point", "journal.write")
 
 _DEFAULT_SECONDS = {"delay": 0.01, "hang": 30.0}
 
@@ -112,7 +104,6 @@ class FaultPlan:
     def __init__(self, rules: dict[str, FaultRule], seed: int = 0) -> None:
         self._rules = rules
         self._seed = seed
-        self._counters: dict[str, int] = {}
         #: False when no rules are loaded; sites may check this first.
         self.enabled = bool(rules)
 
@@ -120,20 +111,18 @@ class FaultPlan:
         """The rule registered for ``site`` (None when uninstrumented)."""
         return self._rules.get(site)
 
-    def consult(self, site: str, key: int | None = None, attempt: int = 0) -> None:
+    def consult(self, site: str, key: int, attempt: int = 0) -> None:
         """Maybe inject a fault at ``site`` (no-op without a rule).
 
         ``key`` identifies the unit of work (a sweep point's index) so
         the decision is reproducible across processes and resumes;
         ``attempt`` distinguishes retries, so a crash that fired on
         attempt 0 draws fresh on attempt 1 and a retried task can
-        succeed.  Keyless sites use a per-process invocation counter.
+        succeed.
         """
         rule = self._rules.get(site)
         if rule is None:
             return
-        if key is None:
-            key = self._counters[site] = self._counters.get(site, -1) + 1
         if self._draw(site, key, attempt) >= rule.probability:
             return
         if OBS.enabled:

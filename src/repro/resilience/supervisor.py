@@ -1,8 +1,8 @@
 """Supervision policy for sweeps: retries, backoff, timeouts, gaps.
 
-The executor's supervised path (see
-:func:`repro.experiments.executor.run_sweep`) consults a
-:class:`RetryPolicy` when a task attempt fails: bounded retries with
+A supervised sweep (a :func:`repro.experiments.executor.run_sweep`
+inside a :func:`~repro.experiments.executor.sweep_context`) consults
+its :class:`RetryPolicy` when a task attempt fails: bounded retries with
 exponential backoff and *decorrelated jitter*, a progress timeout for
 hung workers, and — when the budget is exhausted — a
 :class:`PartialSweepResult` that names the exact missing grid points
@@ -18,7 +18,6 @@ random streams.
 
 from __future__ import annotations
 
-import os
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from typing import Any
@@ -28,19 +27,11 @@ import numpy as np
 from repro.errors import InvalidParameterError
 
 __all__ = [
-    "ENV_RETRIES",
-    "ENV_TASK_TIMEOUT",
     "JITTER_DOMAIN",
     "RetryPolicy",
     "PartialSweepResult",
     "jitter_delays",
 ]
-
-#: Retry budget per grid point (``REPRO_RETRIES``; supervised default 2).
-ENV_RETRIES = "REPRO_RETRIES"
-
-#: Progress timeout in seconds for pooled sweeps (``REPRO_TASK_TIMEOUT``).
-ENV_TASK_TIMEOUT = "REPRO_TASK_TIMEOUT"
 
 #: Spawn-key namespace for backoff jitter draws.
 JITTER_DOMAIN = 0x117E4
@@ -75,36 +66,6 @@ class RetryPolicy:
                 f"need 0 <= base_delay <= max_delay, got "
                 f"{self.base_delay} / {self.max_delay}"
             )
-
-    @classmethod
-    def from_env(cls) -> "RetryPolicy | None":
-        """The policy requested via environment, or None when unset.
-
-        Returning None (rather than a default policy) lets the executor
-        keep its unsupervised fast path when nothing asked for
-        supervision — the off-by-default overhead guarantee.
-        """
-        raw_retries = os.environ.get(ENV_RETRIES)
-        raw_timeout = os.environ.get(ENV_TASK_TIMEOUT)
-        if raw_retries is None and raw_timeout is None:
-            return None
-        retries = 2
-        timeout: float | None = None
-        if raw_retries is not None:
-            try:
-                retries = int(raw_retries)
-            except ValueError:
-                raise InvalidParameterError(
-                    f"{ENV_RETRIES} must be an integer, got {raw_retries!r}"
-                ) from None
-        if raw_timeout is not None:
-            try:
-                timeout = float(raw_timeout)
-            except ValueError:
-                raise InvalidParameterError(
-                    f"{ENV_TASK_TIMEOUT} must be a number, got {raw_timeout!r}"
-                ) from None
-        return cls(retries=retries, timeout=timeout)
 
 
 def jitter_delays(seed: int, index: int, policy: RetryPolicy) -> Iterator[float]:

@@ -75,8 +75,12 @@ class ChunkedReservoir:
         indices = np.arange(self._rows_seen, self._rows_seen + data.size)
         slots = self._rng.integers(0, indices + 1)
         hits = slots < self.capacity
-        for offset, slot in zip(np.nonzero(hits)[0], slots[hits]):
-            self._values[slot] = data[offset]
+        # Later rows must overwrite earlier ones (last write wins per
+        # slot).  Reversing the accepted rows makes the *last* writer of
+        # each slot its first occurrence, which is the one
+        # ``np.unique(..., return_index=True)`` keeps.
+        winner_slots, winner_index = np.unique(slots[hits][::-1], return_index=True)
+        self._values[winner_slots] = data[np.flatnonzero(hits)[::-1][winner_index]]
         self._rows_seen += data.size
 
     def values(self) -> npt.NDArray[Any]:

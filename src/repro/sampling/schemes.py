@@ -29,6 +29,7 @@ from repro.data.column import Column
 from repro.errors import InvalidParameterError
 from repro.frequency.profile import FrequencyProfile
 from repro.sampling.base import RowSampler
+from repro.sampling.reservoir_state import ChunkedReservoir
 
 __all__ = [
     "UniformWithoutReplacement",
@@ -224,9 +225,11 @@ class Reservoir(RowSampler):
     """Single-pass reservoir sampling (Vitter's Algorithm R).
 
     Produces a uniform without-replacement sample while reading the
-    column strictly once, as a table-scan statistics collector would.
-    Implemented in vectorized form: row ``t`` (0-based) replaces a
-    random reservoir slot with probability ``r / (t + 1)``.
+    column strictly once, as a table-scan statistics collector would:
+    the whole column is one chunk of a
+    :class:`~repro.sampling.reservoir_state.ChunkedReservoir`, whose
+    row ``t`` (0-based) replaces a random slot with probability
+    ``r / (t + 1)``.
     """
 
     name = "reservoir"
@@ -235,26 +238,9 @@ class Reservoir(RowSampler):
     def _draw(
         self, column: npt.NDArray[Any], r: int, rng: np.random.Generator
     ) -> npt.NDArray[Any]:
-        n = column.size
-        reservoir = column[:r].copy()
-        if n == r:
-            return reservoir
-        tail = np.arange(r, n)
-        # Candidate slot for each tail row; the row enters the reservoir
-        # iff its candidate slot index falls below r.
-        slots = rng.integers(0, tail + 1)
-        hits = slots < r
-        if hits.any():
-            # Later rows must overwrite earlier ones (last write wins
-            # per slot).  Reversing the accepted rows makes the *last*
-            # writer of each slot its first occurrence, which is the one
-            # ``np.unique(..., return_index=True)`` keeps.
-            last_first_slots = slots[hits][::-1]
-            winner_slots, winner_index = np.unique(
-                last_first_slots, return_index=True
-            )
-            reservoir[winner_slots] = column[tail[hits][::-1][winner_index]]
-        return reservoir
+        reservoir = ChunkedReservoir(r, rng)
+        reservoir.consume(column)
+        return reservoir.values()
 
 
 class Block(RowSampler):

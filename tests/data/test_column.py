@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.data import Column
+from repro.data.column import SizeRuns
 from repro.errors import DataGenerationError, InvalidParameterError
 from repro.frequency import FrequencyProfile
 
@@ -75,3 +76,22 @@ class TestSizeOnlySizes:
         assert runs.first_row.tolist() == [0, 3, 5]
         assert column.population_profile().counts == {1: 3, 2: 1, 5: 2}
         assert list(column.population_profile().counts) == [1, 2, 5]
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_from_spectrum_merges_as_np_unique_does(self, seed):
+        # Oracle: the np.unique + np.add.at merge that from_spectrum's
+        # sort and reduceat replaced.
+        rng = np.random.default_rng(seed)
+        pairs = int(rng.integers(1, 300))
+        sizes = rng.integers(1, int(rng.integers(2, 80)), size=pairs)
+        counts = rng.integers(1, 10_000, size=pairs)
+        want_sizes, owner = np.unique(sizes, return_inverse=True)
+        want_counts = np.zeros(want_sizes.size, dtype=np.int64)
+        np.add.at(want_counts, owner, counts)
+        runs = SizeRuns.from_spectrum(sizes, counts)
+        for got, want in ((runs.sizes, want_sizes), (runs.counts, want_counts)):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+        assert np.array_equal(runs.first_class, np.cumsum(want_counts) - want_counts)
+        rows = want_sizes * want_counts
+        assert np.array_equal(runs.first_row, np.cumsum(rows) - rows)

@@ -22,6 +22,12 @@ def _square(point: int, rng: np.random.Generator) -> tuple[int, float]:
     return point * point, float(rng.random())
 
 
+def _fails_at_five_and_three(point: int, rng: np.random.Generator) -> int:
+    if point in (5, 3):
+        raise ValueError(f"point {point} failed")
+    return point
+
+
 class TestTaskSeed:
     def test_deterministic(self):
         a = executor.task_seed(5, 3)
@@ -62,6 +68,17 @@ class TestRunSweep:
     def test_workers_validation(self):
         with pytest.raises(InvalidParameterError):
             executor.run_sweep(_square, [1], seed=0, workers=0)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_failed_point_raises_the_lowest_index_exception(self, workers):
+        # Outside a sweep_context a point gets one attempt, and the sweep
+        # raises the failing task's own exception, not SweepGapError:
+        # that of index 1 (point 5), not that of index 3 (point 3).
+        with pytest.raises(ValueError, match="point 5 failed") as excinfo:
+            executor.run_sweep(
+                _fails_at_five_and_three, [0, 5, 1, 3, 2], seed=0, workers=workers
+            )
+        assert type(excinfo.value) is ValueError
 
     def test_workers_default_from_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "1")

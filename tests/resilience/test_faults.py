@@ -17,14 +17,14 @@ class TestGrammar:
         assert plan.enabled
 
     def test_multiple_clauses_and_whitespace(self):
-        plan = parse_faults(" sweep.point:crash@0.1 ; sampler.profile:delay@0.05 ")
+        plan = parse_faults(" sweep.point:crash@0.1 ; journal.write:delay@0.05 ")
         assert plan.rule_for("sweep.point").kind == "crash"
-        assert plan.rule_for("sampler.profile").kind == "delay"
+        assert plan.rule_for("journal.write").kind == "delay"
 
     def test_delay_and_hang_have_default_seconds(self):
-        plan = parse_faults("sweep.point:delay@1.0;db.scan:hang@1.0")
+        plan = parse_faults("sweep.point:delay@1.0;journal.write:hang@1.0")
         assert plan.rule_for("sweep.point").seconds == 0.01
-        assert plan.rule_for("db.scan").seconds == 30.0
+        assert plan.rule_for("journal.write").seconds == 30.0
 
     def test_explicit_seconds_override(self):
         plan = parse_faults("sweep.point:delay@0.5:0.25")
@@ -39,6 +39,9 @@ class TestGrammar:
         "spec",
         [
             "unknown.site:crash@0.1",
+            "sampler.profile:crash@0.1",
+            "harness.evaluate:crash@0.1",
+            "db.scan:crash@0.1",
             "sweep.point:meteor@0.1",
             "sweep.point:crash@1.5",
             "sweep.point:crash@-0.1",
@@ -106,13 +109,6 @@ class TestDeterminism:
             never.consult("sweep.point", key=key)
             with pytest.raises(InjectedFaultError):
                 always.consult("sweep.point", key=key)
-
-    def test_keyless_sites_use_a_counter(self):
-        plan = parse_faults("db.scan:crash@1.0")
-        with pytest.raises(InjectedFaultError, match="key=0"):
-            plan.consult("db.scan")
-        with pytest.raises(InjectedFaultError, match="key=1"):
-            plan.consult("db.scan")
 
 
 class TestEnvironment:

@@ -1,9 +1,9 @@
 """Chaos tests: killed, crashed, and hung sweeps recover bit-identically.
 
-Every test compares a supervised sweep run under injected faults against
-the faultless baseline — equality must be exact (``==`` on the result
-lists), because retried and resumed points rerun on their original
-spawn-key seeds.
+Every test compares a sweep supervised by ``sweep_context`` and run
+under injected faults against the faultless baseline — equality must be
+exact (``==`` on the result lists), because retried and resumed points
+rerun on their original spawn-key seeds.
 """
 
 from __future__ import annotations
@@ -48,52 +48,46 @@ def baseline():
     return run_sweep(_task, POINTS, seed=SEED, workers=1)
 
 
+def _supervised(workers, policy, journal=None, resume=False):
+    """``run_sweep`` of the chaos grid under a ``sweep_context``."""
+    with sweep_context(journal=journal, resume=resume, policy=policy):
+        return run_sweep(_task, POINTS, seed=SEED, workers=workers)
+
+
+def _gaps(workers, policy, journal=None):
+    """The ``PartialSweepResult`` of a supervised sweep that must fall short."""
+    with pytest.raises(SweepGapError) as excinfo:
+        _supervised(workers, policy, journal)
+    partial = excinfo.value.partial
+    assert isinstance(partial, PartialSweepResult)
+    return partial
+
+
 class TestCrashRecovery:
     def test_inline_crashes_retry_to_bit_identity(self, baseline, set_faults):
         set_faults("sweep.point:crash@0.4", seed=1)
-        result = run_sweep(
-            _task, POINTS, seed=SEED, workers=1,
-            policy=RetryPolicy(retries=6, **FAST),
-        )
-        assert list(result) == baseline
+        result = _supervised(1, RetryPolicy(retries=6, **FAST))
+        assert result == baseline
 
     def test_pooled_crashes_retry_to_bit_identity(self, baseline, set_faults):
         set_faults("sweep.point:crash@0.4", seed=1)
-        result = run_sweep(
-            _task, POINTS, seed=SEED, workers=2,
-            policy=RetryPolicy(retries=6, **FAST),
-        )
-        assert list(result) == baseline
+        result = _supervised(2, RetryPolicy(retries=6, **FAST))
+        assert result == baseline
 
     def test_exhausted_retries_name_the_exact_gaps(self, baseline, set_faults):
         set_faults("sweep.point:crash@1.0", seed=1)
-        partial = run_sweep(
-            _task, POINTS, seed=SEED, workers=2,
-            policy=RetryPolicy(retries=1, **FAST),
-            on_gap="partial",
-        )
-        assert isinstance(partial, PartialSweepResult)
+        partial = _gaps(2, RetryPolicy(retries=1, **FAST))
         assert partial.missing == tuple(POINTS)
         assert all("InjectedFaultError" in msg for msg in partial.errors.values())
 
-    def test_default_on_gap_raises_with_partial_attached(self, set_faults):
+    def test_exhausted_budget_raises_with_partial_attached(self, set_faults):
         set_faults("sweep.point:crash@1.0", seed=1)
-        with pytest.raises(SweepGapError) as excinfo:
-            run_sweep(
-                _task, POINTS, seed=SEED, workers=1,
-                policy=RetryPolicy(retries=0, **FAST),
-            )
-        partial = excinfo.value.partial
-        assert isinstance(partial, PartialSweepResult)
+        partial = _gaps(1, RetryPolicy(retries=0, **FAST))
         assert partial.missing == tuple(POINTS)
 
     def test_mixed_survival_keeps_completed_points(self, baseline, set_faults):
         set_faults("sweep.point:crash@0.4", seed=1)
-        partial = run_sweep(
-            _task, POINTS, seed=SEED, workers=1,
-            policy=RetryPolicy(retries=0, **FAST),
-            on_gap="partial",
-        )
+        partial = _gaps(1, RetryPolicy(retries=0, **FAST))
         assert 0 < len(partial.missing) < len(POINTS)
         for index in range(len(POINTS)):
             if index not in partial.missing:
@@ -103,21 +97,15 @@ class TestCrashRecovery:
 class TestWorkerDeath:
     def test_killed_workers_rebuild_pool_and_recover(self, baseline, set_faults):
         set_faults("sweep.point:kill@0.25", seed=2)
-        result = run_sweep(
-            _task, POINTS, seed=SEED, workers=2,
-            policy=RetryPolicy(retries=10, **FAST),
-        )
-        assert list(result) == baseline
+        result = _supervised(2, RetryPolicy(retries=10, **FAST))
+        assert result == baseline
 
 
 class TestHangs:
     def test_hung_workers_time_out_and_recover(self, baseline, set_faults):
         set_faults("sweep.point:hang@0.3:30", seed=3)
-        result = run_sweep(
-            _task, POINTS, seed=SEED, workers=2,
-            policy=RetryPolicy(retries=8, timeout=0.5, **FAST),
-        )
-        assert list(result) == baseline
+        result = _supervised(2, RetryPolicy(retries=8, timeout=0.5, **FAST))
+        assert result == baseline
 
 
 class TestResume:
@@ -127,32 +115,22 @@ class TestResume:
     ):
         journal = tmp_path / "sweep.journal.jsonl"
         set_faults("sweep.point:crash@0.4", seed=1)
-        partial = run_sweep(
-            _task, POINTS, seed=SEED, workers=workers,
-            journal=journal,
-            policy=RetryPolicy(retries=0, **FAST),
-            on_gap="partial",
-        )
+        partial = _gaps(workers, RetryPolicy(retries=0, **FAST), journal)
         assert not partial.complete
         # The faults vanish (the "crash" is over); resume fills the gaps.
         faults._PLAN = faults.parse_faults("")
-        resumed = run_sweep(
-            _task, POINTS, seed=SEED, workers=workers,
-            journal=journal, resume=True,
-        )
-        assert list(resumed) == baseline
+        resumed = _supervised(workers, RetryPolicy(), journal, resume=True)
+        assert resumed == baseline
 
     def test_resume_after_full_completion_recomputes_nothing(
         self, baseline, tmp_path, monkeypatch
     ):
         journal = tmp_path / "sweep.journal.jsonl"
-        first = run_sweep(_task, POINTS, seed=SEED, workers=1, journal=journal)
-        assert list(first) == baseline
+        first = _supervised(1, RetryPolicy(), journal)
+        assert first == baseline
         monkeypatch.setattr("tests.resilience.test_recovery._EXPLODE", True)
-        resumed = run_sweep(
-            _task, POINTS, seed=SEED, workers=1, journal=journal, resume=True
-        )
-        assert list(resumed) == baseline
+        resumed = _supervised(1, RetryPolicy(), journal, resume=True)
+        assert resumed == baseline
 
     def test_sweep_context_threads_journal_into_nested_sweeps(
         self, baseline, tmp_path
@@ -173,16 +151,14 @@ class TestTelemetryIndependence:
         set_faults("sweep.point:crash@0.4", seed=1)
         OBS.begin_capture()
         try:
-            result = run_sweep(
-                _task, POINTS, seed=SEED, workers=2,
-                journal=tmp_path / "obs.journal.jsonl",
-                policy=RetryPolicy(retries=6, **FAST),
+            result = _supervised(
+                2, RetryPolicy(retries=6, **FAST), tmp_path / "obs.journal.jsonl"
             )
             counters = OBS.counters()
         finally:
             OBS.drain()
             OBS.disable()
-        assert list(result) == baseline
+        assert result == baseline
         assert counters.get("resilience.retries", 0) > 0
         assert counters.get("resilience.journal_misses") == len(POINTS)
 
@@ -192,11 +168,6 @@ class TestFastPathUnchanged:
         result = run_sweep(_task, POINTS, seed=SEED, workers=1)
         assert type(result) is list
         assert result == baseline
-
-    def test_env_retries_knob_engages_supervision(self, baseline, monkeypatch):
-        monkeypatch.setenv("REPRO_RETRIES", "3")
-        result = run_sweep(_task, POINTS, seed=SEED, workers=1)
-        assert list(result) == baseline
 
 
 class TestCliKillResume:

@@ -30,34 +30,6 @@ class TestRetryPolicy:
         with pytest.raises(InvalidParameterError):
             RetryPolicy(**kwargs)
 
-    def test_from_env_is_none_when_unset(self, monkeypatch):
-        monkeypatch.delenv("REPRO_RETRIES", raising=False)
-        monkeypatch.delenv("REPRO_TASK_TIMEOUT", raising=False)
-        assert RetryPolicy.from_env() is None
-
-    def test_from_env_reads_both_knobs(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RETRIES", "5")
-        monkeypatch.setenv("REPRO_TASK_TIMEOUT", "1.5")
-        policy = RetryPolicy.from_env()
-        assert policy == RetryPolicy(retries=5, timeout=1.5)
-
-    def test_from_env_single_knob_defaults_the_other(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RETRIES", "0")
-        monkeypatch.delenv("REPRO_TASK_TIMEOUT", raising=False)
-        policy = RetryPolicy.from_env()
-        assert policy == RetryPolicy(retries=0, timeout=None)
-
-    @pytest.mark.parametrize(
-        ("name", "value"),
-        [("REPRO_RETRIES", "many"), ("REPRO_TASK_TIMEOUT", "soon")],
-    )
-    def test_from_env_rejects_garbage(self, monkeypatch, name, value):
-        monkeypatch.delenv("REPRO_RETRIES", raising=False)
-        monkeypatch.delenv("REPRO_TASK_TIMEOUT", raising=False)
-        monkeypatch.setenv(name, value)
-        with pytest.raises(InvalidParameterError, match=name):
-            RetryPolicy.from_env()
-
 
 class TestJitterDelays:
     def test_deterministic_per_seed_and_index(self):

@@ -18,6 +18,7 @@ from repro.frequency import FrequencyProfile
 from repro.sampling import (
     Bernoulli,
     Block,
+    ChunkedReservoir,
     Reservoir,
     UniformWithoutReplacement,
     UniformWithReplacement,
@@ -177,9 +178,17 @@ class TestVectorizedDraws:
     @pytest.mark.parametrize("r", [1, 5, 100, 4_999, 5_000])
     def test_reservoir_matches_reference(self, r):
         column = _column()
-        got = Reservoir()._draw(column, r, np.random.default_rng(77))
-        want = self._reservoir_reference(column, r, np.random.default_rng(77))
-        assert np.array_equal(got, want)
+        want_rng = np.random.default_rng(77)
+        want = self._reservoir_reference(column, r, want_rng)
+        got_rng = np.random.default_rng(77)
+        assert np.array_equal(Reservoir()._draw(column, r, got_rng), want)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        # Fed in uneven chunks (one empty, one straddling the fill), the
+        # streaming reservoir keeps the same sample.
+        chunked = ChunkedReservoir(r, np.random.default_rng(77))
+        for chunk in np.split(column, [3, 3, 50, 1_234, 4_990]):
+            chunked.consume(chunk)
+        assert np.array_equal(chunked.values(), want)
 
     @pytest.mark.parametrize("r", [1, 5, 100, 4_999, 5_000])
     @pytest.mark.parametrize("block_size", [1, 7, 100])

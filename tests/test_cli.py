@@ -454,6 +454,26 @@ class TestTelemetryFlush:
         )
         assert not tdir.exists()
 
+    def test_sweep_manifest_records_the_retry_budget_it_ran(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.experiments.executor import clear_memo
+        from repro.obs import read_manifest
+
+        monkeypatch.setenv("REPRO_SCALE", "100")
+        monkeypatch.setenv("REPRO_TRIALS", "2")
+        monkeypatch.chdir(tmp_path)
+        clear_memo()
+        try:
+            tdir = self._flush_run(
+                tmp_path, monkeypatch, ["sweep", "table1", "--retries", "4"]
+            )
+        finally:
+            clear_memo()
+        manifest = read_manifest(tdir / "sweep.manifest.json")
+        assert manifest["retries"] == 4
+        assert manifest["timeout"] is None
+
     def test_manifest_carries_histogram_quantiles(self, tmp_path, monkeypatch):
         out = tmp_path / "col.npy"
         tdir = self._flush_run(
