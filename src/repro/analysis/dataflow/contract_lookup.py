@@ -7,9 +7,12 @@ resolves the rest — an imported function, or a method call
 devirtualized by its project-unique name — and answers each with the
 callee's ``@requires``/``@ensures`` clauses, as a
 :class:`~repro.analysis.dataflow.engine.RemoteCallee`.  An uncontracted
-callee stays TOP: no return interval is inferred from a body, so every
-module is analyzed exactly once.  The known imprecision is documented
+callee stays TOP: no return interval is inferred from a body, so a
+module is analyzed at most once.  The known imprecision is documented
 in ``docs/static_analysis.md`` ("Cross-module calls: contracts only").
+
+Only the modules :func:`needs_intervals` names, those whose analysis
+some rule or ``--prove`` reads, get one.
 """
 
 from __future__ import annotations
@@ -31,7 +34,43 @@ from repro.analysis.effects import _callee_key, defined_functions
 from repro.analysis.project import context_cached
 from repro.analysis.source import SourceModule, module_name
 
-__all__ = ["ContractLookup", "contract_lookup"]
+__all__ = [
+    "ESTIMATOR_STACK",
+    "ContractLookup",
+    "contract_lookup",
+    "in_estimator_stack",
+    "needs_intervals",
+]
+
+#: Packages the estimator contract covers, where R101/R102/R1302/R1303
+#: look.
+ESTIMATOR_STACK = (
+    ("repro", "core"),
+    ("repro", "estimators"),
+    ("repro", "frequency"),
+    ("repro", "sketches"),
+    ("repro", "sampling"),
+)
+
+
+def in_estimator_stack(module: SourceModule) -> bool:
+    """True when ``module`` lives in one of the :data:`ESTIMATOR_STACK` packages."""
+    return any(module.in_package(*parts) for parts in ESTIMATOR_STACK)
+
+
+def needs_intervals(module: SourceModule) -> bool:
+    """True when a query reads ``module``'s interval analysis.
+
+    R101/R102/R1302/R1303 query the estimator stack; R1301, R702 and
+    ``--prove`` query functions with a ``@requires``/``@ensures``
+    decorator, and the lookup reads the class facts of a contracted
+    method's module.  No other module gets an analysis.
+    """
+    return in_estimator_stack(module) or module.derived(_has_contracts)
+
+
+def _has_contracts(module: SourceModule) -> bool:
+    return any(_contract_of(func) for _qualname, func in defined_functions(module))
 
 
 class ContractLookup:
@@ -179,8 +218,8 @@ def contract_lookup(
 ) -> ContractLookup:
     """Build (or fetch the cached) :class:`ContractLookup` for a scan.
 
-    Building it also builds every module's interval analysis through
-    it, in path order, so each later
+    Building it also builds, through it and in path order, the interval
+    analysis of each module :func:`needs_intervals` names, so each later
     :func:`~repro.analysis.dataflow.engine.module_intervals` call — the
     rules', ``--prove``'s — is a cache hit that resolves cross-module
     calls.  Like :func:`~repro.analysis.callgraph.cached_callgraph`, the
@@ -190,7 +229,8 @@ def contract_lookup(
     def build() -> ContractLookup:
         lookup = ContractLookup(modules, context)
         for module in sorted(modules, key=lambda module: module.path):
-            lookup.analysis(module)
+            if needs_intervals(module):
+                lookup.analysis(module)
         return lookup
 
     return context_cached(context, "_contract_lookup_cache", modules, build)

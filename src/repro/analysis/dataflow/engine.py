@@ -12,9 +12,10 @@ Internally it:
   ``n >= 1`` on the fall-through path) and widening at loop heads
   straight to infinity; a loop target is unknown;
 * derives ``self.<attr>`` facts per class in two passes — pass one
-  collects the join of every assignment to the attribute across the
-  class and its in-module relatives, pass two re-analyzes methods with
-  those facts seeded at entry;
+  analyzes the methods that store or delete a ``self.<attr>`` and joins
+  every assignment to the attribute across the class and its in-module
+  relatives, pass two analyzes every function with those facts seeded
+  at entry;
 * seeds parameters from ``@requires`` contract clauses and binds call
   results from the callee's ``@ensures`` clauses (including the
   ``result[i]`` form for tuple-unpacked returns), for callees in other
@@ -53,7 +54,7 @@ import ast
 import copy
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator
 
 from repro.analysis.dataflow.cfg import ControlFlowGraph, build_cfg
@@ -66,6 +67,7 @@ __all__ = [
     "FunctionContract",
     "ModuleIntervals",
     "RemoteCallee",
+    "function_draft",
     "key_of",
     "module_intervals",
 ]
@@ -361,6 +363,53 @@ def _collect_defs(scoped: tuple[ast.AST, ...], analysis: FunctionAnalysis) -> No
                 analysis.relational_facts.append((left_key, type(op), right_key))
 
 
+def function_draft(
+    module: SourceModule, qualname: str, func: ast.FunctionDef | ast.AsyncFunctionDef
+) -> FunctionAnalysis:
+    """``func``'s analysis before its fixpoint: names, stores and defs.
+
+    Built on first use and cached on the module, with no CFG and no env.
+    Both passes of :class:`ModuleIntervals` start from it, and R1304
+    reads its ``defs`` in modules that get no interval analysis.
+    """
+    drafts = module.derived(_draft_cache)
+    if func not in drafts:
+        # ``C.m`` is a method of C; ``f.<locals>.g`` and ``f`` are not.
+        owner = qualname.rpartition(".")[0].rpartition(".")[2]
+        analysis = FunctionAnalysis(
+            node=func,
+            qualname=qualname,
+            class_name=owner if owner and owner != "<locals>" else None,
+            contract=_contract_of(func),
+        )
+        analysis.param_names = set(_param_names(func))
+        for node in module.index.walk(func):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, (ast.Store, ast.Del)):
+                analysis.assigned_names.add(node.id)
+            elif isinstance(node, (ast.Global, ast.Nonlocal)):
+                analysis.poisoned.update(node.names)
+            elif isinstance(node, ast.NamedExpr):
+                analysis.has_walrus = True
+        _collect_defs(module.index.scope(func), analysis)
+        drafts[func] = analysis
+    return drafts[func]
+
+
+def _draft_cache(module: SourceModule) -> dict[ast.AST, FunctionAnalysis]:
+    return {}
+
+
+def _stores_self_attr(scope: tuple[ast.AST, ...]) -> bool:
+    """True when a node of ``scope`` stores or deletes a ``self.<attr>``."""
+    return any(
+        isinstance(node, ast.Attribute)
+        and not isinstance(node.ctx, ast.Load)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+        for node in scope
+    )
+
+
 def _bound_names(scope: tuple[ast.AST, ...], skip: set[int]) -> set[str]:
     """Names the nodes of one scope bind, leaving out the targets whose
     ``id`` is in ``skip`` and comprehension targets (their own scope)."""
@@ -517,24 +566,21 @@ class ModuleIntervals:
     # Construction
     # ------------------------------------------------------------------
     def _build(self) -> None:
-        collected = list(self._collect_functions(self.module.tree))
+        drafts = [
+            function_draft(self.module, qualname, func)
+            for func, qualname in self._collect_functions(self.module.tree)
+        ]
         self._build_module_env()
-        # Pass 1: analyze methods without attribute facts, then derive the
-        # per-class ``self.<attr>`` joins from their recorded envs.
-        draft: dict[tuple[str, str], FunctionAnalysis] = {}
-        for func, qualname, class_name in collected:
-            if class_name is not None:
-                draft[(class_name, func.name)] = self._analyze(func, qualname, class_name)
-        self._attr_facts = self._derive_attr_facts(draft)
+        self._attr_facts = self._derive_attr_facts(drafts)
         # Pass 2: the real analyses, with attribute facts seeded at entry.
         self._seed_contract = True
-        for func, qualname, class_name in collected:
-            analysis = self._analyze(func, qualname, class_name)
+        for draft in drafts:
+            analysis = self._analyze(draft)
             self._functions.append(analysis)
-            if class_name is None:
-                self._by_name.setdefault(func.name, analysis)
+            if draft.class_name is None:
+                self._by_name.setdefault(draft.node.name, analysis)
             else:
-                self._methods.setdefault((class_name, func.name), analysis)
+                self._methods.setdefault((draft.class_name, draft.node.name), analysis)
         for analysis in self._functions:
             self._map_function(analysis)
         module_level: _Place = (None, None, frozenset(), ())
@@ -581,15 +627,15 @@ class ModuleIntervals:
 
     def _collect_functions(
         self, tree: ast.Module
-    ) -> Iterator[tuple[ast.FunctionDef | ast.AsyncFunctionDef, str, str | None]]:
-        def visit(node: ast.AST, class_name: str | None, prefix: str) -> Iterator[
-            tuple[ast.FunctionDef | ast.AsyncFunctionDef, str, str | None]
-        ]:
+    ) -> Iterator[tuple[ast.FunctionDef | ast.AsyncFunctionDef, str]]:
+        def visit(
+            node: ast.AST, prefix: str
+        ) -> Iterator[tuple[ast.FunctionDef | ast.AsyncFunctionDef, str]]:
             for child in ast.iter_child_nodes(node):
                 if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     qualname = f"{prefix}{child.name}"
-                    yield child, qualname, class_name
-                    yield from visit(child, None, f"{qualname}.<locals>.")
+                    yield child, qualname
+                    yield from visit(child, f"{qualname}.<locals>.")
                 elif isinstance(child, ast.Global):
                     self._global_names.update(child.names)
                 elif isinstance(child, ast.ClassDef):
@@ -598,11 +644,11 @@ class ModuleIntervals:
                         for base in child.bases
                         if isinstance(base, (ast.Name, ast.Attribute))
                     )
-                    yield from visit(child, child.name, f"{prefix}{child.name}.")
+                    yield from visit(child, f"{prefix}{child.name}.")
                 else:
-                    yield from visit(child, class_name, prefix)
+                    yield from visit(child, prefix)
 
-        yield from visit(tree, None, "")
+        yield from visit(tree, "")
 
     def _class_relatives(self, class_name: str) -> set[str]:
         """``class_name`` plus every in-module class connected to it by
@@ -624,13 +670,25 @@ class ModuleIntervals:
         return relatives
 
     def _derive_attr_facts(
-        self, draft: dict[tuple[str, str], FunctionAnalysis]
+        self, drafts: list[FunctionAnalysis]
     ) -> dict[str, dict[str, Interval]]:
+        """Pass 1: the ``self.<attr>`` facts of each class.
+
+        Each method whose own statements store or delete a
+        ``self.<attr>`` (the only statements :meth:`_collect_attr_stmt`
+        reads) is analyzed without attribute facts, and what it stores
+        is joined over the class and its in-module relatives.
+        """
         per_class: dict[str, dict[str, Interval]] = {}
         poisoned: dict[str, set[str]] = {}
-        for (class_name, _method), analysis in draft.items():
-            facts = per_class.setdefault(class_name, {})
-            bad = poisoned.setdefault(class_name, set())
+        for draft in drafts:
+            if draft.class_name is None:
+                continue
+            facts = per_class.setdefault(draft.class_name, {})
+            bad = poisoned.setdefault(draft.class_name, set())
+            if not _stores_self_attr(self.module.index.scope(draft.node)):
+                continue
+            analysis = self._analyze(draft)
             if analysis.cfg is None:
                 continue
             for block in analysis.cfg.blocks:
@@ -734,32 +792,14 @@ class ModuleIntervals:
                 env = refined
         return env
 
-    def _analyze(
-        self,
-        func: ast.FunctionDef | ast.AsyncFunctionDef,
-        qualname: str,
-        class_name: str | None,
-    ) -> FunctionAnalysis:
-        analysis = FunctionAnalysis(
-            node=func,
-            qualname=qualname,
-            class_name=class_name,
-            contract=_contract_of(func),
-        )
-        analysis.param_names = set(_param_names(func))
-        index = self.module.index
-        for node in index.walk(func):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, (ast.Store, ast.Del)):
-                analysis.assigned_names.add(node.id)
-            elif isinstance(node, (ast.Global, ast.Nonlocal)):
-                analysis.poisoned.update(node.names)
-            elif isinstance(node, ast.NamedExpr):
-                analysis.has_walrus = True
-        _collect_defs(index.scope(func), analysis)
+    def _analyze(self, draft: FunctionAnalysis) -> FunctionAnalysis:
+        """A fresh analysis of ``draft``'s function, run to its fixpoint."""
+        analysis = replace(draft, env_at={}, returns=[])
+        func = analysis.node
         cfg = build_cfg(func)
         analysis.cfg = cfg
 
-        in_envs: dict[int, Env] = {cfg.entry: self._entry_env(func, class_name)}
+        in_envs: dict[int, Env] = {cfg.entry: self._entry_env(func, analysis.class_name)}
         visits: dict[int, int] = {}
         worklist: list[int] = [cfg.entry]
         total_visits = 0

@@ -78,6 +78,12 @@ _SET_CONSTRUCTORS = frozenset({"set", "frozenset"})
 #: the lattice is tiny, so 2-3 passes suffice in practice).
 _ENV_PASSES = 10
 
+#: The nodes a bind pass reads: each binds a target.
+_BINDING_NODES = (
+    ast.Assign, ast.AnnAssign, ast.AugAssign, ast.For, ast.withitem,
+    ast.NamedExpr, ast.comprehension,
+)
+
 
 @dataclass(frozen=True)
 class FunctionTaint:
@@ -106,6 +112,8 @@ class ProjectTaint:
         self._functions: dict[str, tuple[SourceModule, str, ast.FunctionDef | ast.AsyncFunctionDef]] = {}
         self.summaries: dict[str, FunctionTaint] = {}
         self._envs: dict[str, dict[str, Taint]] = {}
+        #: Scope node -> its binding nodes, in scope order.
+        self._bindings: dict[ast.AST, tuple[ast.AST, ...]] = {}
 
         for module in modules:
             modname = module_name(module.path)
@@ -194,26 +202,25 @@ class ProjectTaint:
 
     # -- construction internals --------------------------------------
     def _module_env(self, module: SourceModule) -> dict[str, Taint]:
-        """Taint of module-level names, from top-level assignments.
+        """Taint of module-level names, from the module scope's bindings.
 
         A clean name is kept too: it shadows an import of the same name.
         """
         env: dict[str, Taint] = {}
-        analyzer = self._analyzer(module, "", env)
-        for statement in module.tree.body:
-            value: ast.expr | None = None
-            targets: list[ast.expr] = []
-            if isinstance(statement, ast.Assign):
-                targets, value = statement.targets, statement.value
-            elif isinstance(statement, ast.AnnAssign):
-                targets, value = [statement.target], statement.value
-            if value is None:
-                continue
-            taint = analyzer.eval(value)
-            for target in targets:
-                if isinstance(target, ast.Name):
-                    env[target.id] = env.get(target.id, CLEAN) | taint
+        self._analyzer(module, "", env).bind(self._binding_nodes(module, module.tree))
         return env
+
+    def _binding_nodes(
+        self, module: SourceModule, scope: ast.AST
+    ) -> tuple[ast.AST, ...]:
+        """The nodes of ``scope``'s own scope that bind a target, computed once."""
+        if scope not in self._bindings:
+            self._bindings[scope] = tuple(
+                node
+                for node in module.index.scope(scope)
+                if isinstance(node, _BINDING_NODES)
+            )
+        return self._bindings[scope]
 
     def _analyzer(
         self, module: SourceModule, qualname: str, env: dict[str, Taint]
@@ -257,12 +264,9 @@ class ProjectTaint:
         for arg in _all_params(func):
             env[arg] = frozenset({param_label(arg)})
         analyzer = self._analyzer(module, qualname, env)
-        scope = module.index.scope(func)
-        for _ in range(_ENV_PASSES):
-            if not analyzer.bind_pass(scope):
-                break
+        analyzer.bind(self._binding_nodes(module, func))
         returned = CLEAN
-        for node in scope:
+        for node in module.index.scope(func):
             if isinstance(node, ast.Return) and node.value is not None:
                 returned |= analyzer.eval(node.value)
             elif isinstance(node, (ast.Yield, ast.YieldFrom)):
@@ -313,10 +317,16 @@ class _BodyAnalyzer:
     _changed: bool = field(default=False, repr=False)
 
     # -- environment construction ------------------------------------
-    def bind_pass(self, scope: tuple[ast.AST, ...]) -> bool:
-        """One monotone pass binding targets in ``scope``; True if the env changed."""
+    def bind(self, bindings: tuple[ast.AST, ...]) -> None:
+        """Bind ``bindings``' targets, pass after pass, until the env is stable."""
+        for _ in range(_ENV_PASSES):
+            if not self.bind_pass(bindings):
+                break
+
+    def bind_pass(self, bindings: tuple[ast.AST, ...]) -> bool:
+        """One monotone pass over a scope's binding nodes; True if the env changed."""
         self._changed = False
-        for node in scope:
+        for node in bindings:
             if isinstance(node, ast.Assign):
                 taint = self.eval(node.value)
                 for target in node.targets:

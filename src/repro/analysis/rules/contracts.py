@@ -24,17 +24,13 @@ from __future__ import annotations
 from typing import Iterator
 
 from repro.analysis.dataflow import module_intervals
+from repro.analysis.dataflow.contract_lookup import needs_intervals
 from repro.analysis.findings import Finding
 from repro.analysis.project import ProjectContext
 from repro.analysis.rules.base import Rule, register
 from repro.analysis.source import SourceModule
 
-__all__ = ["ContractViolation", "module_has_contracts"]
-
-
-def module_has_contracts(module: SourceModule) -> bool:
-    """Cheap textual pre-filter before running the dataflow engine."""
-    return "requires(" in module.text or "ensures(" in module.text
+__all__ = ["ContractViolation"]
 
 
 @register
@@ -68,7 +64,7 @@ class ContractViolation(Rule):
     def check(
         self, module: SourceModule, context: ProjectContext
     ) -> Iterator[Finding]:
-        if not module_has_contracts(module):
+        if not needs_intervals(module):
             return
         for verdict in module_intervals(module).contract_verdicts():
             if verdict.verdict != "violated":

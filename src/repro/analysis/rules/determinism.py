@@ -35,6 +35,7 @@ import ast
 from typing import Iterator
 
 from repro.analysis.callgraph import CallSiteResolver
+from repro.analysis.dataflow.contract_lookup import in_estimator_stack
 from repro.analysis.dataflow.taint import (
     ORDER_LABELS,
     VALUE_LABELS,
@@ -46,7 +47,6 @@ from repro.analysis.effects import _callee_key
 from repro.analysis.findings import Finding
 from repro.analysis.project import ProjectContext, context_cached
 from repro.analysis.rules.base import ProjectRule, register
-from repro.analysis.rules.numeric import _in_estimator_stack
 from repro.analysis.rules.purity import _is_estimation_method
 from repro.analysis.source import SourceModule, qualified_name
 
@@ -69,7 +69,7 @@ _NUMPY_ONLY = frozenset({"save", "savetxt"})
 
 
 def _is_sink_module(module: SourceModule) -> bool:
-    return _in_estimator_stack(module) or module.in_package("repro", "db")
+    return in_estimator_stack(module) or module.in_package("repro", "db")
 
 
 #: An artifact write: module, function key, call, and its payload's taint.

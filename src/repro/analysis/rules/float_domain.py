@@ -10,7 +10,9 @@ callees in other modules through their contracts
 (:mod:`repro.analysis.dataflow.contract_lookup`), so a site whose
 safety *can* be proved from guards or contracts is never reported.
 R1304 follows NaN producers syntactically, through any chain of
-project calls.
+project calls, reading each function's single-assignment ``defs``
+from :func:`~repro.analysis.dataflow.engine.function_draft`: it needs
+no fixpoint, so no interval analysis.
 
 Scopes are deliberate:
 
@@ -33,13 +35,19 @@ import math
 from typing import Iterator
 
 from repro.analysis.dataflow import ModuleIntervals, module_intervals
-from repro.analysis.dataflow.contract_lookup import ContractLookup, contract_lookup
-from repro.analysis.effects import _callee_key
+from repro.analysis.dataflow.contract_lookup import (
+    ContractLookup,
+    contract_lookup,
+    in_estimator_stack,
+    needs_intervals,
+)
+from repro.analysis.dataflow.engine import function_draft
+from repro.analysis.effects import _callee_key, defined_functions
 from repro.analysis.findings import Finding
 from repro.analysis.project import ProjectContext
 from repro.analysis.rules.base import ProjectRule, Rule, register
 from repro.analysis.rules.determinism import _payload_argument
-from repro.analysis.rules.numeric import _in_estimator_stack, _numeric_call
+from repro.analysis.rules.numeric import _numeric_call
 from repro.analysis.rules.purity import _is_estimation_method
 from repro.analysis.source import SourceModule, module_name, qualified_name
 
@@ -120,6 +128,8 @@ class UnprovenNonzeroDivision(Rule):
     def check(
         self, module: SourceModule, context: ProjectContext
     ) -> Iterator[Finding]:
+        if not needs_intervals(module):
+            return
         intervals = module_intervals(module)
         for analysis in intervals.function_analyses():
             if not analysis.contract:
@@ -182,7 +192,7 @@ class FloatDomainViolation(Rule):
     def check(
         self, module: SourceModule, context: ProjectContext
     ) -> Iterator[Finding]:
-        if not _in_estimator_stack(module):
+        if not in_estimator_stack(module):
             return
         intervals = module_intervals(module)
         for node in module.index.nodes:
@@ -284,7 +294,7 @@ class ExpOverflowHazard(Rule):
     def check(
         self, module: SourceModule, context: ProjectContext
     ) -> Iterator[Finding]:
-        if not _in_estimator_stack(module):
+        if not in_estimator_stack(module):
             return
         intervals = module_intervals(module)
         for node in module.index.nodes:
@@ -375,9 +385,8 @@ class NanToSink(ProjectRule):
     def _payload_sinks(
         self, module: SourceModule, lookup: ContractLookup, reasons: dict[str, str]
     ) -> Iterator[Finding]:
-        intervals = module_intervals(module)
-        for analysis in intervals.function_analyses():
-            scope = module.index.scope(analysis.node)
+        for qualname, func in defined_functions(module):
+            scope = module.index.scope(func)
             sanitized = self._sanitized_names(scope)
             for node in scope:
                 if not isinstance(node, ast.Call):
@@ -387,7 +396,8 @@ class NanToSink(ProjectRule):
                     continue
                 if self._roots(payload) & sanitized:
                     continue
-                reason = nan_producer_reason(module, payload, analysis.defs)
+                defs = function_draft(module, qualname, func).defs
+                reason = nan_producer_reason(module, payload, defs)
                 if reason is None:
                     reason = _nan_call(lookup, module, payload, reasons)
                 if reason is None:
@@ -397,7 +407,7 @@ class NanToSink(ProjectRule):
                     module,
                     node.lineno,
                     node.col_offset,
-                    f"{analysis.qualname} writes a possibly-NaN payload "
+                    f"{qualname} writes a possibly-NaN payload "
                     f"({reason}) to an artifact via {target}(); sanitize "
                     "it first",
                 )
@@ -437,22 +447,24 @@ def nan_returns(
     returns = []
     for module in modules:
         modname = module_name(module.path)
-        for function in module_intervals(module).function_analyses():
-            key = f"{modname}.{function.qualname}"
+        for qualname, func in defined_functions(module):
+            key = f"{modname}.{qualname}"
             if key in lookup.functions:
                 values = [
                     stmt.value
-                    for stmt in module.index.walk(function.node)
+                    for stmt in module.index.walk(func)
                     if isinstance(stmt, ast.Return) and stmt.value is not None
                 ]
-                returns.append((key, module, function.defs, values))
+                if values:
+                    returns.append((key, module, qualname, func, values))
     reasons: dict[str, str] = {}
     added = True
     while added:
         added = False
-        for key, module, defs, values in returns:
+        for key, module, qualname, func, values in returns:
             if key in reasons:
                 continue
+            defs = function_draft(module, qualname, func).defs
             for value in values:
                 reason = nan_producer_reason(module, value, defs)
                 if reason is not None:

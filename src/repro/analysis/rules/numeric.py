@@ -27,26 +27,13 @@ import ast
 from typing import Iterator
 
 from repro.analysis.dataflow import module_intervals
+from repro.analysis.dataflow.contract_lookup import in_estimator_stack
 from repro.analysis.findings import Finding
 from repro.analysis.project import ProjectContext
 from repro.analysis.rules.base import Rule, register
 from repro.analysis.source import SourceModule, qualified_name
 
 __all__ = ["UnguardedDivision", "UnsafeLogSqrt", "FloatEquality"]
-
-#: Packages the estimator contract (and therefore R101/R102) covers.
-ESTIMATOR_STACK = (
-    ("repro", "core"),
-    ("repro", "estimators"),
-    ("repro", "frequency"),
-    ("repro", "sketches"),
-    ("repro", "sampling"),
-)
-
-
-def _in_estimator_stack(module: SourceModule) -> bool:
-    return any(module.in_package(*parts) for parts in ESTIMATOR_STACK)
-
 
 def _numeric_call(module: SourceModule, node: ast.Call) -> tuple[str, str] | None:
     """``(module, name)`` of a ``math``/``numpy`` function called with arguments.
@@ -104,7 +91,7 @@ class UnguardedDivision(Rule):
     def check(
         self, module: SourceModule, context: ProjectContext
     ) -> Iterator[Finding]:
-        if not _in_estimator_stack(module):
+        if not in_estimator_stack(module):
             return
         intervals = module_intervals(module)
         for node in module.index.nodes:
@@ -164,7 +151,7 @@ class UnsafeLogSqrt(Rule):
     def check(
         self, module: SourceModule, context: ProjectContext
     ) -> Iterator[Finding]:
-        if not _in_estimator_stack(module):
+        if not in_estimator_stack(module):
             return
         intervals = module_intervals(module)
         for node in module.index.nodes:

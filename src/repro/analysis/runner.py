@@ -15,11 +15,10 @@ import os
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from repro.analysis.dataflow.contract_lookup import contract_lookup
+from repro.analysis.dataflow.contract_lookup import contract_lookup, needs_intervals
 from repro.analysis.findings import PARSE_ERROR_CODE, Finding
 from repro.analysis.project import ProjectContext, build_context
 from repro.analysis.rules import ProjectRule, Rule, all_rules, resolve_rules
-from repro.analysis.rules.contracts import module_has_contracts
 from repro.analysis.rules.suppressions import (
     STALE_SUPPRESSION_CODE,
     StaleSuppression,
@@ -30,11 +29,9 @@ from repro.errors import InvalidParameterError
 __all__ = ["LintReport", "collect_files", "lint_paths"]
 
 #: Rules whose findings depend on the interval engine; a run selecting
-#: any of them builds every module's analysis with the contract lookup
+#: any of them builds the analyses they read with the contract lookup
 #: first.
-_INTERVAL_RULES = frozenset(
-    {"R101", "R102", "R702", "R1301", "R1302", "R1303", "R1304"}
-)
+_INTERVAL_RULES = frozenset({"R101", "R102", "R702", "R1301", "R1302", "R1303"})
 
 #: Directory names never descended into.
 _SKIP_DIRS = frozenset(
@@ -165,7 +162,7 @@ def lint_paths(
     if modules and (
         prove or any(rule.code in _INTERVAL_RULES for rule in rules)
     ):
-        # Build every interval analysis with the cross-module contract
+        # Build the interval analyses with the cross-module contract
         # lookup *before* any rule queries intervals, so R101/R102/R13xx
         # and --prove all resolve calls into other modules.
         contract_lookup(modules, context)
@@ -233,7 +230,7 @@ def lint_paths(
         from repro.analysis.dataflow import module_intervals
 
         for module in modules:
-            if not module_has_contracts(module):
+            if not needs_intervals(module):
                 continue
             for verdict in module_intervals(module).contract_verdicts():
                 report.contract_verdicts.append((module.path, verdict))

@@ -351,7 +351,8 @@ def _run_pool(
     killed), and everything outstanding is resubmitted.  A worker that
     died outright surfaces as ``BrokenProcessPool`` on every in-flight
     future; each is charged one retry (the culprit is indistinguishable
-    post-mortem) and the pool is rebuilt.
+    post-mortem) and the pool is rebuilt if any point is still
+    outstanding.
     """
     traced = OBS.enabled
     payloads: dict[int, dict[str, Any]] = {}
@@ -444,7 +445,7 @@ def _run_pool(
                     if payload is not None:
                         payloads[index] = payload
                     _checkpoint(journal, seed, index, value, attempts[index])
-            if broken:
+            if broken and outstanding:
                 rebuild_pool()
     finally:
         pool.shutdown(wait=False, cancel_futures=True)

@@ -106,7 +106,6 @@ class SweepJournal:
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         self._handle: IO[str] | None = None
-        self._header: dict[str, Any] | None = None
         self.hits = 0
         self.misses = 0
 
@@ -131,9 +130,9 @@ class SweepJournal:
         """
         completed: dict[int, Any] = {}
         if resume and self.path.exists():
-            self._header, completed = self._load(config_hash)
+            completed = self._load(config_hash)
         else:
-            self._header = {
+            header = {
                 "ev": "journal",
                 "schema": JOURNAL_SCHEMA,
                 "sweep": config_hash,
@@ -141,7 +140,7 @@ class SweepJournal:
                 "points": points,
                 "task": task,
             }
-            atomic_write(self.path, json.dumps(self._header, sort_keys=True) + "\n")
+            atomic_write(self.path, json.dumps(header, sort_keys=True) + "\n")
         self._handle = open(self.path, "a", encoding="utf-8")
         self.hits = len(completed)
         self.misses = points - len(completed)
@@ -158,11 +157,6 @@ class SweepJournal:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-    @property
-    def journal_id(self) -> str | None:
-        """The sweep hash this journal is bound to (None before begin)."""
-        return self._header["sweep"] if self._header else None
 
     # -- recording -----------------------------------------------------
     def record(
@@ -193,7 +187,7 @@ class SweepJournal:
         os.fsync(self._handle.fileno())
 
     # -- recovery ------------------------------------------------------
-    def _load(self, config_hash: str) -> tuple[dict[str, Any], dict[int, Any]]:
+    def _load(self, config_hash: str) -> dict[int, Any]:
         raw = self.path.read_text(encoding="utf-8")
         lines = raw.split("\n")
         if not lines or not lines[0].strip():
@@ -237,7 +231,7 @@ class SweepJournal:
                 self.path,
                 dropped,
             )
-        return header, completed
+        return completed
 
     def _parse_point(self, line: str, position: int) -> tuple[int, Any] | None:
         """Decode one point line, or None when it is torn/corrupt."""

@@ -1,4 +1,4 @@
-"""R1001 fixture: six value-nondeterminism violations, four clean forms."""
+"""R1001 fixture: ten value-nondeterminism violations, four clean forms."""
 
 import os
 import time
@@ -51,3 +51,30 @@ def good_internal_timing():
 def good_local_environ():
     environ = {"SCALE": "1"}
     return environ["SCALE"]
+
+
+# The last four read a module-level name an ``os.environ`` read binds:
+# through a tuple target, an augmented assignment, a ``for`` target and
+# (the control) a plain assignment.
+def bad_tuple_bound_env():
+    return SCALE_A
+
+
+def bad_augmented_env():
+    return SCALE_B
+
+
+def bad_loop_bound_env():
+    return SCALE_C
+
+
+def bad_plain_env():
+    return SCALE_D
+
+
+SCALE_A, OTHER = os.environ["SCALE"], 1
+SCALE_B = "1"
+SCALE_B += os.environ["SCALE"]
+for SCALE_C in os.environ:
+    pass
+SCALE_D = os.environ["SCALE"]

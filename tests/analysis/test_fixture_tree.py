@@ -24,6 +24,10 @@ EXPECTED = [
     ('fixture_r1001.py', 23, 0, 'R1001'),
     ('fixture_r1001.py', 27, 0, 'R1001'),
     ('fixture_r1001.py', 31, 0, 'R1001'),
+    ('fixture_r1001.py', 59, 0, 'R1001'),
+    ('fixture_r1001.py', 63, 0, 'R1001'),
+    ('fixture_r1001.py', 67, 0, 'R1001'),
+    ('fixture_r1001.py', 71, 0, 'R1001'),
     ('fixture_r1002.py', 6, 0, 'R1002'),
     ('fixture_r1002.py', 6, 0, 'R601'),
     ('fixture_r1002.py', 11, 0, 'R1002'),

@@ -100,6 +100,23 @@ class TestWorkerDeath:
         result = _supervised(2, RetryPolicy(retries=10, **FAST))
         assert result == baseline
 
+    def test_a_break_that_leaves_nothing_outstanding_builds_no_pool(
+        self, set_faults
+    ):
+        # Every attempt kills its worker and no point may retry, so the
+        # break exhausts every point: no pool is rebuilt for nothing.
+        set_faults("sweep.point:kill@1.0", seed=2)
+        OBS.begin_capture()
+        try:
+            partial = _gaps(2, RetryPolicy(retries=0, **FAST))
+            counters = OBS.counters()
+        finally:
+            OBS.drain()
+            OBS.disable()
+        assert partial.missing == tuple(POINTS)
+        assert all("BrokenProcessPool" in msg for msg in partial.errors.values())
+        assert counters.get("resilience.pool_rebuilds", 0) == 0
+
 
 class TestHangs:
     def test_hung_workers_time_out_and_recover(self, baseline, set_faults):
